@@ -38,14 +38,18 @@ def _fmt(x: float) -> str:
 def parse_grid(text: str) -> list[float]:
     """A bare float, or "start:stop:step" inclusive of stop (within rounding).
 
-    A step larger than the range yields the single point at start.
+    A step larger than the range yields the single point at start. NaN and
+    infinities are rejected.
     """
-    if ":" not in text:
-        return [float(text)]
     parts = text.split(":")
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValueError(f"grid spec must be start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    values = [float(p) for p in parts]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"grid values must be finite, got {text!r}")
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step <= 0.0:
         raise ValueError(f"grid step must be positive, got {step}")
     if stop < start:

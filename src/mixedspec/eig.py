@@ -97,9 +97,14 @@ def oracle_eigenvalues(m: HermitianMatrix) -> Spectrum:
     averaged, and a pair gap above the same tolerance raises
     EmbeddingPairingError too.
     """
+    n = m.n
     x = m.data.real
     y = m.data.imag
-    emb = np.block([[x, -y], [y, x]])
+    emb = np.empty((2 * n, 2 * n))
+    emb[:n, :n] = x
+    emb[:n, n:] = -y
+    emb[n:, :n] = y
+    emb[n:, n:] = x
     try:
         w = np.linalg.eigvals(emb)
     except np.linalg.LinAlgError as exc:

@@ -8,6 +8,7 @@ Vertices are 0-based internally; the text format is 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,13 +53,35 @@ class MixedGraph:
             if pair in seen:
                 raise ValueError(f"duplicate underlying pair {pair}")
             seen.add(pair)
-        if len(seen) < len(self.undirected) + len(self.arcs):
-            raise ValueError("duplicate underlying pair across edge sets")
 
     @property
     def edge_count(self) -> int:
         """Edges of the underlying graph (arcs count once)."""
         return len(self.undirected) + len(self.arcs)
+
+    # The graph is immutable, so data derived from it is computed on first use
+    # and kept; every matrix built from the graph shares it.
+
+    @cached_property
+    def stats(self) -> GraphStats:
+        """Degree statistics of the underlying graph (see ``graph_stats``)."""
+        return graph_stats(self)
+
+    @cached_property
+    def edge_index(self) -> np.ndarray:
+        """Undirected edges as a read-only 2 x k int array: rows i and j, sorted."""
+        return _index_array(self.undirected)
+
+    @cached_property
+    def arc_index(self) -> np.ndarray:
+        """Arcs as a read-only 2 x k int array: rows tail and head, sorted."""
+        return _index_array(self.arcs)
+
+
+def _index_array(pairs: frozenset[tuple[int, int]]) -> np.ndarray:
+    a = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2).T
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -75,10 +98,18 @@ class GraphStats:
     zagreb: int
 
     def __post_init__(self):
-        assert self.m == self.arc_count + self.undirected_count
-        assert sum(self.degrees) == 2 * self.m
-        assert all(self.min_degree <= d <= self.max_degree for d in self.degrees)
-        assert self.zagreb == sum(d * d for d in self.degrees)
+        if self.m != self.arc_count + self.undirected_count:
+            raise ValueError(
+                f"m={self.m} is not arcs {self.arc_count} + undirected {self.undirected_count}"
+            )
+        if sum(self.degrees) != 2 * self.m:
+            raise ValueError(f"degree sum {sum(self.degrees)} is not 2m = {2 * self.m}")
+        if not all(self.min_degree <= d <= self.max_degree for d in self.degrees):
+            raise ValueError(
+                f"degrees {self.degrees} outside [{self.min_degree}, {self.max_degree}]"
+            )
+        if self.zagreb != sum(d * d for d in self.degrees):
+            raise ValueError(f"zagreb={self.zagreb} is not the sum of squared degrees")
 
 
 def graph_stats(g: MixedGraph) -> GraphStats:

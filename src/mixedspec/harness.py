@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds as _b
 from .bounds import BoundKind, BoundResult, BoundTarget, WolkowiczMoments
 from .eig import Spectrum, eigenvalues, oracle_eigenvalues, spectral_radius, spread, trace_norm
-from .graphs import GraphStats, MixedGraph, graph_stats, random_mixed_graph, serialize_graph
+from .graphs import GraphStats, MixedGraph, random_mixed_graph, serialize_graph
 from .matrices import (
     AlphaParam,
     BetaParam,
@@ -175,7 +175,7 @@ def rayleigh_range_check(
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0
     z = z / norms[:, None]
-    vals = np.einsum("si,ij,sj->s", z.conj(), m.data, z)
+    vals = ((z.conj() @ m.data) * z).sum(axis=1)
     if np.max(np.abs(vals.imag)) > IMAG_TOL:
         raise VerificationError("quadratic form came out non-real on Hermitian input")
     if m.provenance is not None:
@@ -299,7 +299,7 @@ def verify_all(
     """
     alpha = as_alpha(alpha)
     beta = as_beta(beta)
-    stats = graph_stats(g)
+    stats = g.stats
     matrix = a_alpha_matrix(g, alpha, beta)
 
     spec = eigenvalues(matrix)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .graphs import GraphStats, MixedGraph, graph_stats
+from .graphs import GraphStats, MixedGraph
 
 UNIT_MODULUS_TOL = 1e-12
 
@@ -38,6 +39,8 @@ class BetaParam:
     im: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.re) and math.isfinite(self.im)):
+            raise ValueError(f"beta must be finite, got {self.re}+{self.im}j")
         if abs(math.hypot(self.re, self.im) - 1.0) > UNIT_MODULUS_TOL:
             raise ValueError(f"|beta| must be 1 within {UNIT_MODULUS_TOL}, got {self.re}+{self.im}j")
         if self.re < 0.0:
@@ -46,6 +49,8 @@ class BetaParam:
     @classmethod
     def from_angle(cls, theta: float) -> "BetaParam":
         """beta = e^{i*theta}; theta must lie in [-pi/2, pi/2] so Re(beta) >= 0."""
+        if not math.isfinite(theta):
+            raise ValueError(f"beta angle must be finite, got {theta}")
         return cls(math.cos(theta), math.sin(theta))
 
     @property
@@ -116,7 +121,11 @@ class HermitianMatrix:
         return float(np.trace(self.data).real)
 
     def trace_of_square(self) -> float:
-        # tr(M^2) = sum of squared entry moduli for Hermitian M
+        return self._sum_of_squared_moduli
+
+    @cached_property
+    def _sum_of_squared_moduli(self) -> float:
+        # tr(M^2) for Hermitian M; the entries are read-only, so it is summed once
         return float(np.sum(np.abs(self.data) ** 2))
 
     def frobenius_norm(self) -> float:
@@ -138,37 +147,49 @@ def hermitian_from_array(a: np.ndarray) -> HermitianMatrix:
     return HermitianMatrix(h)
 
 
+def _degree_array(g: MixedGraph) -> np.ndarray:
+    d = np.zeros((g.n, g.n), dtype=np.complex128)
+    np.fill_diagonal(d, np.asarray(g.stats.degrees, dtype=np.float64))
+    return d
+
+
+def _adjacency_array(g: MixedGraph, beta: BetaParam) -> np.ndarray:
+    b = beta.value
+    h = np.zeros((g.n, g.n), dtype=np.complex128)
+    i, j = g.edge_index
+    h[i, j] = 1.0
+    h[j, i] = 1.0
+    t, hd = g.arc_index
+    h[t, hd] = b
+    h[hd, t] = b.conjugate()
+    return h
+
+
 def degree_matrix(g: MixedGraph) -> HermitianMatrix:
     """Diagonal matrix of underlying-graph degrees (the alpha = 1 endpoint)."""
-    stats = graph_stats(g)
-    d = np.zeros((g.n, g.n), dtype=np.complex128)
-    np.fill_diagonal(d, [float(x) for x in stats.degrees])
-    return HermitianMatrix(d, provenance=GraphProvenance(g, AlphaParam(1.0), omega_constant()))
+    return HermitianMatrix(
+        _degree_array(g), provenance=GraphProvenance(g, AlphaParam(1.0), omega_constant())
+    )
 
 
 def hermitian_adjacency(g: MixedGraph, beta: "BetaParam | complex") -> HermitianMatrix:
     """Phase adjacency matrix: beta on arcs tail->head, conj(beta) reversed, 1 on edges."""
     beta = as_beta(beta)
-    b = beta.value
-    h = np.zeros((g.n, g.n), dtype=np.complex128)
-    for i, j in g.undirected:
-        h[i, j] = 1.0
-        h[j, i] = 1.0
-    for t, hd in g.arcs:
-        h[t, hd] = b
-        h[hd, t] = b.conjugate()
-    return HermitianMatrix(h, provenance=GraphProvenance(g, AlphaParam(0.0), beta))
+    return HermitianMatrix(
+        _adjacency_array(g, beta), provenance=GraphProvenance(g, AlphaParam(0.0), beta)
+    )
 
 
 def a_alpha_matrix(
     g: MixedGraph, alpha: "AlphaParam | float", beta: "BetaParam | complex"
 ) -> HermitianMatrix:
-    """Convex blend alpha*D + (1-alpha)*H of degree matrix and phase adjacency."""
+    """Convex blend alpha*D + (1-alpha)*H of degree matrix and phase adjacency.
+
+    D and H are filled as plain arrays; only the blend is validated.
+    """
     alpha = as_alpha(alpha)
     beta = as_beta(beta)
-    d = degree_matrix(g).data
-    h = hermitian_adjacency(g, beta).data
-    a = alpha.value * d + (1.0 - alpha.value) * h
+    a = alpha.value * _degree_array(g) + (1.0 - alpha.value) * _adjacency_array(g, beta)
     # re-zero the diagonal imag parts that scaling might have left as -0.0
     np.fill_diagonal(a, a.diagonal().real)
     return HermitianMatrix(a, provenance=GraphProvenance(g, alpha, beta))
@@ -192,21 +213,13 @@ def _expansion_quadratic_form(prov: GraphProvenance, z: np.ndarray) -> float:
     a, b = prov.beta.re, prov.beta.im
     x, y = z.real, z.imag
     g = prov.graph
-    deg = graph_stats(g).degrees
-    degree_part = 0.0
-    for i in range(g.n):
-        degree_part += deg[i] * (x[i] * x[i] + y[i] * y[i])
-    edge_part = 0.0
-    for v, u in g.arcs:
-        edge_part += (
-            2.0 * a * x[v] * x[u]
-            + 2.0 * a * y[v] * y[u]
-            - 2.0 * b * x[v] * y[u]
-            + 2.0 * b * y[v] * x[u]
-        )
-    for v, u in g.undirected:
-        edge_part += 2.0 * (x[v] * x[u] + y[v] * y[u])
-    return al * degree_part + (1.0 - al) * edge_part
+    deg = np.asarray(g.stats.degrees, dtype=np.float64)
+    degree_part = deg @ (x * x + y * y)
+    v, u = g.arc_index
+    arc_part = 2.0 * a * (x[v] @ x[u] + y[v] @ y[u]) - 2.0 * b * (x[v] @ y[u] - y[v] @ x[u])
+    i, j = g.edge_index
+    edge_part = 2.0 * (x[i] @ x[j] + y[i] @ y[j])
+    return float(al * degree_part + (1.0 - al) * (arc_part + edge_part))
 
 
 def quadratic_form(m: HermitianMatrix, z: np.ndarray) -> float:

@@ -57,6 +57,11 @@ class TestParseGrid:
         with pytest.raises(ValueError):
             parse_grid("0:1")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "0:inf:0.5", "nan:1:0.5", "0:1:nan", "0:1:inf"])
+    def test_rejects_non_finite(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            parse_grid(text)
+
 
 class TestReport:
     def test_json_spectrum(self, c3_file, capsys):
@@ -101,6 +106,14 @@ class TestReport:
 
     def test_alpha_out_of_range(self, c3_file, capsys):
         assert main(["report", "--graph", c3_file, "--alpha", "1.5"]) == 2
+
+    @pytest.mark.parametrize("beta_arg", ["nan", "inf"])
+    def test_non_finite_beta_arg_is_usage_error(self, c3_file, capsys, beta_arg):
+        code = main(["report", "--graph", c3_file, "--beta-arg", beta_arg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "beta angle must be finite" in captured.err
 
     def test_beta_arg_zero_gives_real_adjacency_spectrum(self, p2_file, capsys):
         code = main(["report", "--graph", p2_file, "--alpha", "0", "--beta-arg", "0"])
@@ -167,6 +180,13 @@ class TestSweep:
         main(["report", "--graph", c3_file, "--alpha", "0.5", "--format", "csv"])
         reported = capsys.readouterr().out
         assert swept == reported
+
+    def test_non_finite_grid_is_usage_error(self, c3_file, capsys):
+        code = main(["sweep", "--graph", c3_file, "--alpha", "0:inf:0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "grid values must be finite" in captured.err
 
     def test_json_format(self, c3_file, capsys):
         code = main(["sweep", "--graph", c3_file, "--alpha", "0:1:0.5", "--format", "json"])

@@ -1,10 +1,18 @@
 """Graph representation, parsing, statistics and the Zagreb lower bound."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import mixedspec
 from mixedspec.graphs import (
     GraphFormatError,
+    GraphStats,
     MixedGraph,
     graph_stats,
     parse_graph,
@@ -109,6 +117,66 @@ class TestStats:
         s = graph_stats(g)
         assert s.m == s.arc_count + s.undirected_count
         assert sum(s.degrees) == 2 * s.m
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(m=2),  # m != arcs + undirected
+            dict(degrees=(1, 2)),  # degree sum != 2m
+            dict(min_degree=2, max_degree=2),  # a degree below min_degree
+            dict(zagreb=3),  # not the sum of squared degrees
+        ],
+    )
+    def test_broken_invariant_raises_value_error(self, fields):
+        valid = dict(n=2, m=1, arc_count=1, undirected_count=0, degrees=(1, 1),
+                     max_degree=1, min_degree=1, zagreb=2)
+        GraphStats(**valid)
+        with pytest.raises(ValueError):
+            GraphStats(**{**valid, **fields})
+
+    def test_invariants_hold_under_optimize_flag(self):
+        # assert statements vanish under python -O; the checks must not
+        code = (
+            "from mixedspec.graphs import GraphStats\n"
+            "try:\n"
+            "    GraphStats(n=2, m=2, arc_count=1, undirected_count=0, degrees=(1, 1),"
+            " max_degree=1, min_degree=1, zagreb=2)\n"
+            "except ValueError:\n"
+            "    print('rejected')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(mixedspec.__file__).parent.parent)}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out == "rejected\n"
+
+
+class TestDerivedData:
+    @given(graphs())
+    def test_stats_property_matches_graph_stats(self, g):
+        assert g.stats == graph_stats(g)
+
+    def test_computed_once_per_graph(self, c3):
+        assert c3.stats is c3.stats
+        assert c3.edge_index is c3.edge_index
+        assert c3.arc_index is c3.arc_index
+
+    @given(graphs())
+    def test_index_arrays_list_every_pair(self, g):
+        assert g.edge_index.shape == (2, len(g.undirected))
+        assert g.arc_index.shape == (2, len(g.arcs))
+        assert set(zip(*g.edge_index.tolist())) == g.undirected
+        assert set(zip(*g.arc_index.tolist())) == g.arcs
+
+    def test_index_arrays_read_only(self, c3):
+        with pytest.raises(ValueError):
+            c3.arc_index[0, 0] = 2
+
+    def test_cached_data_leaves_equality_alone(self, c3):
+        again = parse_graph("3\n1 -> 2\n2 -> 3\n3 -> 1\n")
+        c3.stats
+        assert again == c3 and hash(again) == hash(c3)
+        assert np.array_equal(again.arc_index, c3.arc_index)
 
 
 class TestZagrebLowerBound:

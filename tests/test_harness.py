@@ -3,6 +3,7 @@ sweeps, and the randomized suite with its reproduction data."""
 
 import dataclasses
 import math
+import sys
 
 import pytest
 
@@ -61,6 +62,26 @@ class TestVerifyAll:
         report = verify_all(k13, 1.0, OMEGA)
         degrees = sorted(graph_stats(k13).degrees, reverse=True)
         assert report.spectrum.values == pytest.approx(tuple(float(d) for d in degrees), abs=1e-9)
+
+    def test_degree_statistics_computed_once(self, monkeypatch):
+        real = mixedspec.graphs.graph_stats
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        # patch every module-level reference, so a stray import is counted too
+        for name, mod in list(sys.modules.items()):
+            if name == "mixedspec" or name.startswith("mixedspec."):
+                for attr, value in list(vars(mod).items()):
+                    if value is real:
+                        monkeypatch.setattr(mod, attr, counting)
+        g = parse_graph("5\n1 -> 2\n2 -- 3\n3 -> 4\n4 -- 5\n5 -> 1\n1 -- 3\n")
+        verify_all(g, 0.4, OMEGA)
+        assert len(calls) == 1
+        sweep_alpha(g, SweepConfig(alpha_grid=(0.0, 0.5, 1.0), beta_args=(0.3,)))
+        assert len(calls) == 1
 
     def test_rayleigh_gating_for_general_beta(self, c3):
         report = verify_all(c3, 0.2, BetaParam(1.0, 0.0))

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mixedspec.eig import eigenvalues
-from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph
+from mixedspec.graphs import MixedGraph, graph_stats, parse_graph, random_mixed_graph
 from mixedspec.matrices import (
     AlphaParam,
     BetaParam,
+    GraphProvenance,
     HermitianMatrix,
+    _expansion_quadratic_form,
     a_alpha_matrix,
     degree_matrix,
     expected_traces,
@@ -42,6 +44,34 @@ alphas = st.floats(0.0, 1.0)
 beta_angles = st.floats(-math.pi / 2, math.pi / 2)
 
 
+def scalar_expansion(prov: GraphProvenance, z: np.ndarray) -> float:
+    """Loop form of the arc-sum expansion of z* A z, the reference for the array form.
+
+    Per arc v->u the contribution is 2a(x_v x_u + y_v y_u) - 2b x_v y_u
+    + 2b y_v x_u with beta = a + ib; undirected edges contribute
+    2(x_v x_u + y_v y_u) since their entry is 1.
+    """
+    al = prov.alpha.value
+    a, b = prov.beta.re, prov.beta.im
+    x, y = z.real, z.imag
+    g = prov.graph
+    deg = graph_stats(g).degrees
+    degree_part = 0.0
+    for i in range(g.n):
+        degree_part += deg[i] * (x[i] * x[i] + y[i] * y[i])
+    edge_part = 0.0
+    for v, u in g.arcs:
+        edge_part += (
+            2.0 * a * x[v] * x[u]
+            + 2.0 * a * y[v] * y[u]
+            - 2.0 * b * x[v] * y[u]
+            + 2.0 * b * y[v] * x[u]
+        )
+    for v, u in g.undirected:
+        edge_part += 2.0 * (x[v] * x[u] + y[v] * y[u])
+    return al * degree_part + (1.0 - al) * edge_part
+
+
 class TestParams:
     def test_omega_value(self):
         assert OMEGA.re == 0.5
@@ -66,6 +96,18 @@ class TestParams:
     def test_beta_modulus_enforced(self):
         with pytest.raises(ValueError):
             BetaParam(0.5, 0.5)
+
+    @pytest.mark.parametrize(
+        "re, im", [(math.nan, math.nan), (1.0, math.nan), (math.nan, 0.0), (math.inf, 0.0)]
+    )
+    def test_beta_non_finite_rejected(self, re, im):
+        with pytest.raises(ValueError, match="finite"):
+            BetaParam(re, im)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_from_angle_non_finite_rejected(self, theta):
+        with pytest.raises(ValueError, match="finite"):
+            BetaParam.from_angle(theta)
 
     def test_beta_negative_real_part_rejected(self):
         with pytest.raises(ValueError):
@@ -133,6 +175,16 @@ class TestBuilders:
         m = a_alpha_matrix(g, a, BetaParam.from_angle(theta))
         assert np.array_equal(m.data, m.data.conj().T)
         assert np.all(np.diagonal(m.data).imag == 0.0)
+
+    @given(graphs(), alphas, beta_angles)
+    def test_blend_bits_match_blend_of_validated_parts(self, g, a, theta):
+        # every entry equals alpha*D + (1-alpha)*H over the validated endpoint
+        # matrices bit for bit, signed zeros included
+        beta = BetaParam.from_angle(theta)
+        ref = a * degree_matrix(g).data + (1.0 - a) * hermitian_adjacency(g, beta).data
+        np.fill_diagonal(ref, ref.diagonal().real)
+        got = a_alpha_matrix(g, a, beta).data
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     def test_constructor_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -205,6 +257,46 @@ class TestQuadraticForm:
         val = quadratic_form(m, z)
         spec = eigenvalues(m)
         assert spec.mu_min - 1e-9 <= val <= spec.mu_max + 1e-9
+
+
+class TestArrayExpansion:
+    """The array expansion sums in another order than the loop reference, so
+    the two agree only to rounding. The sum of the terms' magnitudes is at
+    most a few times (1 + max degree) * ||z||^2, and the error of either
+    order is that times about eps per term; with at most ~100 terms here
+    that stays well below 1e-13, which is about 450 eps."""
+
+    @staticmethod
+    def assert_matches_reference(g, alpha, beta, z):
+        prov = GraphProvenance(g, AlphaParam(alpha), beta)
+        scale = (1.0 + max(graph_stats(g).degrees)) * float(np.vdot(z, z).real)
+        got = _expansion_quadratic_form(prov, z)
+        assert isinstance(got, float)
+        assert abs(got - scalar_expansion(prov, z)) <= 1e-13 * max(1.0, scale)
+
+    @given(graphs(), alphas, beta_angles, st.integers(0, 2**32 - 1))
+    def test_matches_scalar_reference(self, g, a, theta, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        z = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+        self.assert_matches_reference(g, a, BetaParam.from_angle(theta), z)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            MixedGraph(1, frozenset(), frozenset()),
+            MixedGraph(4, frozenset(), frozenset()),
+            random_mixed_graph(7, 0.8, 0.0, 3),  # edges only, no arcs
+            random_mixed_graph(7, 0.8, 1.0, 3),  # arcs only, no edges
+        ],
+        ids=["n1", "empty", "no_arcs", "no_edges"],
+    )
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+    def test_degenerate_graphs(self, g, alpha):
+        rng = np.random.Generator(np.random.PCG64(11))
+        for _ in range(5):
+            z = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+            self.assert_matches_reference(g, alpha, BetaParam.from_angle(0.9), z)
+            self.assert_matches_reference(g, alpha, OMEGA, z)
 
 
 class TestTextFormat:
