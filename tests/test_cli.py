@@ -1,5 +1,6 @@
 """Command-line interface: grids, formats, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -228,6 +229,28 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         assert doc["status_counts"]["VIOLATED"] > 0
         assert doc["violations"]
+
+    def test_reference_pair_violations_keep_exit_zero(self, capsys, monkeypatch):
+        # the README's rule: check exits 1 only for bounds expected to hold
+        real = mixedspec.bounds.unit_modulus_extreme_bounds
+
+        def violated(stats, alpha):
+            lo, up = real(stats, alpha)
+            return (
+                dataclasses.replace(lo, bound_value=1e6, applicable=True, note=""),
+                dataclasses.replace(up, bound_value=-1e6, applicable=True, note=""),
+            )
+
+        monkeypatch.setattr(mixedspec.bounds, "unit_modulus_extreme_bounds", violated)
+        code = main(["check", "--trials", "5", "--seed", "3"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["status_counts"]["VIOLATED"] > 0
+        assert len(doc["violations"]) == doc["status_counts"]["VIOLATED"]
+        assert {v["bound_name"] for v in doc["violations"]} == {
+            "unit_offdiag_mu1_lower",
+            "unit_offdiag_mun_upper",
+        }
 
 
 class TestRandom:

@@ -18,6 +18,17 @@ root with ``PYTHONPATH=src``:
 
 The graph files themselves are ``mixedspec random --n 40 --edge-prob 0.3
 --seed 40`` and ``mixedspec random --n 16 --edge-prob 0.4 --seed 16``.
+
+The small-n cases reach the not-applicable paths of the catalog (n = 1,
+n = 2 without an edge, n = 2 with one arc), which the n = 40 and n = 16
+graphs never do. ``graph_n1.mg`` is ``1``, ``graph_n2_empty.mg`` is ``2``
+and ``graph_n2_arc.mg`` is ``2`` / ``1 -> 2``. Regenerate with:
+
+    for g in n1 n2_empty n2_arc; do for a in 0 0.5; do
+      python -m mixedspec.cli report --graph tests/data/graph_$g.mg --alpha $a > tests/data/report_${g}_a$a.json
+      python -m mixedspec.cli report --graph tests/data/graph_$g.mg --alpha $a --beta-arg 0.3 --format csv > tests/data/report_${g}_a$a.csv
+    done; done
+    python -m mixedspec.cli check --trials 300 --seed 11 --min-n 1 --max-n 4 > tests/data/check_300_seed11_n1_4.json
 """
 
 from pathlib import Path
@@ -37,7 +48,15 @@ CASES = {
     ],
     "sweep_n16.csv": ["sweep", "--graph", N16, "--alpha", "0:1:0.05"],
     "check_200_seed7.json": ["check", "--trials", "200", "--seed", "7"],
+    "check_300_seed11_n1_4.json": [
+        "check", "--trials", "300", "--seed", "11", "--min-n", "1", "--max-n", "4",
+    ],
 }
+for _g in ("n1", "n2_empty", "n2_arc"):
+    for _a in ("0", "0.5"):
+        _report = ["report", "--graph", str(DATA / f"graph_{_g}.mg"), "--alpha", _a]
+        CASES[f"report_{_g}_a{_a}.json"] = _report
+        CASES[f"report_{_g}_a{_a}.csv"] = _report + ["--beta-arg", "0.3", "--format", "csv"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
