@@ -2,15 +2,15 @@
 
 Every bound is a pure function of graph statistics (n, m, arc counts, degree
 extremes, Zagreb index) and the blend weight alpha, evaluated exactly as the
-source inequalities state them. Results carry an ``applicable`` flag instead
-of raising when a hypothesis (such as n >= 3) fails, so sweep reports stay
-total.
+source inequalities state them. Each function decides its own applicability:
+when a hypothesis (such as n >= 2 or beta = omega) fails, its results carry
+``applicable=False`` and the reason in ``note`` instead of raising.
 
 The ``unit_offdiag_*`` pair is special: it assumes every nonzero entry of the
 blend matrix has modulus one, which is true only at alpha = 0 (off-diagonal
-entries scale by 1 - alpha). It is kept for reference with the corrected
-``offdiag_*`` pair alongside, and is never asserted for alpha > 0; a single
-arc on two vertices at alpha = 0.5 already breaks it.
+entries scale by 1 - alpha). It is kept for reference (``reference=True``)
+with the corrected ``offdiag_*`` pair alongside, and is never asserted for
+alpha > 0; a single arc on two vertices at alpha = 0.5 already breaks it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from enum import Enum
 
 from .eig import Spectrum, spectral_radius
 from .graphs import GraphStats, zagreb_lower_bound
-from .matrices import AlphaParam, BetaParam, as_alpha, as_beta, expected_traces
+from .matrices import AlphaParam, BetaParam, as_alpha, as_beta, expected_traces, omega_constant
 
 VARIANCE_CLAMP_RTOL = 1e-12
 
@@ -44,7 +44,8 @@ class BoundTarget(str, Enum):
 class BoundResult:
     """One evaluated bound: ``bound_value`` bounds ``target`` from the
     ``kind`` side. ``applicable=False`` records a failed hypothesis in
-    ``note``; the value is None when the formula cannot be evaluated."""
+    ``note``; the value is None when the formula cannot be evaluated.
+    ``reference=True`` marks a bound kept for comparison, never asserted."""
 
     name: str
     kind: BoundKind
@@ -53,6 +54,11 @@ class BoundResult:
     applicable: bool = True
     note: str = ""
     j: int | None = None
+    reference: bool = False
+
+
+def _na(name: str, kind: BoundKind, target: BoundTarget, note: str) -> BoundResult:
+    return BoundResult(name, kind, target, None, False, note)
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,9 @@ class WolkowiczMoments:
         return cls.from_traces(tr, tr2, stats.n)
 
 
-def rayleigh_mu1_lower(stats: GraphStats, alpha: "AlphaParam | float") -> BoundResult:
+def rayleigh_mu1_lower(
+    stats: GraphStats, alpha: "AlphaParam | float", beta: "BetaParam | complex" = omega_constant()
+) -> BoundResult:
     """mu_1 >= (2*alpha*m + (1-alpha)*(arcs + 2*undirected)) / n.
 
     Rayleigh quotient of the constant unit vector; the arc coefficient uses
@@ -91,14 +99,19 @@ def rayleigh_mu1_lower(stats: GraphStats, alpha: "AlphaParam | float") -> BoundR
     """
     a = as_alpha(alpha).value
     value = (2.0 * a * stats.m + (1.0 - a) * (stats.arc_count + 2.0 * stats.undirected_count)) / stats.n
-    return BoundResult("rayleigh_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, value)
+    omega = as_beta(beta).is_omega()
+    note = "" if omega else "stated for beta = omega only"
+    return BoundResult("rayleigh_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, value, omega, note)
 
 
 def garga_extreme_bounds(trace: float, n: int, offdiag_modulus: float) -> tuple[BoundResult, BoundResult]:
     """mu_1 >= tr/n + 2|a_rs|/n and mu_n <= tr/n - 2|a_rs|/n for any off-diagonal
     entry a_rs of a Hermitian matrix; strongest with the maximal modulus."""
     if n < 2:
-        raise ValueError(f"need n >= 2 for an off-diagonal entry, got n={n}")
+        return (
+            _na("offdiag_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, "needs n >= 2"),
+            _na("offdiag_mun_upper", BoundKind.UPPER, BoundTarget.MU_N, "needs n >= 2"),
+        )
     shift = 2.0 * offdiag_modulus / n
     return (
         BoundResult("offdiag_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, trace / n + shift),
@@ -120,17 +133,21 @@ def unit_modulus_extreme_bounds(
     mu1_val = 2.0 * (a * m + 1.0) / n
     mun_val = 2.0 * (a * m - 1.0) / n
     if n < 2 or m < 1:
-        applicable = False
         note = "no off-diagonal entry to instantiate"
     elif a > 0.0:
-        applicable = False
         note = "premise |a_rs| = 1 fails: entries have modulus 1 - alpha"
     else:
-        applicable = True
         note = ""
+    applicable = not note
     return (
-        BoundResult("unit_offdiag_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, mu1_val, applicable, note),
-        BoundResult("unit_offdiag_mun_upper", BoundKind.UPPER, BoundTarget.MU_N, mun_val, applicable, note),
+        BoundResult(
+            "unit_offdiag_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, mu1_val, applicable, note,
+            reference=True,
+        ),
+        BoundResult(
+            "unit_offdiag_mun_upper", BoundKind.UPPER, BoundTarget.MU_N, mun_val, applicable, note,
+            reference=True,
+        ),
     )
 
 
@@ -140,7 +157,12 @@ def wolkowicz_extreme_bounds(
     """Mean/variance bounds: r + s/sqrt(n-1) <= mu_1 <= r + s*sqrt(n-1) and the
     mirrored pair for mu_n."""
     if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
+        return (
+            _na("wolkowicz_mu1_upper", BoundKind.UPPER, BoundTarget.MU_1, "needs n >= 2"),
+            _na("wolkowicz_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, "needs n >= 2"),
+            _na("wolkowicz_mun_upper", BoundKind.UPPER, BoundTarget.MU_N, "needs n >= 2"),
+            _na("wolkowicz_mun_lower", BoundKind.LOWER, BoundTarget.MU_N, "needs n >= 2"),
+        )
     root = math.sqrt(n - 1.0)
     return (
         BoundResult("wolkowicz_mu1_upper", BoundKind.UPPER, BoundTarget.MU_1, mom.r + mom.s * root),
@@ -171,10 +193,9 @@ def zagreb_refined_extreme_bounds(
     a = as_alpha(alpha).value
     n = stats.n
     if n < 3:
-        note = "needs n >= 3"
         return (
-            BoundResult("zagreb_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, None, False, note),
-            BoundResult("zagreb_mun_upper", BoundKind.UPPER, BoundTarget.MU_N, None, False, note),
+            _na("zagreb_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, "needs n >= 3"),
+            _na("zagreb_mun_upper", BoundKind.UPPER, BoundTarget.MU_N, "needs n >= 3"),
         )
     t = _zagreb_variance_numerator(stats, a)
     center = 2.0 * a * stats.m / n
@@ -204,9 +225,7 @@ def trace_norm_upper(stats: GraphStats, alpha: "AlphaParam | float") -> BoundRes
     a = as_alpha(alpha).value
     n, m = stats.n, stats.m
     if n < 2:
-        return BoundResult(
-            "trace_norm_upper", BoundKind.UPPER, BoundTarget.TRACE_NORM, None, False, "needs n >= 2"
-        )
+        return _na("trace_norm_upper", BoundKind.UPPER, BoundTarget.TRACE_NORM, "needs n >= 2")
     tr, tr2 = expected_traces(stats, a)
     bracket = n * tr2 - tr * tr
     if bracket < 0.0:
@@ -221,7 +240,10 @@ def spread_moment_bounds(mom: WolkowiczMoments, n: int) -> tuple[BoundResult, Bo
     """Spread bounds from exact moments: spread <= sqrt(2n)*s, and the
     parity-correct lower bound 2s (n even) or 2ns/sqrt(n^2-1) (n odd)."""
     if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
+        return (
+            _na("spread_upper", BoundKind.UPPER, BoundTarget.SPREAD, "needs n >= 2"),
+            _na("spread_lower_moment", BoundKind.LOWER, BoundTarget.SPREAD, "needs n >= 2"),
+        )
     upper = math.sqrt(2.0 * n) * mom.s
     if n % 2 == 0:
         lower = 2.0 * mom.s
@@ -233,40 +255,25 @@ def spread_moment_bounds(mom: WolkowiczMoments, n: int) -> tuple[BoundResult, Bo
     )
 
 
-def spread_bounds(
-    stats: GraphStats, alpha: "AlphaParam | float"
-) -> tuple[BoundResult, BoundResult]:
-    """Spread upper bound from exact moments plus the degree-refined lower
-    bound: (2/n)*sqrt(T) for even n, 2*sqrt(T/(n^2-1)) for odd n (n >= 3)."""
+def spread_lower_zagreb(stats: GraphStats, alpha: "AlphaParam | float") -> BoundResult:
+    """Degree-refined spread lower bound: (2/n)*sqrt(T) for even n,
+    2*sqrt(T/(n^2-1)) for odd n (n >= 3)."""
     a = as_alpha(alpha).value
     n = stats.n
-    if n < 2:
-        return (
-            BoundResult("spread_upper", BoundKind.UPPER, BoundTarget.SPREAD, None, False, "needs n >= 2"),
-            BoundResult("spread_lower_zagreb", BoundKind.LOWER, BoundTarget.SPREAD, None, False, "needs n >= 3"),
-        )
-    mom = WolkowiczMoments.from_stats(stats, a)
-    upper, _ = spread_moment_bounds(mom, n)
     if n < 3:
-        lower = BoundResult(
-            "spread_lower_zagreb", BoundKind.LOWER, BoundTarget.SPREAD, None, False, "needs n >= 3"
-        )
+        return _na("spread_lower_zagreb", BoundKind.LOWER, BoundTarget.SPREAD, "needs n >= 3")
+    t = _zagreb_variance_numerator(stats, a)
+    if n % 2 == 0:
+        value = (2.0 / n) * math.sqrt(t)
     else:
-        t = _zagreb_variance_numerator(stats, a)
-        if n % 2 == 0:
-            value = (2.0 / n) * math.sqrt(t)
-        else:
-            value = 2.0 * math.sqrt(t / (n * n - 1.0))
-        lower = BoundResult("spread_lower_zagreb", BoundKind.LOWER, BoundTarget.SPREAD, value)
-    return upper, lower
+        value = 2.0 * math.sqrt(t / (n * n - 1.0))
+    return BoundResult("spread_lower_zagreb", BoundKind.LOWER, BoundTarget.SPREAD, value)
 
 
 def zagreb_index_bound(stats: GraphStats) -> BoundResult:
     """First Zagreb index >= its closed-form lower bound in n, m, degree extremes."""
     if stats.n < 3:
-        return BoundResult(
-            "zagreb_index_lower", BoundKind.LOWER, BoundTarget.ZAGREB, None, False, "needs n >= 3"
-        )
+        return _na("zagreb_index_lower", BoundKind.LOWER, BoundTarget.ZAGREB, "needs n >= 3")
     return BoundResult(
         "zagreb_index_lower", BoundKind.LOWER, BoundTarget.ZAGREB, zagreb_lower_bound(stats)
     )

@@ -6,14 +6,14 @@ Three classes of failure are kept apart. Kernel/oracle disagreement, trace
 mismatches and numerical-range escapes raise VerificationError: they mean the
 library is wrong. A bound whose premises hold but whose inequality fails gets
 status VIOLATED: the report carries it, callers decide severity. The
-unit-modulus reference bounds at alpha > 0 get EXPECTED_FAIL: their premise is
-known-false there and they are tracked, never asserted.
+reference bounds (``BoundResult.reference``) at alpha > 0 get EXPECTED_FAIL:
+their premise is known-false there and they are tracked, never asserted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -138,6 +138,7 @@ class ViolationRecord:
     bound_value: float
     actual: float
     slack: float
+    reference: bool = False
 
 
 @dataclass(frozen=True)
@@ -187,10 +188,6 @@ def rayleigh_range_check(
     return bool(np.all(real >= lo) and np.all(real <= hi))
 
 
-def _na(name: str, kind: BoundKind, target: BoundTarget, note: str) -> BoundResult:
-    return BoundResult(name, kind, target, None, False, note)
-
-
 def _catalog(
     stats: GraphStats,
     alpha: AlphaParam,
@@ -198,50 +195,23 @@ def _catalog(
     matrix: HermitianMatrix,
     spec: Spectrum,
 ) -> tuple[list[BoundResult], float]:
-    """Evaluate every bound in a fixed order; returns the list and mu_1/rho."""
-    a = alpha.value
+    """Evaluate every bound in a fixed order; returns the list and mu_1/rho.
+    Each bound function decides its own applicability."""
     n = stats.n
-    out: list[BoundResult] = []
-
-    ray = _b.rayleigh_mu1_lower(stats, a)
-    if not beta.is_omega():
-        ray = replace(ray, applicable=False, note="stated for beta = omega only")
-    out.append(ray)
-
-    if n >= 2:
-        out.extend(_b.garga_extreme_bounds(matrix.trace(), n, matrix.max_offdiag_modulus()))
-    else:
-        out.append(_na("offdiag_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, "needs n >= 2"))
-        out.append(_na("offdiag_mun_upper", BoundKind.UPPER, BoundTarget.MU_N, "needs n >= 2"))
-
-    out.extend(_b.unit_modulus_extreme_bounds(stats, a))
-
-    mom = WolkowiczMoments.from_stats(stats, a)
-    if n >= 2:
-        out.extend(_b.wolkowicz_extreme_bounds(mom, n))
-    else:
-        out.append(_na("wolkowicz_mu1_upper", BoundKind.UPPER, BoundTarget.MU_1, "needs n >= 2"))
-        out.append(_na("wolkowicz_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, "needs n >= 2"))
-        out.append(_na("wolkowicz_mun_upper", BoundKind.UPPER, BoundTarget.MU_N, "needs n >= 2"))
-        out.append(_na("wolkowicz_mun_lower", BoundKind.LOWER, BoundTarget.MU_N, "needs n >= 2"))
-
-    out.extend(_b.zagreb_refined_extreme_bounds(stats, a))
-
+    mom = WolkowiczMoments.from_stats(stats, alpha)
+    out = [
+        _b.rayleigh_mu1_lower(stats, alpha, beta),
+        *_b.garga_extreme_bounds(matrix.trace(), n, matrix.max_offdiag_modulus()),
+        *_b.unit_modulus_extreme_bounds(stats, alpha),
+        *_b.wolkowicz_extreme_bounds(mom, n),
+        *_b.zagreb_refined_extreme_bounds(stats, alpha),
+    ]
     for j in range(1, n + 1):
         out.extend(_b.jth_eigenvalue_bounds(mom, n, j))
-
-    out.append(_b.trace_norm_upper(stats, a))
-
-    if n >= 2:
-        out.extend(_b.spread_moment_bounds(mom, n))
-    else:
-        out.append(_na("spread_upper", BoundKind.UPPER, BoundTarget.SPREAD, "needs n >= 2"))
-        out.append(_na("spread_lower_moment", BoundKind.LOWER, BoundTarget.SPREAD, "needs n >= 2"))
-    _, zagreb_lower = _b.spread_bounds(stats, a)
-    out.append(zagreb_lower)
-
+    out.append(_b.trace_norm_upper(stats, alpha))
+    out.extend(_b.spread_moment_bounds(mom, n))
+    out.append(_b.spread_lower_zagreb(stats, alpha))
     out.append(_b.zagreb_index_bound(stats))
-
     rho_res, ratio = _b.rho_sandwich(spec, beta)
     out.append(rho_res)
     return out, ratio
@@ -275,8 +245,7 @@ def _check_bound(
     else:
         slack = result.bound_value - actual
     if not result.applicable:
-        literal = result.name.startswith("unit_offdiag_")
-        if literal and alpha_value > 0.0 and stats.m >= 1:
+        if result.reference and alpha_value > 0.0 and stats.m >= 1:
             return CheckedBound(result, actual, slack, Status.EXPECTED_FAIL)
         return CheckedBound(result, actual, slack, Status.NOT_APPLICABLE)
     status = Status.HOLDS if slack >= -SLACK_TOL else Status.VIOLATED
@@ -423,6 +392,7 @@ def randomized_suite(cfg: SweepConfig) -> SuiteSummary:
                         bound_value=c.result.bound_value,
                         actual=c.actual,
                         slack=c.slack,
+                        reference=c.result.reference,
                     )
                 )
 

@@ -14,7 +14,7 @@ from mixedspec.bounds import (
     jth_eigenvalue_bounds,
     rayleigh_mu1_lower,
     rho_sandwich,
-    spread_bounds,
+    spread_lower_zagreb,
     spread_moment_bounds,
     trace_norm_upper,
     unit_modulus_extreme_bounds,
@@ -88,8 +88,8 @@ class TestOffdiagBounds:
         assert hi.kind is BoundKind.UPPER and hi.target is BoundTarget.MU_N
 
     def test_rejects_single_vertex(self):
-        with pytest.raises(ValueError):
-            garga_extreme_bounds(0.0, 1, 0.0)
+        pair = garga_extreme_bounds(0.0, 1, 0.0)
+        assert [(b.bound_value, b.applicable, b.note) for b in pair] == [(None, False, "needs n >= 2")] * 2
 
     def test_literal_form_values(self, p2):
         lo, hi = unit_modulus_extreme_bounds(graph_stats(p2), 0.5)
@@ -135,6 +135,10 @@ class TestWolkowiczExtremes:
     def test_zero_variance_collapses_to_mean(self):
         four = wolkowicz_extreme_bounds(WolkowiczMoments(r=2.5, s=0.0), 5)
         assert all(b.bound_value == 2.5 for b in four)
+
+    def test_rejects_single_vertex(self):
+        four = wolkowicz_extreme_bounds(WolkowiczMoments(r=0.0, s=0.0), 1)
+        assert [(b.bound_value, b.applicable, b.note) for b in four] == [(None, False, "needs n >= 2")] * 4
 
 
 class TestZagrebRefinedExtremes:
@@ -233,22 +237,28 @@ class TestSpreadBounds:
         _, lo = spread_moment_bounds(mom, 3)
         assert lo.bound_value == pytest.approx(3.0, abs=1e-12)
 
+    def test_rejects_single_vertex(self):
+        pair = spread_moment_bounds(WolkowiczMoments(r=0.0, s=0.0), 1)
+        assert [(b.bound_value, b.applicable, b.note) for b in pair] == [(None, False, "needs n >= 2")] * 2
+
     def test_refined_lower_needs_three_vertices(self, p2):
-        up, lo = spread_bounds(graph_stats(p2), 0.0)
+        stats = graph_stats(p2)
+        up, _ = spread_moment_bounds(WolkowiczMoments.from_stats(stats, 0.0), 2)
         assert up.applicable
-        assert not lo.applicable
+        assert not spread_lower_zagreb(stats, 0.0).applicable
 
     def test_regular_alpha_one_collapses(self, c3):
-        up, lo = spread_bounds(graph_stats(c3), 1.0)
+        stats = graph_stats(c3)
+        up, _ = spread_moment_bounds(WolkowiczMoments.from_stats(stats, 1.0), 3)
         assert up.bound_value == pytest.approx(0.0, abs=1e-12)
-        assert lo.bound_value == pytest.approx(0.0, abs=1e-12)
+        assert spread_lower_zagreb(stats, 1.0).bound_value == pytest.approx(0.0, abs=1e-12)
 
     @given(stats_and_alpha(min_n=3))
     def test_refined_lower_never_beats_moment_lower(self, sa):
         stats, alpha = sa
         mom = WolkowiczMoments.from_stats(stats, alpha)
         _, lo_mom = spread_moment_bounds(mom, stats.n)
-        _, lo_ref = spread_bounds(stats, alpha)
+        lo_ref = spread_lower_zagreb(stats, alpha)
         assert lo_ref.bound_value <= lo_mom.bound_value + 1e-9
 
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,15 @@ from mixedspec.cli import main, parse_grid
 
 C3_TEXT = "3\n1 -> 2\n2 -> 3\n3 -> 1\n"
 P2_TEXT = "2\n1 -> 2\n"
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _readme_schema_keys(label):
+    """Backticked keys on the README schema line starting with ``label``,
+    split into required keys and those after "optionally"."""
+    line = next(x for x in README.read_text(encoding="utf-8").splitlines() if x.startswith(label))
+    required, _, optional = line.partition(":")[2].partition("optionally")
+    return set(re.findall(r"`(\w+)`", required)), set(re.findall(r"`(\w+)`", optional))
 
 
 @pytest.fixture
@@ -126,7 +137,7 @@ class TestReport:
         assert ray["status"] == "NOT_APPLICABLE"
 
     def test_violated_bound_gives_exit_one(self, p2_file, capsys, monkeypatch):
-        def broken(stats, alpha):
+        def broken(stats, alpha, beta):
             return BoundResult("rayleigh_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, 1e6)
 
         monkeypatch.setattr(mixedspec.bounds, "rayleigh_mu1_lower", broken)
@@ -135,6 +146,22 @@ class TestReport:
         doc = json.loads(capsys.readouterr().out)
         statuses = {b["status"] for b in doc["bounds"]}
         assert "VIOLATED" in statuses
+
+    def test_json_keys_match_readme_schema(self, c3_file, p2_file, capsys):
+        top, _ = _readme_schema_keys("- top level:")
+        graph, _ = _readme_schema_keys("- `graph`:")
+        entry, optional = _readme_schema_keys("- each `bounds` entry:")
+        assert optional == {"j", "note"}
+        seen_optional = set()
+        for path in (c3_file, p2_file):
+            assert main(["report", "--graph", path, "--alpha", "0.5"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert set(doc) == top
+            assert set(doc["graph"]) == graph
+            for b in doc["bounds"]:
+                assert entry <= set(b) <= entry | optional
+                seen_optional |= set(b) - entry
+        assert seen_optional == optional
 
     @pytest.mark.parametrize("solver", ["eigvalsh", "eigvals"])
     def test_solver_failure_gives_exit_one(self, c3_file, capsys, monkeypatch, solver):
@@ -220,7 +247,7 @@ class TestCheck:
         assert main(["check", "--trials", "5", "--min-n", "9", "--max-n", "3"]) == 2
 
     def test_violations_force_exit_one(self, capsys, monkeypatch):
-        def broken(stats, alpha):
+        def broken(stats, alpha, beta):
             return BoundResult("rayleigh_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, 1e6)
 
         monkeypatch.setattr(mixedspec.bounds, "rayleigh_mu1_lower", broken)

@@ -132,12 +132,16 @@ class TestStatusAssignment:
         spec = Spectrum((1.0, -1.0))
         stats = graph_stats(parse_graph("2\n1 -> 2\n"))
         res = BoundResult(
-            "unit_offdiag_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, 1.5, False, "premise"
+            "unit_offdiag_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, 1.5, False, "premise",
+            reference=True,
         )
         assert _check_bound(res, spec, stats, 0.5).status is Status.EXPECTED_FAIL
         # same inapplicable result on an edgeless graph stays NOT_APPLICABLE
         empty_stats = graph_stats(parse_graph("2\n"))
         assert _check_bound(res, spec, empty_stats, 0.5).status is Status.NOT_APPLICABLE
+        # the flag decides, not the name
+        unflagged = dataclasses.replace(res, reference=False)
+        assert _check_bound(unflagged, spec, stats, 0.5).status is Status.NOT_APPLICABLE
 
 
 class TestRayleighRangeCheck:
@@ -211,6 +215,7 @@ class TestRandomizedSuite:
             report = run_trial(SweepConfig(trials=60, seed=21), trial)
             for c in report.checked:
                 if c.status is Status.EXPECTED_FAIL:
+                    assert c.result.reference
                     assert c.result.name.startswith("unit_offdiag_")
                     assert report.alpha > 0.0
 
@@ -220,7 +225,7 @@ class TestRandomizedSuite:
 
     def test_violation_record_carries_reproduction_data(self, monkeypatch):
         # force a falsely high lower bound to exercise the reporting path
-        def broken(stats, alpha):
+        def broken(stats, alpha, beta):
             return BoundResult(
                 "rayleigh_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, 1e6
             )
