@@ -1,5 +1,7 @@
 """Primary LAPACK route, embedding oracle, and derived spectral quantities."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +15,9 @@ from mixedspec.eig import (
     spread,
     trace_norm,
 )
-from mixedspec.graphs import parse_graph
+from mixedspec.graphs import MixedGraph, parse_graph, random_mixed_graph
 from mixedspec.matrices import (
+    BetaParam,
     HermitianMatrix,
     a_alpha_matrix,
     hermitian_adjacency,
@@ -37,6 +40,20 @@ hermitians = st.builds(
     st.integers(0, 2**32 - 1),
     st.floats(0.1, 10.0),
 )
+
+mixed_graphs = st.builds(
+    random_mixed_graph,
+    st.integers(1, 12),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+# angles in [-pi/2, pi/2] keep Re(beta) >= 0
+betas = st.builds(BetaParam.from_angle, st.floats(-math.pi / 2, math.pi / 2))
+
+
+def blend_spectrum(g, alpha, beta):
+    return eigenvalues(a_alpha_matrix(g, alpha, beta)).values
 
 
 class TestSpectrumType:
@@ -154,3 +171,32 @@ class TestDerivedQuantities:
         assert trace_norm(Spectrum((1.0, -1.0))) == 2.0
         assert trace_norm(Spectrum((1.0, 1.0, -2.0))) == 4.0
         assert trace_norm(Spectrum((1.5, 1.5, 0.0))) == 3.0
+
+
+class TestSpectrumSymmetries:
+    """Graph symmetries that must leave the blend spectrum unchanged."""
+
+    @given(st.data(), mixed_graphs, st.floats(0.0, 1.0), betas)
+    def test_vertex_relabelling(self, data, g, alpha, beta):
+        p = data.draw(st.permutations(range(g.n)))
+        relabelled = MixedGraph(
+            n=g.n,
+            undirected=frozenset(tuple(sorted((p[i], p[j]))) for i, j in g.undirected),
+            arcs=frozenset((p[t], p[h]) for t, h in g.arcs),
+        )
+        base = np.asarray(blend_spectrum(g, alpha, beta))
+        got = np.asarray(blend_spectrum(relabelled, alpha, beta))
+        assert np.max(np.abs(got - base)) <= 1e-12 * (1.0 + np.max(np.abs(base)))
+
+    @given(mixed_graphs, st.floats(0.0, 1.0), betas)
+    def test_arc_reversal_with_conjugate_beta(self, g, alpha, beta):
+        reversed_arcs = MixedGraph(
+            n=g.n, undirected=g.undirected, arcs=frozenset((h, t) for t, h in g.arcs)
+        )
+        conj = BetaParam(beta.re, -beta.im)
+        assert blend_spectrum(reversed_arcs, alpha, conj) == blend_spectrum(g, alpha, beta)
+
+    @given(mixed_graphs, betas)
+    def test_alpha_one_is_degree_sequence(self, g, beta):
+        degrees = tuple(float(d) for d in sorted(g.stats.degrees, reverse=True))
+        assert blend_spectrum(g, 1.0, beta) == degrees
