@@ -138,7 +138,7 @@ class ViolationRecord:
     bound_value: float
     actual: float
     slack: float
-    reference: bool = False
+    reference: bool
 
 
 @dataclass(frozen=True)

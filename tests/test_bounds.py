@@ -136,7 +136,7 @@ class TestWolkowiczExtremes:
         four = wolkowicz_extreme_bounds(WolkowiczMoments(r=2.5, s=0.0), 5)
         assert all(b.bound_value == 2.5 for b in four)
 
-    def test_rejects_single_vertex(self):
+    def test_not_applicable_at_single_vertex(self):
         four = wolkowicz_extreme_bounds(WolkowiczMoments(r=0.0, s=0.0), 1)
         assert [(b.bound_value, b.applicable, b.note) for b in four] == [(None, False, "needs n >= 2")] * 4
 
@@ -237,7 +237,7 @@ class TestSpreadBounds:
         _, lo = spread_moment_bounds(mom, 3)
         assert lo.bound_value == pytest.approx(3.0, abs=1e-12)
 
-    def test_rejects_single_vertex(self):
+    def test_not_applicable_at_single_vertex(self):
         pair = spread_moment_bounds(WolkowiczMoments(r=0.0, s=0.0), 1)
         assert [(b.bound_value, b.applicable, b.note) for b in pair] == [(None, False, "needs n >= 2")] * 2
 
