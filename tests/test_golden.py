@@ -14,7 +14,11 @@ root with ``PYTHONPATH=src``:
     python -m mixedspec.cli report --graph tests/data/graph_n40.mg --alpha 0.35 > tests/data/report_n40.json
     python -m mixedspec.cli report --graph tests/data/graph_n40.mg --alpha 0.35 --beta-arg 0.7 --format csv > tests/data/report_n40.csv
     python -m mixedspec.cli sweep --graph tests/data/graph_n16.mg --alpha 0:1:0.05 > tests/data/sweep_n16.csv
+    python -m mixedspec.cli sweep --graph tests/data/graph_n16.mg --alpha 0:1:0.25 --beta-arg -0.4 --seed 5 --format json > tests/data/sweep_n16_beta-0.4_seed5.json
     python -m mixedspec.cli check --trials 200 --seed 7 > tests/data/check_200_seed7.json
+
+The JSON sweep passes a beta angle and a sampling seed through ``sweep``,
+which the CSV sweep, with its default beta and seed, never does.
 
 The graph files themselves are ``mixedspec random --n 40 --edge-prob 0.3
 --seed 40`` and ``mixedspec random --n 16 --edge-prob 0.4 --seed 16``.
@@ -47,6 +51,10 @@ CASES = {
         "report", "--graph", N40, "--alpha", "0.35", "--beta-arg", "0.7", "--format", "csv",
     ],
     "sweep_n16.csv": ["sweep", "--graph", N16, "--alpha", "0:1:0.05"],
+    "sweep_n16_beta-0.4_seed5.json": [
+        "sweep", "--graph", N16, "--alpha", "0:1:0.25", "--beta-arg", "-0.4", "--seed", "5",
+        "--format", "json",
+    ],
     "check_200_seed7.json": ["check", "--trials", "200", "--seed", "7"],
     "check_300_seed11_n1_4.json": [
         "check", "--trials", "300", "--seed", "11", "--min-n", "1", "--max-n", "4",
