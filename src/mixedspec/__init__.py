@@ -69,8 +69,6 @@ from .matrices import (
     expected_traces,
     hermitian_adjacency,
     hermitian_from_array,
-    matrix_from_text,
-    matrix_to_text,
     omega_constant,
     quadratic_form,
 )
@@ -107,8 +105,6 @@ __all__ = [
     "hermitian_adjacency",
     "hermitian_from_array",
     "jth_eigenvalue_bounds",
-    "matrix_from_text",
-    "matrix_to_text",
     "omega_constant",
     "oracle_eigenvalues",
     "parse_graph",

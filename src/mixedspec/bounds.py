@@ -45,7 +45,8 @@ class BoundResult:
     """One evaluated bound: ``bound_value`` bounds ``target`` from the
     ``kind`` side. ``applicable=False`` records a failed hypothesis in
     ``note``; the value is None when the formula cannot be evaluated.
-    ``reference=True`` marks a bound kept for comparison, never asserted."""
+    ``reference=True`` marks a bound kept for comparison, never asserted;
+    ``expected_fail=True`` marks one whose premise is known to fail."""
 
     name: str
     kind: BoundKind
@@ -55,6 +56,7 @@ class BoundResult:
     note: str = ""
     j: int | None = None
     reference: bool = False
+    expected_fail: bool = False
 
 
 def _na(name: str, kind: BoundKind, target: BoundTarget, note: str) -> BoundResult:
@@ -132,21 +134,23 @@ def unit_modulus_extreme_bounds(
     n, m = stats.n, stats.m
     mu1_val = 2.0 * (a * m + 1.0) / n
     mun_val = 2.0 * (a * m - 1.0) / n
+    expected_fail = False
     if n < 2 or m < 1:
         note = "no off-diagonal entry to instantiate"
     elif a > 0.0:
         note = "premise |a_rs| = 1 fails: entries have modulus 1 - alpha"
+        expected_fail = True
     else:
         note = ""
     applicable = not note
     return (
         BoundResult(
             "unit_offdiag_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, mu1_val, applicable, note,
-            reference=True,
+            reference=True, expected_fail=expected_fail,
         ),
         BoundResult(
             "unit_offdiag_mun_upper", BoundKind.UPPER, BoundTarget.MU_N, mun_val, applicable, note,
-            reference=True,
+            reference=True, expected_fail=expected_fail,
         ),
     )
 

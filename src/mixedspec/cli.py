@@ -63,7 +63,7 @@ def _bound_label(name: str, j: int | None) -> str:
 
 
 def report_to_dict(report: BoundReport) -> dict:
-    stats = report.stats
+    stats = report.graph.stats
     bounds = []
     for c in report.checked:
         entry = {
@@ -193,8 +193,7 @@ def cmd_sweep(args) -> int:
     graph = _read_graph(args.graph)
     alphas = parse_grid(args.alpha)
     beta, beta_arg = _beta_from_arg(args.beta_arg)
-    cfg = SweepConfig(alpha_grid=tuple(alphas), beta_args=(beta,), seed=args.seed)
-    reports = sweep_alpha(graph, cfg)
+    reports = sweep_alpha(graph, alphas, beta, seed=args.seed)
     if args.format == "json":
         sys.stdout.write(dump_json([report_to_dict(r) for r in reports]))
     else:

@@ -61,9 +61,9 @@ class BetaParam:
     def angle(self) -> float:
         return math.atan2(self.im, self.re)
 
-    def is_omega(self, tol: float = UNIT_MODULUS_TOL) -> bool:
+    def is_omega(self) -> bool:
         om = omega_constant()
-        return abs(self.re - om.re) <= tol and abs(self.im - om.im) <= tol
+        return abs(self.re - om.re) <= UNIT_MODULUS_TOL and abs(self.im - om.im) <= UNIT_MODULUS_TOL
 
 
 def omega_constant() -> BetaParam:
@@ -246,29 +246,3 @@ def quadratic_form(m: HermitianMatrix, z: np.ndarray) -> float:
                 f"quadratic form routes disagree: direct={direct.real!r} expansion={expanded!r}"
             )
     return direct.real
-
-
-def matrix_to_text(m: HermitianMatrix) -> str:
-    """Plain-text form for solver interchange: n, then n rows of 're,im' pairs."""
-    lines = [str(m.n)]
-    for row in m.data:
-        lines.append(" ".join(f"{c.real:.17g},{c.imag:.17g}" for c in row))
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_text(text: str) -> HermitianMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix text")
-    n = int(lines[0])
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} rows, got {len(lines) - 1}")
-    a = np.zeros((n, n), dtype=np.complex128)
-    for i, line in enumerate(lines[1:]):
-        pairs = line.split()
-        if len(pairs) != n:
-            raise ValueError(f"row {i}: expected {n} entries, got {len(pairs)}")
-        for j, pair in enumerate(pairs):
-            re_s, im_s = pair.split(",")
-            a[i, j] = complex(float(re_s), float(im_s))
-    return HermitianMatrix(a)

@@ -108,6 +108,21 @@ class TestOffdiagBounds:
         lo, _ = unit_modulus_extreme_bounds(stats, 0.0)
         assert not lo.applicable
 
+    @pytest.mark.parametrize(
+        "text, alpha, expected",
+        [
+            ("2\n1 -> 2\n", 0.5, True),
+            ("2\n1 -> 2\n", 0.0, False),
+            ("2\n", 0.5, False),
+            ("1\n", 0.5, False),
+        ],
+        ids=["arc-a0.5", "arc-a0", "edgeless-a0.5", "n1-a0.5"],
+    )
+    def test_literal_form_expected_fail_only_when_premise_fails(self, text, alpha, expected):
+        pair = unit_modulus_extreme_bounds(graph_stats(parse_graph(text)), alpha)
+        assert [b.expected_fail for b in pair] == [expected] * 2
+        assert all(b.reference for b in pair)
+
     def test_literal_coincides_with_corrected_at_alpha_zero(self, c3):
         # max off-diagonal modulus is 1 at alpha = 0, so the forms match
         stats = graph_stats(c3)

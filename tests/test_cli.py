@@ -216,6 +216,13 @@ class TestSweep:
         assert captured.out == ""
         assert "grid values must be finite" in captured.err
 
+    def test_out_of_range_grid_is_usage_error(self, c3_file, capsys):
+        code = main(["sweep", "--graph", c3_file, "--alpha", "0:1.5:0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "1.5" in captured.err
+
     def test_json_format(self, c3_file, capsys):
         code = main(["sweep", "--graph", c3_file, "--alpha", "0:1:0.5", "--format", "json"])
         docs = json.loads(capsys.readouterr().out)

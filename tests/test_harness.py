@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import mixedspec.bounds
+import mixedspec.harness
 from mixedspec.bounds import BoundKind, BoundResult, BoundTarget
 from mixedspec.eig import Spectrum, eigenvalues
 from mixedspec.graphs import graph_stats, parse_graph
@@ -80,7 +81,7 @@ class TestVerifyAll:
         g = parse_graph("5\n1 -> 2\n2 -- 3\n3 -> 4\n4 -- 5\n5 -> 1\n1 -- 3\n")
         verify_all(g, 0.4, OMEGA)
         assert len(calls) == 1
-        sweep_alpha(g, SweepConfig(alpha_grid=(0.0, 0.5, 1.0), beta_args=(0.3,)))
+        sweep_alpha(g, (0.0, 0.5, 1.0), BetaParam.from_angle(0.3))
         assert len(calls) == 1
 
     def test_rayleigh_gating_for_general_beta(self, c3):
@@ -95,11 +96,11 @@ class TestStatusAssignment:
         spec = Spectrum((2.0, 0.0))
         stats = graph_stats(parse_graph("2\n1 -> 2\n"))
         ok = _check_bound(
-            BoundResult("x", BoundKind.LOWER, BoundTarget.MU_1, 1.5), spec, stats, 0.0
+            BoundResult("x", BoundKind.LOWER, BoundTarget.MU_1, 1.5), spec, stats
         )
         assert ok.status is Status.HOLDS and ok.slack == 0.5
         bad = _check_bound(
-            BoundResult("x", BoundKind.LOWER, BoundTarget.MU_1, 2.5), spec, stats, 0.0
+            BoundResult("x", BoundKind.LOWER, BoundTarget.MU_1, 2.5), spec, stats
         )
         assert bad.status is Status.VIOLATED and bad.slack == -0.5
 
@@ -107,7 +108,7 @@ class TestStatusAssignment:
         spec = Spectrum((2.0, 0.0))
         stats = graph_stats(parse_graph("2\n1 -> 2\n"))
         ok = _check_bound(
-            BoundResult("x", BoundKind.UPPER, BoundTarget.MU_N, 0.25), spec, stats, 0.0
+            BoundResult("x", BoundKind.UPPER, BoundTarget.MU_N, 0.25), spec, stats
         )
         assert ok.status is Status.HOLDS and ok.slack == 0.25
 
@@ -115,7 +116,7 @@ class TestStatusAssignment:
         spec = Spectrum((1.0,))
         stats = graph_stats(parse_graph("1\n"))
         near = _check_bound(
-            BoundResult("x", BoundKind.LOWER, BoundTarget.MU_1, 1.0 + 5e-10), spec, stats, 0.0
+            BoundResult("x", BoundKind.LOWER, BoundTarget.MU_1, 1.0 + 5e-10), spec, stats
         )
         assert near.status is Status.HOLDS
 
@@ -123,7 +124,7 @@ class TestStatusAssignment:
         spec = Spectrum((1.0,))
         stats = graph_stats(parse_graph("1\n"))
         na = _check_bound(
-            BoundResult("x", BoundKind.LOWER, BoundTarget.MU_1, None, False, "no"), spec, stats, 0.0
+            BoundResult("x", BoundKind.LOWER, BoundTarget.MU_1, None, False, "no"), spec, stats
         )
         assert na.status is Status.NOT_APPLICABLE
         assert na.slack is None
@@ -133,15 +134,12 @@ class TestStatusAssignment:
         stats = graph_stats(parse_graph("2\n1 -> 2\n"))
         res = BoundResult(
             "unit_offdiag_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, 1.5, False, "premise",
-            reference=True,
+            reference=True, expected_fail=True,
         )
-        assert _check_bound(res, spec, stats, 0.5).status is Status.EXPECTED_FAIL
-        # same inapplicable result on an edgeless graph stays NOT_APPLICABLE
-        empty_stats = graph_stats(parse_graph("2\n"))
-        assert _check_bound(res, spec, empty_stats, 0.5).status is Status.NOT_APPLICABLE
+        assert _check_bound(res, spec, stats).status is Status.EXPECTED_FAIL
         # the flag decides, not the name
-        unflagged = dataclasses.replace(res, reference=False)
-        assert _check_bound(unflagged, spec, stats, 0.5).status is Status.NOT_APPLICABLE
+        unflagged = dataclasses.replace(res, expected_fail=False)
+        assert _check_bound(unflagged, spec, stats).status is Status.NOT_APPLICABLE
 
 
 class TestRayleighRangeCheck:
@@ -167,35 +165,37 @@ class TestRayleighRangeCheck:
 
 class TestSweep:
     def test_triangle_grid(self, c3):
-        cfg = SweepConfig(alpha_grid=(0.0, 0.5, 1.0), beta_args=(math.pi / 3,))
-        reports = sweep_alpha(c3, cfg)
+        reports = sweep_alpha(c3, (0.0, 0.5, 1.0), BetaParam.from_angle(math.pi / 3))
         assert [r.spectrum.mu_max for r in reports] == pytest.approx([1.0, 1.5, 2.0], abs=1e-9)
 
     def test_grid_order(self, p2):
-        cfg = SweepConfig(alpha_grid=(0.0, 1.0), beta_args=(0.0, math.pi / 3))
-        reports = sweep_alpha(p2, cfg)
-        assert [r.alpha for r in reports] == [0.0, 0.0, 1.0, 1.0]
+        reports = sweep_alpha(p2, (1.0, 0.0, 0.5), OMEGA)
+        assert [r.alpha for r in reports] == [1.0, 0.0, 0.5]
+
+    def test_grid_validated_before_any_solve(self, c3, monkeypatch):
+        calls = []
+        real = mixedspec.harness.verify_all
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mixedspec.harness, "verify_all", counting)
+        with pytest.raises(ValueError, match="1.5"):
+            sweep_alpha(c3, (0.0, 0.5, 1.5), OMEGA)
+        assert calls == []
 
     def test_beta_param_used_as_given(self, c3, omega):
         # an angle round trip would turn Re(omega) = 0.5 into 0.5000000000000001
-        cfg = SweepConfig(alpha_grid=(0.5,), beta_args=(omega,))
-        (report,) = sweep_alpha(c3, cfg)
+        (report,) = sweep_alpha(c3, (0.5,), omega)
         assert report.beta == (omega.re, omega.im)
         assert report == verify_all(c3, 0.5, omega)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SweepConfig(alpha_grid=())
-        with pytest.raises(ValueError):
-            SweepConfig(alpha_grid=(1.5,))
-        with pytest.raises(ValueError):
-            SweepConfig(beta_args=(3.0,))
-        with pytest.raises(ValueError):
             SweepConfig(trials=0)
         with pytest.raises(ValueError):
             SweepConfig(n_range=(5, 2))
-        with pytest.raises(ValueError):
-            SweepConfig(edge_prob_range=(0.5, 1.5))
 
 
 class TestRandomizedSuite:

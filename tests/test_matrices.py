@@ -19,8 +19,6 @@ from mixedspec.matrices import (
     expected_traces,
     hermitian_adjacency,
     hermitian_from_array,
-    matrix_from_text,
-    matrix_to_text,
     omega_constant,
     quadratic_form,
 )
@@ -300,15 +298,6 @@ class TestArrayExpansion:
 
 
 class TestTextFormat:
-    def test_round_trip_is_exact(self, c3):
-        m = a_alpha_matrix(c3, 0.3, OMEGA)
-        again = matrix_from_text(matrix_to_text(m))
-        assert np.array_equal(m.data, again.data)
-
-    def test_rejects_wrong_row_count(self):
-        with pytest.raises(ValueError, match="rows"):
-            matrix_from_text("2\n0,0 0,0\n")
-
     def test_symmetrizer_output_accepted(self):
         rng = np.random.Generator(np.random.PCG64(5))
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
