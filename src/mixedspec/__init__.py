@@ -68,9 +68,7 @@ from .matrices import (
     degree_matrix,
     expected_traces,
     hermitian_adjacency,
-    hermitian_from_array,
     omega_constant,
-    quadratic_form,
 )
 
 __version__ = "0.1.0"
@@ -103,12 +101,10 @@ __all__ = [
     "garga_extreme_bounds",
     "graph_stats",
     "hermitian_adjacency",
-    "hermitian_from_array",
     "jth_eigenvalue_bounds",
     "omega_constant",
     "oracle_eigenvalues",
     "parse_graph",
-    "quadratic_form",
     "randomized_suite",
     "random_mixed_graph",
     "rayleigh_mu1_lower",

@@ -32,10 +32,9 @@ class EmbeddingPairingError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Real eigenvalues sorted non-increasing, with a backward-error estimate."""
+    """Real eigenvalues sorted non-increasing."""
 
     values: tuple[float, ...]
-    backward_error: float = 0.0
 
     def __post_init__(self):
         if len(self.values) == 0:
@@ -74,9 +73,8 @@ def _check_moments(m: HermitianMatrix, values: np.ndarray, route: str) -> None:
 def eigenvalues(m: HermitianMatrix) -> Spectrum:
     """All eigenvalues of ``m`` by LAPACK zheevd, sorted non-increasing.
 
-    Deterministic for fixed input. backward_error is the a priori bound
-    n * eps * ||m||_F of a backward-stable solver. A LAPACK failure to
-    converge or a broken moment identity raises KernelConvergenceError.
+    Deterministic for fixed input. A LAPACK failure to converge or a broken
+    moment identity raises KernelConvergenceError.
     """
     try:
         d = np.linalg.eigvalsh(m.data)
@@ -84,8 +82,7 @@ def eigenvalues(m: HermitianMatrix) -> Spectrum:
         raise KernelConvergenceError(f"zheevd: {exc}") from exc
     vals = d[::-1]
     _check_moments(m, vals, "zheevd")
-    bound = m.n * float(np.finfo(np.float64).eps) * m.frobenius_norm()
-    return Spectrum(values=tuple(vals.tolist()), backward_error=bound)
+    return Spectrum(values=tuple(vals.tolist()))
 
 
 def oracle_eigenvalues(m: HermitianMatrix) -> Spectrum:
@@ -125,7 +122,7 @@ def oracle_eigenvalues(m: HermitianMatrix) -> Spectrum:
         )
     vals = ((d[0::2] + d[1::2]) / 2.0)[::-1]
     _check_moments(m, vals, "embedding")
-    return Spectrum(values=tuple(vals.tolist()), backward_error=worst / 2.0)
+    return Spectrum(values=tuple(vals.tolist()))
 
 
 def spectral_radius(s: Spectrum) -> float:

@@ -3,7 +3,8 @@ independent kernels, sample the numerical range, and evaluate every bound
 in the catalog against the computed spectrum.
 
 Three classes of failure are kept apart. Kernel/oracle disagreement, trace
-mismatches and numerical-range escapes raise VerificationError: they mean the
+mismatches, a matrix build that disagrees with the graph's arc-sum expansion
+and numerical-range escapes raise VerificationError: they mean the
 library is wrong. A bound whose premises hold but whose inequality fails gets
 status VIOLATED: the report carries it, callers decide severity. The
 reference bounds whose premise is known-false (``BoundResult.expected_fail``)
@@ -27,12 +28,12 @@ from .matrices import (
     AlphaParam,
     BetaParam,
     HermitianMatrix,
+    _expansion_quadratic_form,
     a_alpha_matrix,
     as_alpha,
     as_beta,
     expected_traces,
     omega_constant,
-    quadratic_form,
 )
 
 ORACLE_RTOL = 1e-8
@@ -41,6 +42,7 @@ SLACK_TOL = 1e-9
 RAYLEIGH_SAMPLES = 100
 RAYLEIGH_PAD = 1e-9
 IMAG_TOL = 1e-10
+EXPANSION_TOL = 1e-10
 EDGE_PROB_RANGE = (0.05, 0.95)
 
 
@@ -138,15 +140,13 @@ class SuiteSummary:
         return dict(self.status_counts).get(Status.VIOLATED.value, 0)
 
 
-def rayleigh_range_check(
-    m: HermitianMatrix, spec: Spectrum, samples: int, seed: int
-) -> bool:
-    """Sample random unit vectors and test z*Mz against [mu_n, mu_1].
+def _rayleigh_samples(
+    m: HermitianMatrix, samples: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (samples, n) block of random unit vectors z and the real parts of z*Mz.
 
     Vectors have standard-normal real and imaginary parts, then are
-    normalized. Returns False as soon as any quadratic form falls outside the
-    padded interval. A few samples are additionally routed through the
-    two-path quadratic_form so the arc-expansion route stays exercised.
+    normalized. An imaginary part above IMAG_TOL means M was not Hermitian.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -159,13 +159,26 @@ def rayleigh_range_check(
     vals = ((z.conj() @ m.data) * z).sum(axis=1)
     if np.max(np.abs(vals.imag)) > IMAG_TOL:
         raise VerificationError("quadratic form came out non-real on Hermitian input")
-    if m.provenance is not None:
-        for row in z[: min(3, samples)]:
-            quadratic_form(m, row)
+    return z, vals.real
+
+
+def _in_range(vals: np.ndarray, spec: Spectrum) -> bool:
     lo = spec.mu_min - RAYLEIGH_PAD
     hi = spec.mu_max + RAYLEIGH_PAD
-    real = vals.real
-    return bool(np.all(real >= lo) and np.all(real <= hi))
+    return bool(np.all(vals >= lo) and np.all(vals <= hi))
+
+
+def rayleigh_range_check(
+    m: HermitianMatrix, spec: Spectrum, samples: int, seed: int
+) -> bool:
+    """Sample random unit vectors and test z*Mz against [mu_n, mu_1].
+
+    Returns False when any quadratic form falls outside the padded interval.
+    Works on any Hermitian matrix; ``verify_all`` draws the same samples and
+    also checks each one against the graph's arc-sum expansion.
+    """
+    _, vals = _rayleigh_samples(m, samples, seed)
+    return _in_range(vals, spec)
 
 
 def _catalog(
@@ -239,8 +252,10 @@ def verify_all(
     """Full verification of one (graph, alpha, beta) triple.
 
     Cross-checks the primary spectrum against the embedding oracle, asserts
-    the closed-form traces, samples the numerical range, then scores the
-    whole bound catalog. Internal-consistency failures raise
+    the closed-form traces, then draws RAYLEIGH_SAMPLES unit vectors z from
+    ``rayleigh_seed``. Every z*Mz must match the arc-sum expansion computed
+    from the graph within EXPANSION_TOL and lie in [mu_n, mu_1]. Then the
+    whole bound catalog is scored. Internal-consistency failures raise
     VerificationError; violated bounds are returned as data.
     """
     alpha = as_alpha(alpha)
@@ -267,7 +282,14 @@ def verify_all(
             f"tr(M^2) {matrix.trace_of_square()} != closed form {exp_tr2} beyond {TRACE_TOL}"
         )
 
-    if not rayleigh_range_check(matrix, spec, RAYLEIGH_SAMPLES, rayleigh_seed):
+    z, vals = _rayleigh_samples(matrix, RAYLEIGH_SAMPLES, rayleigh_seed)
+    route_gap = float(np.max(np.abs(vals - _expansion_quadratic_form(g, alpha, beta, z))))
+    if route_gap > EXPANSION_TOL:
+        raise VerificationError(
+            f"matrix build disagrees with the graph's arc-sum expansion: "
+            f"quadratic forms differ by {route_gap:.3e} (limit {EXPANSION_TOL:.0e})"
+        )
+    if not _in_range(vals, spec):
         raise VerificationError("a sampled quadratic form escaped [mu_n, mu_1]")
 
     results, ratio = _catalog(stats, alpha, beta, matrix, spec)

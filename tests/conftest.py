@@ -1,4 +1,5 @@
-"""Shared fixtures: anchor graphs, omega, and an eigensolver warm-up.
+"""Shared fixtures: anchor graphs, omega, an eigensolver warm-up, and a
+symmetrizer that wraps arbitrary arrays as Hermitian matrices.
 
 The warm-up fixture solves one small matrix on both eigen routes before any
 test runs, so first-call set-up cost (loading LAPACK, allocating workspaces)
@@ -11,10 +12,19 @@ from hypothesis import settings
 
 from mixedspec.eig import eigenvalues, oracle_eigenvalues
 from mixedspec.graphs import parse_graph
-from mixedspec.matrices import hermitian_from_array, omega_constant
+from mixedspec.matrices import HermitianMatrix, omega_constant
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
+
+
+def hermitian_from_array(a: np.ndarray) -> HermitianMatrix:
+    """Symmetrize (A + A*)/2 and wrap; exact conjugate symmetry by construction."""
+    a = np.asarray(a, dtype=np.complex128)
+    h = (a + a.conj().T) / 2.0
+    np.fill_diagonal(h, h.diagonal().real)
+    return HermitianMatrix(h)
+
 
 P2_TEXT = "2\n1 -> 2\n"
 C3_TEXT = "3\n1 -> 2\n2 -> 3\n3 -> 1\n"

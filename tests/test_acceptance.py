@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from conftest import hermitian_from_array
 from mixedspec.cli import main
 from mixedspec.eig import Spectrum, eigenvalues, oracle_eigenvalues
 from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph
@@ -27,7 +28,6 @@ from mixedspec.matrices import (
     a_alpha_matrix,
     expected_traces,
     hermitian_adjacency,
-    hermitian_from_array,
     omega_constant,
 )
 

@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 
 import mixedspec.bounds
+import mixedspec.matrices
 from mixedspec.bounds import BoundKind, BoundResult, BoundTarget
 from mixedspec.cli import main, parse_grid
+from mixedspec.matrices import BetaParam
 
 C3_TEXT = "3\n1 -> 2\n2 -> 3\n3 -> 1\n"
 P2_TEXT = "2\n1 -> 2\n"
 README = Path(__file__).parent.parent / "README.md"
+GRAPH_N16 = Path(__file__).parent / "data" / "graph_n16.mg"
 
 
 def _readme_schema_keys(label):
@@ -175,6 +178,23 @@ class TestReport:
         assert code == 1
         assert captured.out == ""
         assert "did not converge" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_build_disagreeing_with_graph_gives_exit_one(self, capsys, monkeypatch):
+        # swapping beta and conj(beta) keeps M Hermitian with the same traces
+        # and spectrum; only the arc-sum expansion of z*Mz can tell
+        build = mixedspec.matrices._adjacency_array
+
+        def swapped(g, beta):
+            return build(g, BetaParam(beta.re, -beta.im))
+
+        monkeypatch.setattr(mixedspec.matrices, "_adjacency_array", swapped)
+        code = main(["report", "--graph", str(GRAPH_N16), "--alpha", "0.3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "arc-sum expansion" in captured.err
         assert "Traceback" not in captured.err
 
 

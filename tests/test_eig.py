@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import hermitian_from_array
 from mixedspec.eig import (
     EmbeddingPairingError,
     Spectrum,
@@ -21,7 +22,6 @@ from mixedspec.matrices import (
     HermitianMatrix,
     a_alpha_matrix,
     hermitian_adjacency,
-    hermitian_from_array,
     omega_constant,
 )
 

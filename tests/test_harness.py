@@ -5,16 +5,19 @@ import dataclasses
 import math
 import sys
 
+import numpy as np
 import pytest
 
 import mixedspec.bounds
 import mixedspec.harness
 from mixedspec.bounds import BoundKind, BoundResult, BoundTarget
 from mixedspec.eig import Spectrum, eigenvalues
-from mixedspec.graphs import graph_stats, parse_graph
+from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph
 from mixedspec.harness import (
+    RAYLEIGH_SAMPLES,
     Status,
     SweepConfig,
+    VerificationError,
     _check_bound,
     randomized_suite,
     rayleigh_range_check,
@@ -161,6 +164,39 @@ class TestRayleighRangeCheck:
         h = hermitian_adjacency(p2, OMEGA)
         with pytest.raises(ValueError):
             rayleigh_range_check(h, eigenvalues(h), 0, seed=0)
+
+
+class TestExpansionCrossCheck:
+    """verify_all compares every sampled z*Mz with the graph's arc-sum expansion."""
+
+    @staticmethod
+    def shift_expansion(monkeypatch, rows, delta):
+        seen = []
+        real = mixedspec.harness._expansion_quadratic_form
+
+        def shifted(g, alpha, beta, z):
+            seen.append(z)
+            out = real(g, alpha, beta, z)
+            out[rows] += delta
+            return out
+
+        monkeypatch.setattr(mixedspec.harness, "_expansion_quadratic_form", shifted)
+        return seen
+
+    @pytest.mark.parametrize("row", [0, 3, 50, RAYLEIGH_SAMPLES - 1])
+    def test_every_row_is_compared(self, monkeypatch, row):
+        g = random_mixed_graph(9, 0.6, 0.5, 4)
+        self.shift_expansion(monkeypatch, row, 2e-10)
+        with pytest.raises(VerificationError, match="arc-sum expansion"):
+            verify_all(g, 0.3, BetaParam.from_angle(0.7), rayleigh_seed=5)
+
+    def test_gap_within_tolerance_passes(self, monkeypatch):
+        g = random_mixed_graph(9, 0.6, 0.5, 4)
+        seen = self.shift_expansion(monkeypatch, slice(None), 5e-11)
+        verify_all(g, 0.3, BetaParam.from_angle(0.7), rayleigh_seed=5)
+        (z,) = seen
+        assert z.shape == (RAYLEIGH_SAMPLES, g.n)
+        assert np.allclose(np.linalg.norm(z, axis=1), 1.0, rtol=0, atol=1e-14)
 
 
 class TestSweep:

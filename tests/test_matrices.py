@@ -1,4 +1,4 @@
-"""Matrix builders, parameter validation, trace closed forms, quadratic form."""
+"""Matrix builders, parameter validation, trace closed forms, quadratic-form expansion."""
 
 import math
 
@@ -6,21 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import hermitian_from_array
 from mixedspec.eig import eigenvalues
 from mixedspec.graphs import MixedGraph, graph_stats, parse_graph, random_mixed_graph
 from mixedspec.matrices import (
     AlphaParam,
     BetaParam,
-    GraphProvenance,
     HermitianMatrix,
     _expansion_quadratic_form,
     a_alpha_matrix,
     degree_matrix,
     expected_traces,
     hermitian_adjacency,
-    hermitian_from_array,
     omega_constant,
-    quadratic_form,
 )
 
 OMEGA = omega_constant()
@@ -42,17 +40,22 @@ alphas = st.floats(0.0, 1.0)
 beta_angles = st.floats(-math.pi / 2, math.pi / 2)
 
 
-def scalar_expansion(prov: GraphProvenance, z: np.ndarray) -> float:
-    """Loop form of the arc-sum expansion of z* A z, the reference for the array form.
+def unit_rows(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
+    """k random complex rows of length n, each scaled to unit norm."""
+    z = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    return z / np.linalg.norm(z, axis=1)[:, None]
+
+
+def scalar_expansion(g: MixedGraph, alpha: float, beta: BetaParam, z: np.ndarray) -> float:
+    """Loop form of the arc-sum expansion of z* A z for one vector z, the
+    reference for the block form.
 
     Per arc v->u the contribution is 2a(x_v x_u + y_v y_u) - 2b x_v y_u
     + 2b y_v x_u with beta = a + ib; undirected edges contribute
     2(x_v x_u + y_v y_u) since their entry is 1.
     """
-    al = prov.alpha.value
-    a, b = prov.beta.re, prov.beta.im
+    a, b = beta.re, beta.im
     x, y = z.real, z.imag
-    g = prov.graph
     deg = graph_stats(g).degrees
     degree_part = 0.0
     for i in range(g.n):
@@ -67,7 +70,7 @@ def scalar_expansion(prov: GraphProvenance, z: np.ndarray) -> float:
         )
     for v, u in g.undirected:
         edge_part += 2.0 * (x[v] * x[u] + y[v] * y[u])
-    return al * degree_part + (1.0 - al) * edge_part
+    return alpha * degree_part + (1.0 - alpha) * edge_part
 
 
 class TestParams:
@@ -218,47 +221,36 @@ class TestExpectedTraces:
 
 
 class TestQuadraticForm:
-    def test_basis_vector_hits_zero_diagonal(self, p2):
-        h = hermitian_adjacency(p2, OMEGA)
-        assert quadratic_form(h, np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-15)
+    def test_closed_form_values_on_single_arc(self, p2):
+        # rows: a basis vector on the zero diagonal; a real constant vector,
+        # 2 * Re(omega) * x1 * x2 = 0.5; the eigenvector of eigenvalue 1
+        z = np.array(
+            [[1.0, 0.0], [1.0, 1.0], [1.0, OMEGA.value.conjugate()]], dtype=complex
+        )
+        z[1:] /= math.sqrt(2.0)
+        got = _expansion_quadratic_form(p2, AlphaParam(0.0), OMEGA, z)
+        assert got.shape == (3,)
+        assert got == pytest.approx([0.0, 0.5, 1.0], abs=1e-12)
+        assert abs(got[0]) <= 1e-15
 
-    def test_real_constant_vector(self, p2):
-        h = hermitian_adjacency(p2, OMEGA)
-        z = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        # expansion: 2 * Re(omega) * x1 * x2 = 2 * 0.5 * 0.5
-        assert quadratic_form(h, z) == pytest.approx(0.5, abs=1e-12)
-
-    def test_eigenvector_recovers_eigenvalue(self, p2):
-        h = hermitian_adjacency(p2, OMEGA)
-        z = np.array([1.0, OMEGA.value.conjugate()]) / math.sqrt(2.0)
-        assert quadratic_form(h, z) == pytest.approx(1.0, abs=1e-12)
-
-    def test_dimension_mismatch(self, p2):
-        h = hermitian_adjacency(p2, OMEGA)
-        with pytest.raises(ValueError, match="shape"):
-            quadratic_form(h, np.array([1.0, 0.0, 0.0]))
-
-    def test_non_finite_vector(self, p2):
-        h = hermitian_adjacency(p2, OMEGA)
-        with pytest.raises(ValueError, match="finite"):
-            quadratic_form(h, np.array([np.inf, 0.0]))
-
-    @given(graphs(max_n=8), alphas, beta_angles, st.integers(0, 2**32 - 1))
-    def test_two_routes_agree_and_value_in_numerical_range(self, g, a, theta, seed):
-        m = a_alpha_matrix(g, a, BetaParam.from_angle(theta))
-        rng = np.random.Generator(np.random.PCG64(seed))
-        z = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
-        norm = np.linalg.norm(z)
-        if norm > 0:
-            z = z / norm
-        # the expansion route runs inside and raises on disagreement
-        val = quadratic_form(m, z)
+    @given(
+        graphs(max_n=8), st.integers(1, 6), alphas, beta_angles, st.integers(0, 2**32 - 1)
+    )
+    def test_two_routes_agree_and_value_in_numerical_range(self, g, k, a, theta, seed):
+        beta = BetaParam.from_angle(theta)
+        m = a_alpha_matrix(g, a, beta)
+        z = unit_rows(np.random.Generator(np.random.PCG64(seed)), k, g.n)
+        direct = ((z.conj() @ m.data) * z).sum(axis=1)
+        expanded = _expansion_quadratic_form(g, AlphaParam(a), beta, z)
+        assert expanded.shape == (k,)
+        assert np.max(np.abs(direct.real - expanded)) <= 1e-10
         spec = eigenvalues(m)
-        assert spec.mu_min - 1e-9 <= val <= spec.mu_max + 1e-9
+        assert np.all(spec.mu_min - 1e-9 <= expanded)
+        assert np.all(expanded <= spec.mu_max + 1e-9)
 
 
 class TestArrayExpansion:
-    """The array expansion sums in another order than the loop reference, so
+    """The block expansion sums in another order than the loop reference, so
     the two agree only to rounding. The sum of the terms' magnitudes is at
     most a few times (1 + max degree) * ||z||^2, and the error of either
     order is that times about eps per term; with at most ~100 terms here
@@ -266,16 +258,16 @@ class TestArrayExpansion:
 
     @staticmethod
     def assert_matches_reference(g, alpha, beta, z):
-        prov = GraphProvenance(g, AlphaParam(alpha), beta)
-        scale = (1.0 + max(graph_stats(g).degrees)) * float(np.vdot(z, z).real)
-        got = _expansion_quadratic_form(prov, z)
-        assert isinstance(got, float)
-        assert abs(got - scalar_expansion(prov, z)) <= 1e-13 * max(1.0, scale)
+        got = _expansion_quadratic_form(g, AlphaParam(alpha), beta, z)
+        assert got.shape == (z.shape[0],)
+        for row, value in zip(z, got):
+            scale = (1.0 + max(graph_stats(g).degrees)) * float(np.vdot(row, row).real)
+            assert abs(value - scalar_expansion(g, alpha, beta, row)) <= 1e-13 * max(1.0, scale)
 
-    @given(graphs(), alphas, beta_angles, st.integers(0, 2**32 - 1))
-    def test_matches_scalar_reference(self, g, a, theta, seed):
+    @given(graphs(), st.integers(1, 5), alphas, beta_angles, st.integers(0, 2**32 - 1))
+    def test_matches_scalar_reference(self, g, k, a, theta, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
-        z = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+        z = rng.standard_normal((k, g.n)) + 1j * rng.standard_normal((k, g.n))
         self.assert_matches_reference(g, a, BetaParam.from_angle(theta), z)
 
     @pytest.mark.parametrize(
@@ -291,10 +283,9 @@ class TestArrayExpansion:
     @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
     def test_degenerate_graphs(self, g, alpha):
         rng = np.random.Generator(np.random.PCG64(11))
-        for _ in range(5):
-            z = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
-            self.assert_matches_reference(g, alpha, BetaParam.from_angle(0.9), z)
-            self.assert_matches_reference(g, alpha, OMEGA, z)
+        z = rng.standard_normal((5, g.n)) + 1j * rng.standard_normal((5, g.n))
+        self.assert_matches_reference(g, alpha, BetaParam.from_angle(0.9), z)
+        self.assert_matches_reference(g, alpha, OMEGA, z)
 
 
 class TestTextFormat:
