@@ -221,17 +221,23 @@ class TestExpectedTraces:
 
 
 class TestQuadraticForm:
-    def test_closed_form_values_on_single_arc(self, p2):
-        # rows: a basis vector on the zero diagonal; a real constant vector,
-        # 2 * Re(omega) * x1 * x2 = 0.5; the eigenvector of eigenvalue 1
-        z = np.array(
-            [[1.0, 0.0], [1.0, 1.0], [1.0, OMEGA.value.conjugate()]], dtype=complex
-        )
-        z[1:] /= math.sqrt(2.0)
-        got = _expansion_quadratic_form(p2, AlphaParam(0.0), OMEGA, z)
-        assert got.shape == (3,)
-        assert got == pytest.approx([0.0, 0.5, 1.0], abs=1e-12)
-        assert abs(got[0]) <= 1e-15
+    @staticmethod
+    def value_on_p2(p2, z):
+        got = _expansion_quadratic_form(p2, AlphaParam(0.0), OMEGA, np.array([z], dtype=complex))
+        assert got.shape == (1,)
+        return got[0]
+
+    def test_basis_vector_hits_zero_diagonal(self, p2):
+        assert self.value_on_p2(p2, [1.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
+
+    def test_real_constant_vector(self, p2):
+        z = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        # expansion: 2 * Re(omega) * x1 * x2 = 2 * 0.5 * 0.5
+        assert self.value_on_p2(p2, z) == pytest.approx(0.5, abs=1e-12)
+
+    def test_eigenvector_recovers_eigenvalue(self, p2):
+        z = np.array([1.0, OMEGA.value.conjugate()]) / math.sqrt(2.0)
+        assert self.value_on_p2(p2, z) == pytest.approx(1.0, abs=1e-12)
 
     @given(
         graphs(max_n=8), st.integers(1, 6), alphas, beta_angles, st.integers(0, 2**32 - 1)
