@@ -27,9 +27,8 @@ from .bounds import (
     zagreb_refined_extreme_bounds,
 )
 from .eig import (
-    EmbeddingPairingError,
-    KernelConvergenceError,
     Spectrum,
+    VerificationError,
     eigenvalues,
     oracle_eigenvalues,
     spectral_radius,
@@ -52,7 +51,6 @@ from .harness import (
     Status,
     SuiteSummary,
     SweepConfig,
-    VerificationError,
     ViolationRecord,
     randomized_suite,
     rayleigh_range_check,
@@ -81,11 +79,9 @@ __all__ = [
     "BoundResult",
     "BoundTarget",
     "CheckedBound",
-    "EmbeddingPairingError",
     "GraphFormatError",
     "GraphStats",
     "HermitianMatrix",
-    "KernelConvergenceError",
     "MixedGraph",
     "Spectrum",
     "Status",

@@ -210,18 +210,18 @@ def zagreb_refined_extreme_bounds(
     )
 
 
-def jth_eigenvalue_bounds(
-    mom: WolkowiczMoments, n: int, j: int
-) -> tuple[BoundResult, BoundResult]:
-    """r - s*sqrt((j-1)/(n-j+1)) <= mu_j <= r + s*sqrt((n-j)/j)."""
-    if not 1 <= j <= n:
-        raise ValueError(f"j must lie in 1..{n}, got {j}")
-    lower = mom.r - mom.s * math.sqrt((j - 1.0) / (n - j + 1.0))
-    upper = mom.r + mom.s * math.sqrt((n - j) / float(j))
-    return (
-        BoundResult("wolkowicz_mu_j_lower", BoundKind.LOWER, BoundTarget.MU_J, lower, j=j),
-        BoundResult("wolkowicz_mu_j_upper", BoundKind.UPPER, BoundTarget.MU_J, upper, j=j),
-    )
+def jth_eigenvalue_bounds(mom: WolkowiczMoments, n: int) -> tuple[BoundResult, ...]:
+    """r - s*sqrt((j-1)/(n-j+1)) <= mu_j <= r + s*sqrt((n-j)/j) for j = 1..n,
+    as 2n results: the lower then the upper bound of each j in turn."""
+    out = []
+    for j in range(1, n + 1):
+        lower = mom.r - mom.s * math.sqrt((j - 1.0) / (n - j + 1.0))
+        upper = mom.r + mom.s * math.sqrt((n - j) / float(j))
+        out += (
+            BoundResult("wolkowicz_mu_j_lower", BoundKind.LOWER, BoundTarget.MU_J, lower, j=j),
+            BoundResult("wolkowicz_mu_j_upper", BoundKind.UPPER, BoundTarget.MU_J, upper, j=j),
+        )
+    return tuple(out)
 
 
 def trace_norm_upper(stats: GraphStats, alpha: "AlphaParam | float") -> BoundResult:

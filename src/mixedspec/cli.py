@@ -3,8 +3,9 @@ run the randomized suite, or generate random graph files.
 
 Exit codes form a stable scripting contract: 0 means success with no bound
 violations, 1 means at least one violated bound (or a failed internal
-consistency check), 2 means a usage or I/O error. All numeric output uses
-17 significant digits so files round-trip losslessly.
+consistency check), 2 means a usage or I/O error or an input too large for
+memory. All numeric output uses 17 significant digits so files round-trip
+losslessly.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import json
 import math
 import sys
 
-from .eig import EmbeddingPairingError, KernelConvergenceError
-from .graphs import GraphFormatError, parse_graph, random_mixed_graph, serialize_graph
+from .graphs import parse_graph, random_mixed_graph, serialize_graph
 from .harness import (
+    EDGE_PROB_RANGE,
     BoundReport,
     Status,
     SuiteSummary,
@@ -39,7 +40,7 @@ def parse_grid(text: str) -> list[float]:
     """A bare float, or "start:stop:step" inclusive of stop (within rounding).
 
     A step larger than the range yields the single point at start. NaN and
-    infinities are rejected.
+    infinities are rejected, and so is a point count that overflows a float.
     """
     parts = text.split(":")
     if len(parts) not in (1, 3):
@@ -54,7 +55,10 @@ def parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"grid stop {stop} is below start {start}")
-    count = int(math.floor((stop - start) / step + GRID_EPS)) + 1
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise ValueError(f"grid point count must be finite, got {text!r}")
+    count = int(math.floor(steps + GRID_EPS)) + 1
     return [start + i * step for i in range(count)]
 
 
@@ -106,7 +110,7 @@ def summary_to_dict(summary: SuiteSummary) -> dict:
         "trials": summary.trials,
         "seed": summary.seed,
         "n_range": list(summary.n_range),
-        "edge_prob_range": list(summary.edge_prob_range),
+        "edge_prob_range": list(EDGE_PROB_RANGE),
         "status_counts": {k: v for k, v in summary.status_counts},
         "worst_slack": {k: v for k, v in summary.worst_slack},
         "min_rho_ratio_omega": summary.min_rho_ratio_omega,
@@ -264,10 +268,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, GraphFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-    except (VerificationError, KernelConvergenceError, EmbeddingPairingError) as exc:
+    except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
 

@@ -22,12 +22,8 @@ MOMENT_RTOL = 1e-8
 PAIR_RTOL = 1e-8
 
 
-class KernelConvergenceError(RuntimeError):
-    """An eigenvalue route failed to converge or broke a moment identity."""
-
-
-class EmbeddingPairingError(RuntimeError):
-    """Embedding eigenvalues were not real or did not come in near-identical pairs."""
+class VerificationError(RuntimeError):
+    """An internal consistency check failed; this is a bug, not a loose bound."""
 
 
 @dataclass(frozen=True)
@@ -61,11 +57,9 @@ def _check_moments(m: HermitianMatrix, values: np.ndarray, route: str) -> None:
     sum1 = float(values.sum())
     sum2 = float((values * values).sum())
     if abs(sum1 - tr) > MOMENT_RTOL * max(1.0, abs(tr)):
-        raise KernelConvergenceError(
-            f"{route}: eigenvalue sum {sum1} does not match trace {tr}"
-        )
+        raise VerificationError(f"{route}: eigenvalue sum {sum1} does not match trace {tr}")
     if abs(sum2 - tr2) > MOMENT_RTOL * max(1.0, tr2):
-        raise KernelConvergenceError(
+        raise VerificationError(
             f"{route}: eigenvalue square sum {sum2} does not match trace of square {tr2}"
         )
 
@@ -74,12 +68,12 @@ def eigenvalues(m: HermitianMatrix) -> Spectrum:
     """All eigenvalues of ``m`` by LAPACK zheevd, sorted non-increasing.
 
     Deterministic for fixed input. A LAPACK failure to converge or a broken
-    moment identity raises KernelConvergenceError.
+    moment identity raises VerificationError.
     """
     try:
         d = np.linalg.eigvalsh(m.data)
     except np.linalg.LinAlgError as exc:
-        raise KernelConvergenceError(f"zheevd: {exc}") from exc
+        raise VerificationError(f"zheevd: {exc}") from exc
     vals = d[::-1]
     _check_moments(m, vals, "zheevd")
     return Spectrum(values=tuple(vals.tolist()))
@@ -89,10 +83,11 @@ def oracle_eigenvalues(m: HermitianMatrix) -> Spectrum:
     """Eigenvalues via the real embedding, solved by LAPACK dgeev.
 
     dgeev does not assume symmetry, so it may return complex eigenvalues; an
-    imaginary part above 1e-8 * ||m||_F raises EmbeddingPairingError. The
+    imaginary part above 1e-8 * ||m||_F raises VerificationError. The
     embedding doubles every eigenvalue; adjacent sorted values are paired and
     averaged, and a pair gap above the same tolerance raises
-    EmbeddingPairingError too.
+    VerificationError too. So does a LAPACK failure or a broken moment
+    identity.
     """
     n = m.n
     x = m.data.real
@@ -105,19 +100,19 @@ def oracle_eigenvalues(m: HermitianMatrix) -> Spectrum:
     try:
         w = np.linalg.eigvals(emb)
     except np.linalg.LinAlgError as exc:
-        raise KernelConvergenceError(f"dgeev: {exc}") from exc
+        raise VerificationError(f"dgeev: {exc}") from exc
 
     pair_tol = PAIR_RTOL * m.frobenius_norm()
     imag = float(np.max(np.abs(w.imag)))
     if imag > pair_tol:
-        raise EmbeddingPairingError(
+        raise VerificationError(
             f"embedding eigenvalues are not real: largest imaginary part {imag} > {pair_tol}"
         )
     d = np.sort(w.real)
     gaps = d[1::2] - d[0::2]
     worst = float(np.max(np.abs(gaps))) if gaps.size else 0.0
     if worst > pair_tol:
-        raise EmbeddingPairingError(
+        raise VerificationError(
             f"embedding eigenvalues do not pair: worst gap {worst} > {pair_tol}"
         )
     vals = ((d[0::2] + d[1::2]) / 2.0)[::-1]

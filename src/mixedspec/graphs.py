@@ -17,7 +17,6 @@ class GraphFormatError(ValueError):
     """Raised when graph text cannot be parsed or violates simplicity."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

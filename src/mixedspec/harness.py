@@ -2,13 +2,14 @@
 independent kernels, sample the numerical range, and evaluate every bound
 in the catalog against the computed spectrum.
 
-Three classes of failure are kept apart. Kernel/oracle disagreement, trace
-mismatches, a matrix build that disagrees with the graph's arc-sum expansion
-and numerical-range escapes raise VerificationError: they mean the
-library is wrong. A bound whose premises hold but whose inequality fails gets
-status VIOLATED: the report carries it, callers decide severity. The
-reference bounds whose premise is known-false (``BoundResult.expected_fail``)
-get EXPECTED_FAIL: they are tracked, never asserted.
+Three classes of failure are kept apart. Eigen-route failures (see ``eig``),
+kernel/oracle disagreement, trace mismatches, a matrix build that disagrees
+with the graph's arc-sum expansion and numerical-range escapes all raise the
+one type VerificationError: they mean the library is wrong. A bound whose
+premises hold but whose inequality fails gets status VIOLATED: the report
+carries it, callers decide severity. The reference bounds whose premise is
+known-false (``BoundResult.expected_fail``) get EXPECTED_FAIL: they are
+tracked, never asserted.
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ import numpy as np
 
 from . import bounds as _b
 from .bounds import BoundKind, BoundResult, BoundTarget, WolkowiczMoments
-from .eig import Spectrum, eigenvalues, oracle_eigenvalues, spectral_radius, spread, trace_norm
+from .eig import (
+    Spectrum,
+    VerificationError,
+    eigenvalues,
+    oracle_eigenvalues,
+    spectral_radius,
+    spread,
+    trace_norm,
+)
 from .graphs import GraphStats, MixedGraph, random_mixed_graph, serialize_graph
 from .matrices import (
     AlphaParam,
@@ -44,10 +53,6 @@ RAYLEIGH_PAD = 1e-9
 IMAG_TOL = 1e-10
 EXPANSION_TOL = 1e-10
 EDGE_PROB_RANGE = (0.05, 0.95)
-
-
-class VerificationError(RuntimeError):
-    """An internal consistency check failed; this is a bug, not a loose bound."""
 
 
 class Status(str, Enum):
@@ -128,7 +133,6 @@ class SuiteSummary:
     trials: int
     seed: int
     n_range: tuple[int, int]
-    edge_prob_range: tuple[float, float]
     status_counts: tuple[tuple[str, int], ...]
     worst_slack: tuple[tuple[str, float], ...]
     min_rho_ratio_omega: float | None
@@ -198,13 +202,12 @@ def _catalog(
         *_b.unit_modulus_extreme_bounds(stats, alpha),
         *_b.wolkowicz_extreme_bounds(mom, n),
         *_b.zagreb_refined_extreme_bounds(stats, alpha),
+        *_b.jth_eigenvalue_bounds(mom, n),
+        _b.trace_norm_upper(stats, alpha),
+        *_b.spread_moment_bounds(mom, n),
+        _b.spread_lower_zagreb(stats, alpha),
+        _b.zagreb_index_bound(stats),
     ]
-    for j in range(1, n + 1):
-        out.extend(_b.jth_eigenvalue_bounds(mom, n, j))
-    out.append(_b.trace_norm_upper(stats, alpha))
-    out.extend(_b.spread_moment_bounds(mom, n))
-    out.append(_b.spread_lower_zagreb(stats, alpha))
-    out.append(_b.zagreb_index_bound(stats))
     rho_res, ratio = _b.rho_sandwich(spec, beta)
     out.append(rho_res)
     return out, ratio
@@ -402,7 +405,6 @@ def randomized_suite(cfg: SweepConfig) -> SuiteSummary:
         trials=cfg.trials,
         seed=cfg.seed,
         n_range=cfg.n_range,
-        edge_prob_range=EDGE_PROB_RANGE,
         status_counts=tuple((s.value, counts[s.value]) for s in Status),
         worst_slack=tuple(sorted(worst.items())),
         min_rho_ratio_omega=min_omega,

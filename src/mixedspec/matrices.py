@@ -51,15 +51,13 @@ class BetaParam:
         """beta = e^{i*theta}; theta must lie in [-pi/2, pi/2] so Re(beta) >= 0."""
         if not math.isfinite(theta):
             raise ValueError(f"beta angle must be finite, got {theta}")
+        if abs(theta) > math.pi / 2:
+            raise ValueError(f"beta angle must lie in [-pi/2, pi/2], got {theta}")
         return cls(math.cos(theta), math.sin(theta))
 
     @property
     def value(self) -> complex:
         return complex(self.re, self.im)
-
-    @property
-    def angle(self) -> float:
-        return math.atan2(self.im, self.re)
 
     def is_omega(self) -> bool:
         om = omega_constant()

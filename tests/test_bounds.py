@@ -198,23 +198,18 @@ class TestZagrebRefinedExtremes:
 
 
 class TestJthBounds:
+    # the family is (lower_1, upper_1, ..., lower_n, upper_n): the j = n lower
+    # bound sits at [2n - 2] and the j = 1 upper bound at [1]
     def test_triangle_last_eigenvalue_tight(self, c3):
         mom = WolkowiczMoments.from_stats(graph_stats(c3), 0.0)
-        lo, _ = jth_eigenvalue_bounds(mom, 3, 3)
+        lo = jth_eigenvalue_bounds(mom, 3)[4]
         assert lo.bound_value == pytest.approx(-2.0, abs=1e-12)
         assert lo.j == 3
 
     def test_triangle_first_upper(self, c3):
         mom = WolkowiczMoments.from_stats(graph_stats(c3), 0.0)
-        _, up = jth_eigenvalue_bounds(mom, 3, 1)
+        up = jth_eigenvalue_bounds(mom, 3)[1]
         assert up.bound_value == pytest.approx(2.0, abs=1e-12)
-
-    def test_j_out_of_range(self):
-        mom = WolkowiczMoments(r=0.0, s=1.0)
-        with pytest.raises(ValueError):
-            jth_eigenvalue_bounds(mom, 3, 0)
-        with pytest.raises(ValueError):
-            jth_eigenvalue_bounds(mom, 3, 4)
 
     @given(stats_and_alpha(min_n=2))
     def test_extreme_j_reduces_to_extreme_bounds(self, sa):
@@ -222,8 +217,8 @@ class TestJthBounds:
         n = stats.n
         mom = WolkowiczMoments.from_stats(stats, alpha)
         up1, _, _, lon = wolkowicz_extreme_bounds(mom, n)
-        _, j1_up = jth_eigenvalue_bounds(mom, n, 1)
-        jn_lo, _ = jth_eigenvalue_bounds(mom, n, n)
+        family = jth_eigenvalue_bounds(mom, n)
+        j1_up, jn_lo = family[1], family[2 * n - 2]
         assert abs(j1_up.bound_value - up1.bound_value) <= 1e-12
         assert abs(jn_lo.bound_value - lon.bound_value) <= 1e-12
 

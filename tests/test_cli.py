@@ -72,7 +72,9 @@ class TestParseGrid:
         with pytest.raises(ValueError):
             parse_grid("0:1")
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "0:inf:0.5", "nan:1:0.5", "0:1:nan", "0:1:inf"])
+    @pytest.mark.parametrize(
+        "text", ["nan", "inf", "0:inf:0.5", "nan:1:0.5", "0:1:nan", "0:1:inf", "0:1e308:1e-308"]
+    )
     def test_rejects_non_finite(self, text):
         with pytest.raises(ValueError, match="finite"):
             parse_grid(text)
@@ -129,6 +131,26 @@ class TestReport:
         assert code == 2
         assert captured.out == ""
         assert "beta angle must be finite" in captured.err
+
+    def test_out_of_range_beta_arg_is_usage_error(self, c3_file, capsys):
+        code = main(["report", "--graph", c3_file, "--beta-arg", "7"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "[-pi/2, pi/2]" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_graph_too_large_for_memory_is_usage_error(self, c3_file, capsys, monkeypatch):
+        def out_of_memory(g):
+            raise MemoryError()
+
+        monkeypatch.setattr(mixedspec.matrices, "_degree_array", out_of_memory)
+        code = main(["report", "--graph", c3_file])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: MemoryError\n"
+        assert "Traceback" not in captured.err
 
     def test_beta_arg_zero_gives_real_adjacency_spectrum(self, p2_file, capsys):
         code = main(["report", "--graph", p2_file, "--alpha", "0", "--beta-arg", "0"])

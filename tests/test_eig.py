@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import hermitian_from_array
 from mixedspec.eig import (
-    EmbeddingPairingError,
     Spectrum,
+    VerificationError,
     eigenvalues,
     oracle_eigenvalues,
     spectral_radius,
@@ -108,7 +108,7 @@ class TestOracle:
             return np.array([1.0 + 0.1j, 1.0 - 0.1j, -1.0, -1.0])
 
         monkeypatch.setattr(np.linalg, "eigvals", complex_pair)
-        with pytest.raises(EmbeddingPairingError, match="not real"):
+        with pytest.raises(VerificationError, match="not real"):
             oracle_eigenvalues(hermitian_adjacency(p2, OMEGA))
 
     @given(hermitians)

@@ -110,6 +110,11 @@ class TestParams:
         with pytest.raises(ValueError, match="finite"):
             BetaParam.from_angle(theta)
 
+    @pytest.mark.parametrize("theta", [7.0, -7.0, 2 * math.pi])
+    def test_from_angle_out_of_range_rejected(self, theta):
+        with pytest.raises(ValueError, match=r"\[-pi/2, pi/2\]"):
+            BetaParam.from_angle(theta)
+
     def test_beta_negative_real_part_rejected(self):
         with pytest.raises(ValueError):
             BetaParam(-0.6, 0.8)
