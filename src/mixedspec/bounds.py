@@ -8,9 +8,9 @@ when a hypothesis (such as n >= 2 or beta = omega) fails, its results carry
 
 The ``unit_offdiag_*`` pair is special: it assumes every nonzero entry of the
 blend matrix has modulus one, which is true only at alpha = 0 (off-diagonal
-entries scale by 1 - alpha). It is kept for reference (``reference=True``)
-with the corrected ``offdiag_*`` pair alongside, and is never asserted for
-alpha > 0; a single arc on two vertices at alpha = 0.5 already breaks it.
+entries scale by 1 - alpha). It is kept beside the corrected ``offdiag_*``
+pair, which it matches where it applies, and is ``expected_fail`` for
+alpha > 0. A variance negative beyond rounding raises VerificationError.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .eig import Spectrum, spectral_radius
+from .eig import Spectrum, VerificationError, spectral_radius
 from .graphs import GraphStats, zagreb_lower_bound
 from .matrices import AlphaParam, BetaParam, as_alpha, as_beta, expected_traces, omega_constant
 
@@ -45,7 +45,6 @@ class BoundResult:
     """One evaluated bound: ``bound_value`` bounds ``target`` from the
     ``kind`` side. ``applicable=False`` records a failed hypothesis in
     ``note``; the value is None when the formula cannot be evaluated.
-    ``reference=True`` marks a bound kept for comparison, never asserted;
     ``expected_fail=True`` marks one whose premise is known to fail."""
 
     name: str
@@ -55,7 +54,6 @@ class BoundResult:
     applicable: bool = True
     note: str = ""
     j: int | None = None
-    reference: bool = False
     expected_fail: bool = False
 
 
@@ -81,7 +79,7 @@ class WolkowiczMoments:
         if s2 < 0.0:
             # cancellation can push the variance a hair below zero
             if s2 < -VARIANCE_CLAMP_RTOL * max(tr2 / n, r * r):
-                raise ArithmeticError(f"variance {s2} is negative beyond rounding")
+                raise VerificationError(f"variance {s2} is negative beyond rounding")
             s2 = 0.0
         return cls(r=r, s=math.sqrt(s2))
 
@@ -146,11 +144,11 @@ def unit_modulus_extreme_bounds(
     return (
         BoundResult(
             "unit_offdiag_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, mu1_val, applicable, note,
-            reference=True, expected_fail=expected_fail,
+            expected_fail=expected_fail,
         ),
         BoundResult(
             "unit_offdiag_mun_upper", BoundKind.UPPER, BoundTarget.MU_N, mun_val, applicable, note,
-            reference=True, expected_fail=expected_fail,
+            expected_fail=expected_fail,
         ),
     )
 
@@ -234,7 +232,7 @@ def trace_norm_upper(stats: GraphStats, alpha: "AlphaParam | float") -> BoundRes
     bracket = n * tr2 - tr * tr
     if bracket < 0.0:
         if bracket < -VARIANCE_CLAMP_RTOL * max(n * tr2, tr * tr):
-            raise ArithmeticError(f"variance bracket {bracket} negative beyond rounding")
+            raise VerificationError(f"variance bracket {bracket} negative beyond rounding")
         bracket = 0.0
     value = 4.0 * a * m + 2.0 * math.sqrt((n - 1.0) * bracket)
     return BoundResult("trace_norm_upper", BoundKind.UPPER, BoundTarget.TRACE_NORM, value)

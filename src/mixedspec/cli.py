@@ -19,7 +19,6 @@ from .graphs import parse_graph, random_mixed_graph, serialize_graph
 from .harness import (
     EDGE_PROB_RANGE,
     BoundReport,
-    Status,
     SuiteSummary,
     SweepConfig,
     VerificationError,
@@ -181,8 +180,7 @@ def cmd_report(args) -> int:
     graph = _read_graph(args.graph)
     alphas = parse_grid(args.alpha)
     if len(alphas) != 1:
-        print("report takes a single alpha; use sweep for grids", file=sys.stderr)
-        return 2
+        raise ValueError("report takes a single alpha; use sweep for grids")
     beta, beta_arg = _beta_from_arg(args.beta_arg)
     report = verify_all(graph, alphas[0], beta)
     if args.format == "json":
@@ -215,7 +213,7 @@ def cmd_check(args) -> int:
     )
     summary = randomized_suite(cfg)
     sys.stdout.write(dump_json(summary_to_dict(summary)))
-    return 1 if any(not v.reference for v in summary.violations) else 0
+    return 1 if summary.violated_count else 0
 
 
 def cmd_random(args) -> int:

@@ -7,9 +7,8 @@ kernel/oracle disagreement, trace mismatches, a matrix build that disagrees
 with the graph's arc-sum expansion and numerical-range escapes all raise the
 one type VerificationError: they mean the library is wrong. A bound whose
 premises hold but whose inequality fails gets status VIOLATED: the report
-carries it, callers decide severity. The reference bounds whose premise is
-known-false (``BoundResult.expected_fail``) get EXPECTED_FAIL: they are
-tracked, never asserted.
+carries it, and the CLI exits 1 on any. A bound whose premise is known-false
+(``BoundResult.expected_fail``) gets EXPECTED_FAIL: tracked, never asserted.
 """
 
 from __future__ import annotations
@@ -125,7 +124,6 @@ class ViolationRecord:
     bound_value: float
     actual: float
     slack: float
-    reference: bool
 
 
 @dataclass(frozen=True)
@@ -164,6 +162,14 @@ def _rayleigh_samples(
     if np.max(np.abs(vals.imag)) > IMAG_TOL:
         raise VerificationError("quadratic form came out non-real on Hermitian input")
     return z, vals.real
+
+
+def _trace2_limit(closed_form: float) -> float:
+    """TRACE_TOL, or 64 ulps of tr(M^2)'s closed form where larger (from 2^17).
+    The direct sum adds n^2 squared moduli of <= 10 roundings each in NumPy's
+    pairwise tree, <= ceil(log2(n^2/112)) + 25 deep; the closed form takes 5.
+    All terms are >= 0, so for n <= 4096 the gap is < 58 u tr(M^2) < 64 ulps."""
+    return max(TRACE_TOL, 64 * math.ulp(closed_form))
 
 
 def _in_range(vals: np.ndarray, spec: Spectrum) -> bool:
@@ -227,7 +233,7 @@ def _actual_for(result: BoundResult, spec: Spectrum, stats: GraphStats) -> float
         return trace_norm(spec)
     if t is BoundTarget.ZAGREB:
         return float(stats.zagreb)
-    raise AssertionError(f"unhandled target {t}")
+    raise VerificationError(f"unhandled target {t}")
 
 
 def _check_bound(result: BoundResult, spec: Spectrum, stats: GraphStats) -> CheckedBound:
@@ -276,14 +282,12 @@ def verify_all(
         )
 
     exp_tr, exp_tr2 = expected_traces(stats, alpha)
-    if abs(matrix.trace() - exp_tr) > TRACE_TOL:
-        raise VerificationError(
-            f"trace {matrix.trace()} != closed form {exp_tr} beyond {TRACE_TOL}"
-        )
-    if abs(matrix.trace_of_square() - exp_tr2) > TRACE_TOL:
-        raise VerificationError(
-            f"tr(M^2) {matrix.trace_of_square()} != closed form {exp_tr2} beyond {TRACE_TOL}"
-        )
+    for name, got, want, limit in (
+        ("trace", matrix.trace(), exp_tr, TRACE_TOL),
+        ("tr(M^2)", matrix.trace_of_square(), exp_tr2, _trace2_limit(exp_tr2)),
+    ):
+        if abs(got - want) > limit:
+            raise VerificationError(f"{name} {got} != closed form {want} beyond {limit}")
 
     z, vals = _rayleigh_samples(matrix, RAYLEIGH_SAMPLES, rayleigh_seed)
     route_gap = float(np.max(np.abs(vals - _expansion_quadratic_form(g, alpha, beta, z))))
@@ -397,7 +401,6 @@ def randomized_suite(cfg: SweepConfig) -> SuiteSummary:
                         bound_value=c.result.bound_value,
                         actual=c.actual,
                         slack=c.slack,
-                        reference=c.result.reference,
                     )
                 )
 

@@ -120,6 +120,10 @@ class TestReport:
 
     def test_grid_alpha_rejected(self, c3_file, capsys):
         assert main(["report", "--graph", c3_file, "--alpha", "0:1:0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     def test_alpha_out_of_range(self, c3_file, capsys):
         assert main(["report", "--graph", c3_file, "--alpha", "1.5"]) == 2
@@ -187,6 +191,16 @@ class TestReport:
                 assert entry <= set(b) <= entry | optional
                 seen_optional |= set(b) - entry
         assert seen_optional == optional
+
+    def test_readme_quick_start_runs(self, capsys):
+        block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        exec(block.group(1), {})
+        out = capsys.readouterr().out.splitlines()
+        comment = re.search(r"print\(eigenvalues\(m\)\.values\)\s+# (.*)", block.group(1))
+        printed = [float(x) for x in out[0].strip("()").split(",")]
+        documented = [float(x) for x in comment.group(1).strip("()").split(",")]
+        assert printed == pytest.approx([1.5, 1.5, 0.0], abs=1e-12)
+        assert documented == pytest.approx(printed, abs=1e-12)
 
     @pytest.mark.parametrize("solver", ["eigvalsh", "eigvals"])
     def test_solver_failure_gives_exit_one(self, c3_file, capsys, monkeypatch, solver):
@@ -306,8 +320,8 @@ class TestCheck:
         assert doc["status_counts"]["VIOLATED"] > 0
         assert doc["violations"]
 
-    def test_reference_pair_violations_keep_exit_zero(self, capsys, monkeypatch):
-        # the README's rule: check exits 1 only for bounds expected to hold
+    def test_reference_pair_violations_exit_one(self, capsys, monkeypatch):
+        # the README's rule: every subcommand exits 1 on any VIOLATED status
         real = mixedspec.bounds.unit_modulus_extreme_bounds
 
         def violated(stats, alpha):
@@ -320,7 +334,7 @@ class TestCheck:
         monkeypatch.setattr(mixedspec.bounds, "unit_modulus_extreme_bounds", violated)
         code = main(["check", "--trials", "5", "--seed", "3"])
         doc = json.loads(capsys.readouterr().out)
-        assert code == 0
+        assert code == 1
         assert doc["status_counts"]["VIOLATED"] > 0
         assert len(doc["violations"]) == doc["status_counts"]["VIOLATED"]
         assert {v["bound_name"] for v in doc["violations"]} == {

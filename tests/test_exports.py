@@ -1,6 +1,10 @@
 """Package surface: every public name resolves, none is listed twice, and
-every public exception belongs to one of the two families the CLI maps to an
-exit code."""
+every public exception, like every raise in the package, belongs to one of
+the two families the CLI maps to an exit code."""
+
+import ast
+import importlib
+from pathlib import Path
 
 import mixedspec
 from mixedspec import VerificationError
@@ -19,4 +23,21 @@ def test_every_public_exception_is_bad_input_or_verification_failure():
     errors = [c for c in classes if isinstance(c, type) and issubclass(c, BaseException)]
     assert errors
     odd = [c for c in errors if not issubclass(c, (ValueError, VerificationError))]
+    assert odd == []
+
+
+def test_every_raise_is_bad_input_or_verification_failure():
+    # the same contract for every raise site in the package, public or not
+    package = Path(mixedspec.__file__).parent
+    odd = []
+    for path in sorted(package.glob("*.py")):
+        name = "mixedspec" if path.stem == "__init__" else f"mixedspec.{path.stem}"
+        module = importlib.import_module(name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise):
+                continue
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = eval(ast.unparse(target), vars(module)) if target is not None else None
+            if not (isinstance(cls, type) and issubclass(cls, (ValueError, VerificationError))):
+                odd.append(f"{path.name}:{node.lineno}")
     assert odd == []

@@ -15,17 +15,25 @@ from mixedspec.eig import Spectrum, eigenvalues
 from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph
 from mixedspec.harness import (
     RAYLEIGH_SAMPLES,
+    TRACE_TOL,
     Status,
     SweepConfig,
     VerificationError,
     _check_bound,
+    _trace2_limit,
     randomized_suite,
     rayleigh_range_check,
     run_trial,
     sweep_alpha,
     verify_all,
 )
-from mixedspec.matrices import BetaParam, a_alpha_matrix, hermitian_adjacency, omega_constant
+from mixedspec.matrices import (
+    BetaParam,
+    HermitianMatrix,
+    a_alpha_matrix,
+    hermitian_adjacency,
+    omega_constant,
+)
 
 OMEGA = omega_constant()
 
@@ -137,7 +145,7 @@ class TestStatusAssignment:
         stats = graph_stats(parse_graph("2\n1 -> 2\n"))
         res = BoundResult(
             "unit_offdiag_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, 1.5, False, "premise",
-            reference=True, expected_fail=True,
+            expected_fail=True,
         )
         assert _check_bound(res, spec, stats).status is Status.EXPECTED_FAIL
         # the flag decides, not the name
@@ -199,6 +207,41 @@ class TestExpansionCrossCheck:
         assert np.allclose(np.linalg.norm(z, axis=1), 1.0, rtol=0, atol=1e-14)
 
 
+class TestTraceOfSquareCheck:
+    """tr(M^2) is checked to TRACE_TOL or 64 ulps of its closed form, whichever is larger."""
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        # n = 250 at alpha = 0.9: tr(M^2) is about 1.0e7, where 1e-9 is under one ulp
+        return random_mixed_graph(250, 0.9, 0.5, 1)
+
+    def test_dense_graph_passes(self, dense):
+        report = verify_all(dense, 0.9, OMEGA)
+        assert report.spectrum.n == 250
+
+    def test_limit_is_trace_tol_below_two_to_the_17(self):
+        for x in (0.0, 1.0, 48.0**3, np.nextafter(2.0**17, 0.0)):
+            assert _trace2_limit(x) == TRACE_TOL
+        assert _trace2_limit(2.0**17) == 64 * math.ulp(2.0**17) > TRACE_TOL
+        assert _trace2_limit(1.0e7) == 64 * math.ulp(1.0e7)
+
+    @staticmethod
+    def shift_trace_of_square(monkeypatch, delta):
+        real = HermitianMatrix.trace_of_square
+        monkeypatch.setattr(HermitianMatrix, "trace_of_square", lambda m: real(m) + delta)
+
+    def test_off_build_still_raises_on_dense_graph(self, dense, monkeypatch):
+        # 1e-6 is about 8 times the 64-ulp limit at 1.0e7, and 1e-13 of the value
+        self.shift_trace_of_square(monkeypatch, 1e-6)
+        with pytest.raises(VerificationError, match=r"tr\(M\^2\)"):
+            verify_all(dense, 0.9, OMEGA)
+
+    def test_off_build_still_raises_on_small_graph(self, c3, monkeypatch):
+        self.shift_trace_of_square(monkeypatch, 2 * TRACE_TOL)
+        with pytest.raises(VerificationError, match=r"tr\(M\^2\) .* beyond 1e-09"):
+            verify_all(c3, 0.5, OMEGA)
+
+
 class TestSweep:
     def test_triangle_grid(self, c3):
         reports = sweep_alpha(c3, (0.0, 0.5, 1.0), BetaParam.from_angle(math.pi / 3))
@@ -251,7 +294,6 @@ class TestRandomizedSuite:
             report = run_trial(SweepConfig(trials=60, seed=21), trial)
             for c in report.checked:
                 if c.status is Status.EXPECTED_FAIL:
-                    assert c.result.reference
                     assert c.result.name.startswith("unit_offdiag_")
                     assert report.alpha > 0.0
 
