@@ -59,7 +59,6 @@ from .harness import (
     verify_all,
 )
 from .matrices import (
-    AlphaParam,
     BetaParam,
     HermitianMatrix,
     a_alpha_matrix,
@@ -72,7 +71,6 @@ from .matrices import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaParam",
     "BetaParam",
     "BoundKind",
     "BoundReport",

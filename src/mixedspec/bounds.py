@@ -2,9 +2,12 @@
 
 Every bound is a pure function of graph statistics (n, m, arc counts, degree
 extremes, Zagreb index) and the blend weight alpha, evaluated exactly as the
-source inequalities state them. Each function decides its own applicability:
-when a hypothesis (such as n >= 2 or beta = omega) fails, its results carry
-``applicable=False`` and the reason in ``note`` instead of raising.
+source inequalities state them. alpha is a float, and every function taking
+it rejects a value outside [0, 1] with ValueError; beta is a BetaParam.
+
+Each function decides its own applicability: when a hypothesis (such as
+n >= 2 or beta = omega) fails, its results carry ``applicable=False`` and
+the reason in ``note`` instead of raising.
 
 The ``unit_offdiag_*`` pair is special: it assumes every nonzero entry of the
 blend matrix has modulus one, which is true only at alpha = 0 (off-diagonal
@@ -21,7 +24,7 @@ from enum import Enum
 
 from .eig import Spectrum, VerificationError, spectral_radius
 from .graphs import GraphStats, zagreb_lower_bound
-from .matrices import AlphaParam, BetaParam, as_alpha, as_beta, expected_traces, omega_constant
+from .matrices import BetaParam, check_alpha, expected_traces
 
 VARIANCE_CLAMP_RTOL = 1e-12
 
@@ -84,22 +87,20 @@ class WolkowiczMoments:
         return cls(r=r, s=math.sqrt(s2))
 
     @classmethod
-    def from_stats(cls, stats: GraphStats, alpha: "AlphaParam | float") -> "WolkowiczMoments":
+    def from_stats(cls, stats: GraphStats, alpha: float) -> "WolkowiczMoments":
         tr, tr2 = expected_traces(stats, alpha)
         return cls.from_traces(tr, tr2, stats.n)
 
 
-def rayleigh_mu1_lower(
-    stats: GraphStats, alpha: "AlphaParam | float", beta: "BetaParam | complex" = omega_constant()
-) -> BoundResult:
+def rayleigh_mu1_lower(stats: GraphStats, alpha: float, beta: BetaParam) -> BoundResult:
     """mu_1 >= (2*alpha*m + (1-alpha)*(arcs + 2*undirected)) / n.
 
     Rayleigh quotient of the constant unit vector; the arc coefficient uses
     2*Re(omega) = 1, so this holds for beta = omega only.
     """
-    a = as_alpha(alpha).value
+    a = check_alpha(alpha)
     value = (2.0 * a * stats.m + (1.0 - a) * (stats.arc_count + 2.0 * stats.undirected_count)) / stats.n
-    omega = as_beta(beta).is_omega()
+    omega = beta.is_omega()
     note = "" if omega else "stated for beta = omega only"
     return BoundResult("rayleigh_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, value, omega, note)
 
@@ -119,16 +120,14 @@ def garga_extreme_bounds(trace: float, n: int, offdiag_modulus: float) -> tuple[
     )
 
 
-def unit_modulus_extreme_bounds(
-    stats: GraphStats, alpha: "AlphaParam | float"
-) -> tuple[BoundResult, BoundResult]:
+def unit_modulus_extreme_bounds(stats: GraphStats, alpha: float) -> tuple[BoundResult, BoundResult]:
     """Reference variant of the off-diagonal bounds taking |a_rs| = 1:
     mu_1 >= 2(alpha*m + 1)/n and mu_n <= 2(alpha*m - 1)/n.
 
     Valid only at alpha = 0 on a graph with at least one edge; for alpha > 0
     the nonzero entries have modulus 1 - alpha < 1 and the premise fails.
     """
-    a = as_alpha(alpha).value
+    a = check_alpha(alpha)
     n, m = stats.n, stats.m
     mu1_val = 2.0 * (a * m + 1.0) / n
     mun_val = 2.0 * (a * m - 1.0) / n
@@ -186,13 +185,11 @@ def _zagreb_variance_numerator(stats: GraphStats, a: float) -> float:
     )
 
 
-def zagreb_refined_extreme_bounds(
-    stats: GraphStats, alpha: "AlphaParam | float"
-) -> tuple[BoundResult, BoundResult]:
+def zagreb_refined_extreme_bounds(stats: GraphStats, alpha: float) -> tuple[BoundResult, BoundResult]:
     """Extreme-eigenvalue bounds with the spectral variance bounded from below
     through the degree extremes: mu_1 >= 2am/n + sqrt(T/(n^2(n-1))) and
     mu_n <= 2am/n - sqrt(T/(n^2(n-1)))."""
-    a = as_alpha(alpha).value
+    a = check_alpha(alpha)
     n = stats.n
     if n < 3:
         return (
@@ -222,9 +219,9 @@ def jth_eigenvalue_bounds(mom: WolkowiczMoments, n: int) -> tuple[BoundResult, .
     return tuple(out)
 
 
-def trace_norm_upper(stats: GraphStats, alpha: "AlphaParam | float") -> BoundResult:
+def trace_norm_upper(stats: GraphStats, alpha: float) -> BoundResult:
     """Trace norm <= 4*alpha*m + 2*sqrt((n-1)*(n*tr2 - tr^2))."""
-    a = as_alpha(alpha).value
+    a = check_alpha(alpha)
     n, m = stats.n, stats.m
     if n < 2:
         return _na("trace_norm_upper", BoundKind.UPPER, BoundTarget.TRACE_NORM, "needs n >= 2")
@@ -257,10 +254,10 @@ def spread_moment_bounds(mom: WolkowiczMoments, n: int) -> tuple[BoundResult, Bo
     )
 
 
-def spread_lower_zagreb(stats: GraphStats, alpha: "AlphaParam | float") -> BoundResult:
+def spread_lower_zagreb(stats: GraphStats, alpha: float) -> BoundResult:
     """Degree-refined spread lower bound: (2/n)*sqrt(T) for even n,
     2*sqrt(T/(n^2-1)) for odd n (n >= 3)."""
-    a = as_alpha(alpha).value
+    a = check_alpha(alpha)
     n = stats.n
     if n < 3:
         return _na("spread_lower_zagreb", BoundKind.LOWER, BoundTarget.SPREAD, "needs n >= 3")
@@ -281,14 +278,13 @@ def zagreb_index_bound(stats: GraphStats) -> BoundResult:
     )
 
 
-def rho_sandwich(spec: Spectrum, beta: "BetaParam | complex") -> tuple[BoundResult, float]:
+def rho_sandwich(spec: Spectrum, beta: BetaParam) -> tuple[BoundResult, float]:
     """c * rho <= mu_1 <= rho with c = 1/2 at beta = omega, 1/3 otherwise.
 
     Returns the lower-side bound result (mu_1 <= rho holds structurally since
     the blend trace is non-negative) and the achieved ratio mu_1 / rho,
     defined as 1 when rho = 0.
     """
-    beta = as_beta(beta)
     c = 0.5 if beta.is_omega() else 1.0 / 3.0
     rho = spectral_radius(spec)
     ratio = 1.0 if rho == 0.0 else spec.mu_max / rho

@@ -33,13 +33,11 @@ from .eig import (
 )
 from .graphs import GraphStats, MixedGraph, random_mixed_graph, serialize_graph
 from .matrices import (
-    AlphaParam,
     BetaParam,
     HermitianMatrix,
     _expansion_quadratic_form,
     a_alpha_matrix,
-    as_alpha,
-    as_beta,
+    check_alpha,
     expected_traces,
     omega_constant,
 )
@@ -142,19 +140,16 @@ class SuiteSummary:
         return dict(self.status_counts).get(Status.VIOLATED.value, 0)
 
 
-def _rayleigh_samples(
-    m: HermitianMatrix, samples: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (samples, n) block of random unit vectors z and the real parts of z*Mz.
+def _rayleigh_samples(m: HermitianMatrix, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (RAYLEIGH_SAMPLES, n) block of random unit vectors z and the real
+    parts of z*Mz.
 
     Vectors have standard-normal real and imaginary parts, then are
     normalized. An imaginary part above IMAG_TOL means M was not Hermitian.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    n = m.n
+    shape = (RAYLEIGH_SAMPLES, m.n)
     rng = np.random.Generator(np.random.PCG64(seed))
-    z = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0
     z = z / norms[:, None]
@@ -168,7 +163,10 @@ def _trace2_limit(closed_form: float) -> float:
     """TRACE_TOL, or 64 ulps of tr(M^2)'s closed form where larger (from 2^17).
     The direct sum adds n^2 squared moduli of <= 10 roundings each in NumPy's
     pairwise tree, <= ceil(log2(n^2/112)) + 25 deep; the closed form takes 5.
-    All terms are >= 0, so for n <= 4096 the gap is < 58 u tr(M^2) < 64 ulps."""
+    All terms are >= 0, so for n <= 1024 the gap is < 54 u tr(M^2). The closed
+    form takes |beta| = 1, and BetaParam admits hypot(re, im) within 2^-52 = 2u
+    of 1; hypot errs by < 1 ulp, so arcs move the sum by < 8.1 u tr(M^2), and
+    62.1 u tr(M^2) < 64 ulps; a 1e-12 modulus slack would allow 2e-12 tr(M^2)."""
     return max(TRACE_TOL, 64 * math.ulp(closed_form))
 
 
@@ -178,22 +176,20 @@ def _in_range(vals: np.ndarray, spec: Spectrum) -> bool:
     return bool(np.all(vals >= lo) and np.all(vals <= hi))
 
 
-def rayleigh_range_check(
-    m: HermitianMatrix, spec: Spectrum, samples: int, seed: int
-) -> bool:
-    """Sample random unit vectors and test z*Mz against [mu_n, mu_1].
+def rayleigh_range_check(m: HermitianMatrix, spec: Spectrum, seed: int) -> bool:
+    """Sample RAYLEIGH_SAMPLES random unit vectors and test z*Mz against [mu_n, mu_1].
 
     Returns False when any quadratic form falls outside the padded interval.
     Works on any Hermitian matrix; ``verify_all`` draws the same samples and
     also checks each one against the graph's arc-sum expansion.
     """
-    _, vals = _rayleigh_samples(m, samples, seed)
+    _, vals = _rayleigh_samples(m, seed)
     return _in_range(vals, spec)
 
 
 def _catalog(
     stats: GraphStats,
-    alpha: AlphaParam,
+    alpha: float,
     beta: BetaParam,
     matrix: HermitianMatrix,
     spec: Spectrum,
@@ -253,8 +249,8 @@ def _check_bound(result: BoundResult, spec: Spectrum, stats: GraphStats) -> Chec
 
 def verify_all(
     g: MixedGraph,
-    alpha: "AlphaParam | float",
-    beta: "BetaParam | complex",
+    alpha: float,
+    beta: BetaParam,
     *,
     rayleigh_seed: int = 0,
 ) -> BoundReport:
@@ -267,8 +263,7 @@ def verify_all(
     whole bound catalog is scored. Internal-consistency failures raise
     VerificationError; violated bounds are returned as data.
     """
-    alpha = as_alpha(alpha)
-    beta = as_beta(beta)
+    alpha = check_alpha(alpha)
     stats = g.stats
     matrix = a_alpha_matrix(g, alpha, beta)
 
@@ -289,7 +284,7 @@ def verify_all(
         if abs(got - want) > limit:
             raise VerificationError(f"{name} {got} != closed form {want} beyond {limit}")
 
-    z, vals = _rayleigh_samples(matrix, RAYLEIGH_SAMPLES, rayleigh_seed)
+    z, vals = _rayleigh_samples(matrix, rayleigh_seed)
     route_gap = float(np.max(np.abs(vals - _expansion_quadratic_form(g, alpha, beta, z))))
     if route_gap > EXPANSION_TOL:
         raise VerificationError(
@@ -303,7 +298,7 @@ def verify_all(
     checked = tuple(_check_bound(r, spec, stats) for r in results)
     return BoundReport(
         graph=g,
-        alpha=alpha.value,
+        alpha=alpha,
         beta=(beta.re, beta.im),
         spectrum=spec,
         rho=spectral_radius(spec),
@@ -316,14 +311,14 @@ def verify_all(
 
 def sweep_alpha(
     g: MixedGraph,
-    alphas: "Iterable[AlphaParam | float]",
-    beta: "BetaParam | complex",
+    alphas: Iterable[float],
+    beta: BetaParam,
     *,
     seed: int = 0,
 ) -> list[BoundReport]:
     """One report per alpha, in grid order, all at one beta. The whole grid
     is validated before the first solve."""
-    grid = [as_alpha(a) for a in alphas]
+    grid = [check_alpha(a) for a in alphas]
     return [verify_all(g, a, beta, rayleigh_seed=seed) for a in grid]
 
 
@@ -356,7 +351,7 @@ def run_trial(cfg: SweepConfig, trial: int) -> BoundReport:
     alpha = _sample_alpha(rng)
     beta = _sample_beta(rng)
     rayleigh_seed = int(rng.integers(0, 2**63))
-    return verify_all(g, AlphaParam(alpha), beta, rayleigh_seed=rayleigh_seed)
+    return verify_all(g, alpha, beta, rayleigh_seed=rayleigh_seed)
 
 
 def randomized_suite(cfg: SweepConfig) -> SuiteSummary:

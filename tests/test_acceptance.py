@@ -222,21 +222,21 @@ def test_criterion_7_numerical_range_containment(p2, c3):
     # graphs named in criterion 1, at both endpoints used there
     for g, a in [(p2, 0.0), (c3, 0.0), (c3, 0.5)]:
         m = a_alpha_matrix(g, a, OMEGA)
-        if not rayleigh_range_check(m, eigenvalues(m), 100, seed=1):
+        if not rayleigh_range_check(m, eigenvalues(m), seed=1):
             failures.append(f"containment failed on n={g.n} alpha={a}")
 
     # the criterion-2 population; criterion-3 trials run the same check
     # inside verify_all, where an escape is a hard error
     for idx, g in enumerate(_trace_population()):
         m = a_alpha_matrix(g, 0.5, OMEGA)
-        if not rayleigh_range_check(m, eigenvalues(m), 100, seed=idx):
+        if not rayleigh_range_check(m, eigenvalues(m), seed=idx):
             failures.append(f"containment failed on population graph {idx}")
             break
 
     h = hermitian_adjacency(c3, OMEGA)
     fake = Spectrum((0.5, 0.5, -2.0))
     detected = sum(
-        0 if rayleigh_range_check(h, fake, 100, seed=s) else 1 for s in range(100)
+        0 if rayleigh_range_check(h, fake, seed=s) else 1 for s in range(100)
     )
     if detected < 99:
         failures.append(f"negative control caught only {detected}/100 seeds")

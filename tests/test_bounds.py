@@ -67,15 +67,15 @@ class TestWolkowiczMoments:
 
 class TestRayleighLower:
     def test_single_arc(self, p2):
-        assert rayleigh_mu1_lower(graph_stats(p2), 0.0).bound_value == 0.5
+        assert rayleigh_mu1_lower(graph_stats(p2), 0.0, OMEGA).bound_value == 0.5
 
     def test_triangle_tight(self, c3):
-        assert rayleigh_mu1_lower(graph_stats(c3), 0.0).bound_value == 1.0
+        assert rayleigh_mu1_lower(graph_stats(c3), 0.0, OMEGA).bound_value == 1.0
 
     @given(stats_and_alpha())
     def test_alpha_one_is_average_degree(self, sa):
         stats, _ = sa
-        r = rayleigh_mu1_lower(stats, 1.0)
+        r = rayleigh_mu1_lower(stats, 1.0, OMEGA)
         assert r.bound_value == pytest.approx(2.0 * stats.m / stats.n, abs=1e-12)
 
 
@@ -309,7 +309,7 @@ class TestPurity:
     @given(stats_and_alpha(min_n=2))
     def test_repeat_calls_identical(self, sa):
         stats, alpha = sa
-        assert rayleigh_mu1_lower(stats, alpha) == rayleigh_mu1_lower(stats, alpha)
+        assert rayleigh_mu1_lower(stats, alpha, OMEGA) == rayleigh_mu1_lower(stats, alpha, OMEGA)
         assert trace_norm_upper(stats, alpha) == trace_norm_upper(stats, alpha)
         assert zagreb_refined_extreme_bounds(stats, alpha) == zagreb_refined_extreme_bounds(
             stats, alpha

@@ -1,13 +1,16 @@
-"""Package surface: every public name resolves, none is listed twice, and
-every public exception, like every raise in the package, belongs to one of
-the two families the CLI maps to an exit code."""
+"""Package surface: every public name resolves, none is listed twice, each
+blend parameter has one form in every public signature, and every public
+exception, like every raise in the package, belongs to one of the two
+families the CLI maps to an exit code."""
 
 import ast
 import importlib
+import inspect
+from collections.abc import Iterable
 from pathlib import Path
 
 import mixedspec
-from mixedspec import VerificationError
+from mixedspec import BetaParam, VerificationError
 
 
 def test_all_names_resolve_and_are_unique():
@@ -15,6 +18,33 @@ def test_all_names_resolve_and_are_unique():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(mixedspec, name)]
     assert missing == []
+
+
+def _public_signatures():
+    # functions, and the methods of classes; a record's constructor is left
+    # out, since its beta field is the (re, im) pair the JSON echoes
+    for name in mixedspec.__all__:
+        obj = getattr(mixedspec, name)
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)
+                if inspect.isfunction(member) and not attr.startswith("_"):
+                    yield f"{name}.{attr}", inspect.signature(member, eval_str=True)
+        elif callable(obj):
+            yield name, inspect.signature(obj, eval_str=True)
+
+
+def test_blend_parameters_have_one_form():
+    want = {"alpha": float, "alphas": Iterable[float], "beta": BetaParam}
+    seen, odd = set(), []
+    for where, sig in _public_signatures():
+        for p in sig.parameters.values():
+            if p.name in want:
+                seen.add(p.name)
+                if p.annotation != want[p.name] or (p.name == "beta" and p.default is not p.empty):
+                    odd.append(f"{where}({p})")
+    assert seen == set(want)
+    assert odd == []
 
 
 def test_every_public_exception_is_bad_input_or_verification_failure():

@@ -156,22 +156,17 @@ class TestStatusAssignment:
 class TestRayleighRangeCheck:
     def test_single_arc_contained(self, p2):
         h = hermitian_adjacency(p2, OMEGA)
-        assert rayleigh_range_check(h, eigenvalues(h), 100, seed=3)
+        assert rayleigh_range_check(h, eigenvalues(h), seed=3)
 
     def test_zero_matrix(self):
         g = parse_graph("3\n")
         h = hermitian_adjacency(g, OMEGA)
-        assert rayleigh_range_check(h, eigenvalues(h), 50, seed=0)
+        assert rayleigh_range_check(h, eigenvalues(h), seed=0)
 
     def test_truncated_spectrum_detected(self, c3):
         h = hermitian_adjacency(c3, OMEGA)
         fake = Spectrum((0.5, 0.5, -2.0))
-        assert not rayleigh_range_check(h, fake, 100, seed=11)
-
-    def test_sample_count_validated(self, p2):
-        h = hermitian_adjacency(p2, OMEGA)
-        with pytest.raises(ValueError):
-            rayleigh_range_check(h, eigenvalues(h), 0, seed=0)
+        assert not rayleigh_range_check(h, fake, seed=11)
 
 
 class TestExpansionCrossCheck:
@@ -240,6 +235,20 @@ class TestTraceOfSquareCheck:
         self.shift_trace_of_square(monkeypatch, 2 * TRACE_TOL)
         with pytest.raises(VerificationError, match=r"tr\(M\^2\) .* beyond 1e-09"):
             verify_all(c3, 0.5, OMEGA)
+
+    @staticmethod
+    def scaled_omega(f):
+        return BetaParam(0.5 * f, math.sqrt(3.0) / 2.0 * f)
+
+    def test_beta_off_unit_beyond_limit_rejected(self):
+        # on random_mixed_graph(60, 0.9, 1.0, 3), 1608 arcs, this beta put tr(M^2)
+        # 5.8e-9 off its closed form, which assumes |beta| = 1
+        with pytest.raises(ValueError, match=r"\|beta\| must be 1"):
+            self.scaled_omega(1 + 0.9e-12)
+
+    def test_beta_at_modulus_limit_verifies(self):
+        g = random_mixed_graph(60, 0.9, 1.0, 3)
+        assert verify_all(g, 0.0, self.scaled_omega(1 + 2**-52)).spectrum.n == 60
 
 
 class TestSweep:

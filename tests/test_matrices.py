@@ -1,5 +1,7 @@
-"""Matrix builders, parameter validation, trace closed forms, quadratic-form expansion."""
+"""Matrix builders, parameter validation at every alpha entry point, trace
+closed forms, quadratic-form expansion."""
 
+import json
 import math
 
 import numpy as np
@@ -7,10 +9,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import hermitian_from_array
+from mixedspec.bounds import (
+    rayleigh_mu1_lower,
+    spread_lower_zagreb,
+    trace_norm_upper,
+    unit_modulus_extreme_bounds,
+    zagreb_refined_extreme_bounds,
+)
 from mixedspec.eig import eigenvalues
 from mixedspec.graphs import MixedGraph, graph_stats, parse_graph, random_mixed_graph
+from mixedspec.harness import sweep_alpha, verify_all
 from mixedspec.matrices import (
-    AlphaParam,
     BetaParam,
     HermitianMatrix,
     _expansion_quadratic_form,
@@ -22,6 +31,19 @@ from mixedspec.matrices import (
 )
 
 OMEGA = omega_constant()
+
+# every public function that takes alpha, called on a graph with that alpha
+ALPHA_ENTRY_POINTS = {
+    "a_alpha_matrix": lambda g, a: a_alpha_matrix(g, a, OMEGA),
+    "expected_traces": lambda g, a: expected_traces(g.stats, a),
+    "verify_all": lambda g, a: verify_all(g, a, OMEGA),
+    "sweep_alpha": lambda g, a: sweep_alpha(g, [0.5, a], OMEGA),
+    "rayleigh_mu1_lower": lambda g, a: rayleigh_mu1_lower(g.stats, a, OMEGA),
+    "unit_modulus_extreme_bounds": lambda g, a: unit_modulus_extreme_bounds(g.stats, a),
+    "zagreb_refined_extreme_bounds": lambda g, a: zagreb_refined_extreme_bounds(g.stats, a),
+    "trace_norm_upper": lambda g, a: trace_norm_upper(g.stats, a),
+    "spread_lower_zagreb": lambda g, a: spread_lower_zagreb(g.stats, a),
+}
 
 
 @st.composite
@@ -86,13 +108,18 @@ class TestParams:
         w = OMEGA.value
         assert abs((w * w.conjugate()) - 1.0) <= 1e-15
 
-    def test_alpha_range_enforced(self):
-        AlphaParam(0.0)
-        AlphaParam(1.0)
-        with pytest.raises(ValueError):
-            AlphaParam(-0.01)
-        with pytest.raises(ValueError):
-            AlphaParam(1.01)
+    def test_alpha_range_enforced(self, c3):
+        # the endpoints are in range, and an int or NumPy scalar comes back as a float
+        for given, text in ((0, "0.0"), (1, "1.0"), (np.float64(0.5), "0.5")):
+            alpha = verify_all(c3, given, OMEGA).alpha
+            assert type(alpha) is float
+            assert json.dumps(alpha) == text
+
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, math.nan], ids=["below", "above", "nan"])
+    @pytest.mark.parametrize("entry", sorted(ALPHA_ENTRY_POINTS))
+    def test_alpha_outside_unit_interval_rejected(self, c3, entry, bad):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            ALPHA_ENTRY_POINTS[entry](c3, bad)
 
     def test_beta_modulus_enforced(self):
         with pytest.raises(ValueError):
@@ -228,7 +255,7 @@ class TestExpectedTraces:
 class TestQuadraticForm:
     @staticmethod
     def value_on_p2(p2, z):
-        got = _expansion_quadratic_form(p2, AlphaParam(0.0), OMEGA, np.array([z], dtype=complex))
+        got = _expansion_quadratic_form(p2, 0.0, OMEGA, np.array([z], dtype=complex))
         assert got.shape == (1,)
         return got[0]
 
@@ -252,7 +279,7 @@ class TestQuadraticForm:
         m = a_alpha_matrix(g, a, beta)
         z = unit_rows(np.random.Generator(np.random.PCG64(seed)), k, g.n)
         direct = ((z.conj() @ m.data) * z).sum(axis=1)
-        expanded = _expansion_quadratic_form(g, AlphaParam(a), beta, z)
+        expanded = _expansion_quadratic_form(g, a, beta, z)
         assert expanded.shape == (k,)
         assert np.max(np.abs(direct.real - expanded)) <= 1e-10
         spec = eigenvalues(m)
@@ -269,7 +296,7 @@ class TestArrayExpansion:
 
     @staticmethod
     def assert_matches_reference(g, alpha, beta, z):
-        got = _expansion_quadratic_form(g, AlphaParam(alpha), beta, z)
+        got = _expansion_quadratic_form(g, alpha, beta, z)
         assert got.shape == (z.shape[0],)
         for row, value in zip(z, got):
             scale = (1.0 + max(graph_stats(g).degrees)) * float(np.vdot(row, row).real)
