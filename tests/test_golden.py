@@ -14,6 +14,7 @@ root with ``PYTHONPATH=src``:
     python -m mixedspec.cli report --graph tests/data/graph_n40.mg --alpha 0.35 > tests/data/report_n40.json
     python -m mixedspec.cli report --graph tests/data/graph_n40.mg --alpha 0.35 --beta-arg 0.7 --format csv > tests/data/report_n40.csv
     python -m mixedspec.cli sweep --graph tests/data/graph_n16.mg --alpha 0:1:0.05 > tests/data/sweep_n16.csv
+    python -m mixedspec.cli sweep --graph tests/data/graph_n40.mg --alpha 0:1:0.01 > tests/data/sweep_n40_fine.csv
     python -m mixedspec.cli sweep --graph tests/data/graph_n16.mg --alpha 0:1:0.25 --beta-arg -0.4 --seed 5 --format json > tests/data/sweep_n16_beta-0.4_seed5.json
     python -m mixedspec.cli check --trials 200 --seed 7 > tests/data/check_200_seed7.json
 
@@ -51,6 +52,7 @@ CASES = {
         "report", "--graph", N40, "--alpha", "0.35", "--beta-arg", "0.7", "--format", "csv",
     ],
     "sweep_n16.csv": ["sweep", "--graph", N16, "--alpha", "0:1:0.05"],
+    "sweep_n40_fine.csv": ["sweep", "--graph", N40, "--alpha", "0:1:0.01"],
     "sweep_n16_beta-0.4_seed5.json": [
         "sweep", "--graph", N16, "--alpha", "0:1:0.25", "--beta-arg", "-0.4", "--seed", "5",
         "--format", "json",
