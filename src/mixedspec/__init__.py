@@ -28,6 +28,7 @@ from .bounds import (
 )
 from .eig import (
     Spectrum,
+    SpectrumStack,
     VerificationError,
     eigenvalues,
     oracle_eigenvalues,
@@ -61,7 +62,9 @@ from .harness import (
 from .matrices import (
     BetaParam,
     HermitianMatrix,
+    HermitianStack,
     a_alpha_matrix,
+    a_alpha_stack,
     degree_matrix,
     expected_traces,
     hermitian_adjacency,
@@ -80,8 +83,10 @@ __all__ = [
     "GraphFormatError",
     "GraphStats",
     "HermitianMatrix",
+    "HermitianStack",
     "MixedGraph",
     "Spectrum",
+    "SpectrumStack",
     "Status",
     "SuiteSummary",
     "SweepConfig",
@@ -89,6 +94,7 @@ __all__ = [
     "ViolationRecord",
     "WolkowiczMoments",
     "a_alpha_matrix",
+    "a_alpha_stack",
     "degree_matrix",
     "eigenvalues",
     "expected_traces",

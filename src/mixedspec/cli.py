@@ -11,6 +11,7 @@ losslessly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -261,9 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the parser costs about as much as a small report, and parsing
+    # leaves it unchanged, so one serves every call in the process
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, MemoryError) as exc:

@@ -36,7 +36,8 @@ from .matrices import (
     BetaParam,
     HermitianMatrix,
     _expansion_quadratic_form,
-    a_alpha_matrix,
+    _is_omega,
+    a_alpha_stack,
     check_alpha,
     expected_traces,
     omega_constant,
@@ -49,7 +50,14 @@ RAYLEIGH_SAMPLES = 100
 RAYLEIGH_PAD = 1e-9
 IMAG_TOL = 1e-10
 EXPANSION_TOL = 1e-10
+# an imaginary part of z*Mz above IMAG_TOL means M was not Hermitian
+_NON_REAL = "quadratic form came out non-real on Hermitian input"
 EDGE_PROB_RANGE = (0.05, 0.95)
+# complex entries per block of a grid, counted as the larger of the block's
+# k*n*n matrix entries and its k*RAYLEIGH_SAMPLES*n products z*M (16 MB);
+# with the block's real embeddings a sweep stays within about 64 MB of
+# arrays however long its grid is
+BLOCK_ENTRIES = 2**20
 
 
 class Status(str, Enum):
@@ -140,23 +148,21 @@ class SuiteSummary:
         return dict(self.status_counts).get(Status.VIOLATED.value, 0)
 
 
-def _rayleigh_samples(m: HermitianMatrix, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (RAYLEIGH_SAMPLES, n) block of random unit vectors z and the real
-    parts of z*Mz.
-
-    Vectors have standard-normal real and imaginary parts, then are
-    normalized. An imaginary part above IMAG_TOL means M was not Hermitian.
-    """
-    shape = (RAYLEIGH_SAMPLES, m.n)
+def _unit_vectors(n: int, seed: int) -> np.ndarray:
+    """The (RAYLEIGH_SAMPLES, n) block of random unit vectors z: standard-normal
+    real and imaginary parts, then normalized."""
+    shape = (RAYLEIGH_SAMPLES, n)
     rng = np.random.Generator(np.random.PCG64(seed))
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0
-    z = z / norms[:, None]
-    vals = ((z.conj() @ m.data) * z).sum(axis=1)
-    if np.max(np.abs(vals.imag)) > IMAG_TOL:
-        raise VerificationError("quadratic form came out non-real on Hermitian input")
-    return z, vals.real
+    return z / norms[:, None]
+
+
+def _quadratic_forms(z: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """z*Mz for each row of z, over the last two axes of ``data``: (n, n)
+    gives (RAYLEIGH_SAMPLES,), a (k, n, n) stack gives (k, RAYLEIGH_SAMPLES)."""
+    return ((z.conj() @ data) * z).sum(axis=-1)
 
 
 def _trace2_limit(closed_form: float) -> float:
@@ -170,12 +176,6 @@ def _trace2_limit(closed_form: float) -> float:
     return max(TRACE_TOL, 64 * math.ulp(closed_form))
 
 
-def _in_range(vals: np.ndarray, spec: Spectrum) -> bool:
-    lo = spec.mu_min - RAYLEIGH_PAD
-    hi = spec.mu_max + RAYLEIGH_PAD
-    return bool(np.all(vals >= lo) and np.all(vals <= hi))
-
-
 def rayleigh_range_check(m: HermitianMatrix, spec: Spectrum, seed: int) -> bool:
     """Sample RAYLEIGH_SAMPLES random unit vectors and test z*Mz against [mu_n, mu_1].
 
@@ -183,24 +183,34 @@ def rayleigh_range_check(m: HermitianMatrix, spec: Spectrum, seed: int) -> bool:
     Works on any Hermitian matrix; ``verify_all`` draws the same samples and
     also checks each one against the graph's arc-sum expansion.
     """
-    _, vals = _rayleigh_samples(m, seed)
-    return _in_range(vals, spec)
+    vals = _quadratic_forms(_unit_vectors(m.n, seed), m.data)
+    if np.max(np.abs(vals.imag)) > IMAG_TOL:
+        raise VerificationError(_NON_REAL)
+    return _in_range(float(vals.real.min()), float(vals.real.max()), spec)
+
+
+def _in_range(lowest: float, highest: float, spec: Spectrum) -> bool:
+    """Whether sampled quadratic forms from lowest to highest lie in the
+    padded interval [mu_n, mu_1]; a NaN never does."""
+    return spec.mu_min - RAYLEIGH_PAD <= lowest and highest <= spec.mu_max + RAYLEIGH_PAD
 
 
 def _catalog(
     stats: GraphStats,
     alpha: float,
     beta: BetaParam,
-    matrix: HermitianMatrix,
+    trace: float,
+    offdiag_modulus: float,
     spec: Spectrum,
 ) -> tuple[list[BoundResult], float]:
-    """Evaluate every bound in a fixed order; returns the list and mu_1/rho.
-    Each bound function decides its own applicability."""
+    """Evaluate every bound in a fixed order for the matrix with this trace
+    and largest off-diagonal modulus; returns the list and mu_1/rho. Each
+    bound function decides its own applicability."""
     n = stats.n
     mom = WolkowiczMoments.from_stats(stats, alpha)
     out = [
         _b.rayleigh_mu1_lower(stats, alpha, beta),
-        *_b.garga_extreme_bounds(matrix.trace(), n, matrix.max_offdiag_modulus()),
+        *_b.garga_extreme_bounds(trace, n, offdiag_modulus),
         *_b.unit_modulus_extreme_bounds(stats, alpha),
         *_b.wolkowicz_extreme_bounds(mom, n),
         *_b.zagreb_refined_extreme_bounds(stats, alpha),
@@ -261,52 +271,10 @@ def verify_all(
     ``rayleigh_seed``. Every z*Mz must match the arc-sum expansion computed
     from the graph within EXPANSION_TOL and lie in [mu_n, mu_1]. Then the
     whole bound catalog is scored. Internal-consistency failures raise
-    VerificationError; violated bounds are returned as data.
+    VerificationError; violated bounds are returned as data. This is the
+    one-point grid of ``sweep_alpha``.
     """
-    alpha = check_alpha(alpha)
-    stats = g.stats
-    matrix = a_alpha_matrix(g, alpha, beta)
-
-    spec = eigenvalues(matrix)
-    oracle = oracle_eigenvalues(matrix)
-    gap = float(np.max(np.abs(np.asarray(spec.values) - np.asarray(oracle.values))))
-    if gap > ORACLE_RTOL * matrix.frobenius_norm():
-        raise VerificationError(
-            f"kernel/oracle spectra disagree by {gap:.3e} "
-            f"(limit {ORACLE_RTOL * matrix.frobenius_norm():.3e})"
-        )
-
-    exp_tr, exp_tr2 = expected_traces(stats, alpha)
-    for name, got, want, limit in (
-        ("trace", matrix.trace(), exp_tr, TRACE_TOL),
-        ("tr(M^2)", matrix.trace_of_square(), exp_tr2, _trace2_limit(exp_tr2)),
-    ):
-        if abs(got - want) > limit:
-            raise VerificationError(f"{name} {got} != closed form {want} beyond {limit}")
-
-    z, vals = _rayleigh_samples(matrix, rayleigh_seed)
-    route_gap = float(np.max(np.abs(vals - _expansion_quadratic_form(g, alpha, beta, z))))
-    if route_gap > EXPANSION_TOL:
-        raise VerificationError(
-            f"matrix build disagrees with the graph's arc-sum expansion: "
-            f"quadratic forms differ by {route_gap:.3e} (limit {EXPANSION_TOL:.0e})"
-        )
-    if not _in_range(vals, spec):
-        raise VerificationError("a sampled quadratic form escaped [mu_n, mu_1]")
-
-    results, ratio = _catalog(stats, alpha, beta, matrix, spec)
-    checked = tuple(_check_bound(r, spec, stats) for r in results)
-    return BoundReport(
-        graph=g,
-        alpha=alpha,
-        beta=(beta.re, beta.im),
-        spectrum=spec,
-        rho=spectral_radius(spec),
-        spread=spread(spec),
-        trace_norm=trace_norm(spec),
-        rho_ratio=ratio,
-        checked=checked,
-    )
+    return _verify_grid(g, [check_alpha(alpha)], beta, rayleigh_seed)[0]
 
 
 def sweep_alpha(
@@ -316,10 +284,82 @@ def sweep_alpha(
     *,
     seed: int = 0,
 ) -> list[BoundReport]:
-    """One report per alpha, in grid order, all at one beta. The whole grid
-    is validated before the first solve."""
+    """One report per alpha, in grid order, all at one beta; report i equals
+    ``verify_all(g, alphas[i], beta, rayleigh_seed=seed)``. The whole grid is
+    validated before the first solve. The grid is verified in blocks sized
+    by BLOCK_ENTRIES: each block is built as one stack and solved with one
+    LAPACK call per eigen route, and every point shares one Rayleigh block
+    z. The checks run point by point in grid order, so a failing point
+    raises its own first failing check."""
     grid = [check_alpha(a) for a in alphas]
-    return [verify_all(g, a, beta, rayleigh_seed=seed) for a in grid]
+    return _verify_grid(g, grid, beta, seed)
+
+
+def _block_len(n: int) -> int:
+    """Grid points per block at order n."""
+    return max(1, BLOCK_ENTRIES // (n * max(n, RAYLEIGH_SAMPLES)))
+
+
+def _verify_grid(g: MixedGraph, grid: list[float], beta: BetaParam, seed: int) -> list[BoundReport]:
+    stats = g.stats
+    z = _unit_vectors(g.n, seed)
+    expansion = _expansion_quadratic_form(g, grid, beta, z)
+    step = _block_len(g.n)
+    reports = []
+    for start in range(0, len(grid), step):
+        alphas = grid[start : start + step]
+        stack = a_alpha_stack(g, alphas, beta)
+        primary = eigenvalues(stack)
+        oracle = oracle_eigenvalues(stack)
+        tr, tr2 = stack.traces(), stack.traces_of_square()
+        offdiag = stack.max_offdiag_moduli()
+        oracle_gap = np.abs(primary.values - oracle.values).max(axis=1).tolist()
+        forms = _quadratic_forms(z, stack.data)
+        imag = np.abs(forms.imag).max(axis=1).tolist()
+        vals = forms.real
+        route_gap = np.abs(vals - expansion[start : start + len(alphas)]).max(axis=1).tolist()
+        lowest, highest = vals.min(axis=1).tolist(), vals.max(axis=1).tolist()
+
+        for i, alpha in enumerate(alphas):
+            spec = primary.spectrum(i)
+            oracle.check(i)
+            limit = ORACLE_RTOL * math.sqrt(tr2[i])
+            if oracle_gap[i] > limit:
+                raise VerificationError(
+                    f"kernel/oracle spectra disagree by {oracle_gap[i]:.3e} (limit {limit:.3e})"
+                )
+            exp_tr, exp_tr2 = expected_traces(stats, alpha)
+            for name, got, want, lim in (
+                ("trace", tr[i], exp_tr, TRACE_TOL),
+                ("tr(M^2)", tr2[i], exp_tr2, _trace2_limit(exp_tr2)),
+            ):
+                if abs(got - want) > lim:
+                    raise VerificationError(f"{name} {got} != closed form {want} beyond {lim}")
+            if imag[i] > IMAG_TOL:
+                raise VerificationError(_NON_REAL)
+            if route_gap[i] > EXPANSION_TOL:
+                raise VerificationError(
+                    f"matrix build disagrees with the graph's arc-sum expansion: "
+                    f"quadratic forms differ by {route_gap[i]:.3e} (limit {EXPANSION_TOL:.0e})"
+                )
+            if not _in_range(lowest[i], highest[i], spec):
+                raise VerificationError("a sampled quadratic form escaped [mu_n, mu_1]")
+
+            results, ratio = _catalog(stats, alpha, beta, tr[i], offdiag[i], spec)
+            reports.append(
+                BoundReport(
+                    graph=g,
+                    alpha=alpha,
+                    beta=(beta.re, beta.im),
+                    spectrum=spec,
+                    rho=spectral_radius(spec),
+                    spread=spread(spec),
+                    trace_norm=trace_norm(spec),
+                    rho_ratio=ratio,
+                    checked=tuple(_check_bound(r, spec, stats) for r in results),
+                )
+            )
+    return reports
 
 
 def _sample_alpha(rng: np.random.Generator) -> float:
@@ -370,8 +410,7 @@ def randomized_suite(cfg: SweepConfig) -> SuiteSummary:
 
     for trial in range(cfg.trials):
         report = run_trial(cfg, trial)
-        is_omega = BetaParam(report.beta[0], report.beta[1]).is_omega()
-        if is_omega:
+        if _is_omega(*report.beta):
             min_omega = report.rho_ratio if min_omega is None else min(min_omega, report.rho_ratio)
         else:
             min_general = (

@@ -13,6 +13,7 @@ Each parameter has one form: alpha is a plain float in [0, 1], checked by
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +25,7 @@ from .graphs import GraphStats, MixedGraph
 # derives why an offset of 2^-52 stays inside its limit
 UNIT_MODULUS_TOL = 2.0**-52
 OMEGA_MATCH_TOL = 1e-12
+_OMEGA = (0.5, math.sqrt(3.0) / 2.0)
 
 
 def check_alpha(alpha: float) -> float:
@@ -65,20 +67,24 @@ class BetaParam:
         return complex(self.re, self.im)
 
     def is_omega(self) -> bool:
-        om = omega_constant()
-        return abs(self.re - om.re) <= OMEGA_MATCH_TOL and abs(self.im - om.im) <= OMEGA_MATCH_TOL
+        return _is_omega(self.re, self.im)
+
+
+def _is_omega(re: float, im: float) -> bool:
+    """BetaParam.is_omega for a bare (re, im) pair, such as a report echoes."""
+    return abs(re - _OMEGA[0]) <= OMEGA_MATCH_TOL and abs(im - _OMEGA[1]) <= OMEGA_MATCH_TOL
 
 
 def omega_constant() -> BetaParam:
     """The sixth root of unity (1 + i*sqrt(3))/2; satisfies w + conj(w) = w*conj(w) = 1."""
-    return BetaParam(0.5, math.sqrt(3.0) / 2.0)
+    return BetaParam(*_OMEGA)
 
 
 @dataclass(frozen=True)
 class HermitianMatrix:
     """Dense n x n complex Hermitian matrix; entries are read-only after construction.
 
-    Conjugate symmetry is exact (entries are written in conjugate pairs), and
+    Conjugate symmetry is exact (entries are written in conjugate pairs), so
     the diagonal has exactly zero imaginary part.
     """
 
@@ -90,8 +96,6 @@ class HermitianMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if not np.array_equal(a, a.conj().T):
             raise ValueError("matrix is not exactly Hermitian")
-        if np.any(np.diagonal(a).imag != 0.0):
-            raise ValueError("diagonal entries must have exactly zero imaginary part")
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
 
@@ -119,6 +123,57 @@ class HermitianMatrix:
         off = np.abs(self.data).copy()
         np.fill_diagonal(off, 0.0)
         return float(off.max())
+
+
+@dataclass(frozen=True)
+class HermitianStack:
+    """k dense n x n Hermitian matrices in one read-only (k, n, n) array.
+
+    Each matrix is validated as HermitianMatrix validates one, and its
+    per-matrix quantities equal HermitianMatrix's to the last bit: the trace
+    sums the diagonal in the same order, and tr(M^2) sums the matrix's n^2
+    squared moduli as one contiguous row (harness._trace2_limit assumes that
+    summation).
+    """
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        a = np.array(self.data, dtype=np.complex128)
+        if a.ndim != 3 or a.shape[1] != a.shape[2]:
+            raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+        if not np.array_equal(a, a.conj().transpose(0, 2, 1)):
+            raise ValueError("matrix is not exactly Hermitian")
+        a.setflags(write=False)
+        object.__setattr__(self, "data", a)
+
+    @property
+    def n(self) -> int:
+        return self.data.shape[-1]
+
+    def __len__(self) -> int:
+        return self.data.shape[0]
+
+    def traces(self) -> list[float]:
+        return self._per_matrix[0]
+
+    def traces_of_square(self) -> list[float]:
+        return self._per_matrix[1]
+
+    def max_offdiag_moduli(self) -> list[float]:
+        return self._per_matrix[2]
+
+    @cached_property
+    def _per_matrix(self) -> tuple[list[float], list[float], list[float]]:
+        k, n = self.data.shape[:2]
+        tr = np.trace(self.data, axis1=1, axis2=2).real.tolist()
+        moduli = np.abs(self.data)
+        tr2 = (moduli**2).reshape(k, n * n).sum(axis=1).tolist()
+        if n < 2:
+            return tr, tr2, [0.0] * k
+        i = np.arange(n)
+        moduli[:, i, i] = 0.0
+        return tr, tr2, moduli.reshape(k, n * n).max(axis=1).tolist()
 
 
 def _degree_array(g: MixedGraph) -> np.ndarray:
@@ -149,16 +204,26 @@ def hermitian_adjacency(g: MixedGraph, beta: BetaParam) -> HermitianMatrix:
     return HermitianMatrix(_adjacency_array(g, beta))
 
 
-def a_alpha_matrix(g: MixedGraph, alpha: float, beta: BetaParam) -> HermitianMatrix:
-    """Convex blend alpha*D + (1-alpha)*H of degree matrix and phase adjacency.
-
-    D and H are filled as plain arrays; only the blend is validated.
-    """
-    alpha = check_alpha(alpha)
-    a = alpha * _degree_array(g) + (1.0 - alpha) * _adjacency_array(g, beta)
+def _blend(g: MixedGraph, alphas: list[float], beta: BetaParam) -> np.ndarray:
+    """The (k, n, n) array of alpha*D + (1-alpha)*H, one matrix per alpha;
+    D and H are filled once as plain arrays."""
+    a = np.array(alphas, dtype=np.float64)[:, None, None]
+    s = a * _degree_array(g) + (1.0 - a) * _adjacency_array(g, beta)
     # re-zero the diagonal imag parts that scaling might have left as -0.0
-    np.fill_diagonal(a, a.diagonal().real)
-    return HermitianMatrix(a)
+    i = np.arange(g.n)
+    s[:, i, i] = s[:, i, i].real
+    return s
+
+
+def a_alpha_matrix(g: MixedGraph, alpha: float, beta: BetaParam) -> HermitianMatrix:
+    """Convex blend alpha*D + (1-alpha)*H of degree matrix and phase adjacency."""
+    return HermitianMatrix(_blend(g, [check_alpha(alpha)], beta)[0])
+
+
+def a_alpha_stack(g: MixedGraph, alphas: Iterable[float], beta: BetaParam) -> HermitianStack:
+    """The blends alpha*D + (1-alpha)*H for each alpha, in order, as one stack;
+    matrix i equals ``a_alpha_matrix(g, alphas[i], beta)`` bit for bit."""
+    return HermitianStack(_blend(g, [check_alpha(a) for a in alphas], beta))
 
 
 def expected_traces(stats: GraphStats, alpha: float) -> tuple[float, float]:
@@ -169,15 +234,18 @@ def expected_traces(stats: GraphStats, alpha: float) -> tuple[float, float]:
 
 
 def _expansion_quadratic_form(
-    g: MixedGraph, alpha: float, beta: BetaParam, z: np.ndarray
+    g: MixedGraph, alphas: list[float], beta: BetaParam, z: np.ndarray
 ) -> np.ndarray:
-    """Real arc-sum expansion of z* A_alpha z for each row of the (k, n) block z.
+    """Real arc-sum expansion of z* A_alpha z: row i, column r is the value
+    for alphas[i] and row r of the (k, n) block z.
 
     Per arc v->u the contribution is 2a(x_v x_u + y_v y_u) - 2b x_v y_u
     + 2b y_v x_u with beta = a + ib; undirected edges contribute
     2(x_v x_u + y_v y_u) since their entry is 1. The sums run over real 0/1
     arc and edge patterns filled from the graph's index arrays, never over
     the built matrix, so agreement with the direct form checks the build.
+    The degree, arc and edge sums do not depend on alpha, so they are taken
+    once and blended for every alpha.
     """
     a, b = beta.re, beta.im
     x, y = z.real, z.imag
@@ -192,4 +260,5 @@ def _expansion_quadratic_form(
     arc_part = 2.0 * a * (xa * x + ya * y).sum(axis=1) - 2.0 * b * (xa * y - ya * x).sum(axis=1)
     xe, ye = x @ edges, y @ edges
     edge_part = 2.0 * (xe * x + ye * y).sum(axis=1)
-    return alpha * degree_part + (1.0 - alpha) * (arc_part + edge_part)
+    w = np.array(alphas, dtype=np.float64)[:, None]
+    return w * degree_part + (1.0 - w) * (arc_part + edge_part)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mixedspec.bounds
+import mixedspec.cli
 import mixedspec.matrices
 from mixedspec.bounds import BoundKind, BoundResult, BoundTarget
 from mixedspec.cli import main, parse_grid
@@ -40,6 +41,30 @@ def p2_file(tmp_path):
     path = tmp_path / "p2.mg"
     path.write_text(P2_TEXT)
     return str(path)
+
+
+class TestParser:
+    def test_built_once_per_process(self, c3_file, capsys, monkeypatch):
+        parser = mixedspec.cli._parser()
+
+        def rebuilt():
+            raise AssertionError("parser built again")
+
+        monkeypatch.setattr(mixedspec.cli, "build_parser", rebuilt)
+        assert main(["report", "--graph", c3_file]) == 0
+        assert mixedspec.cli._parser() is parser
+
+    def test_usage_error_repeats_byte_for_byte(self, capsys):
+        errs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--format", "xml"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errs.append(captured.err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("usage: mixedspec sweep")
 
 
 class TestParseGrid:

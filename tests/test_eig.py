@@ -20,6 +20,7 @@ from mixedspec.graphs import MixedGraph, parse_graph, random_mixed_graph
 from mixedspec.matrices import (
     BetaParam,
     HermitianMatrix,
+    HermitianStack,
     a_alpha_matrix,
     hermitian_adjacency,
     omega_constant,
@@ -117,6 +118,37 @@ class TestOracle:
         b = oracle_eigenvalues(m)
         tol = 1e-8 * m.frobenius_norm()
         assert np.max(np.abs(np.array(a.values) - np.array(b.values))) <= tol
+
+
+class TestStacks:
+    @given(st.integers(1, 12), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    def test_rows_match_single_matrix_routes(self, n, seeds):
+        ms = [random_hermitian(n, seed) for seed in seeds]
+        stack = HermitianStack(np.array([m.data for m in ms]))
+        primary = eigenvalues(stack)
+        oracle = oracle_eigenvalues(stack)
+        assert primary.values.shape == oracle.values.shape == (len(ms), n)
+        for i, m in enumerate(ms):
+            assert primary.spectrum(i) == eigenvalues(m)
+            assert oracle.spectrum(i) == oracle_eigenvalues(m)
+
+    def test_failure_raised_when_its_row_is_read(self, monkeypatch):
+        ms = [random_hermitian(3, seed) for seed in (1, 2, 3)]
+        stack = HermitianStack(np.array([m.data for m in ms]))
+        first = eigenvalues(ms[0])
+        real = np.linalg.eigvalsh
+
+        def shifted_row(a):
+            d = real(a).copy()
+            d[1] += 1e-3  # breaks the trace identity of matrix 1 only
+            return d
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted_row)
+        spectra = eigenvalues(stack)
+        assert spectra.spectrum(0) == first
+        spectra.check(2)
+        with pytest.raises(VerificationError, match="zheevd: eigenvalue sum"):
+            spectra.spectrum(1)
 
 
 class TestKernelProperties:

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import mixedspec.bounds
 import mixedspec.harness
@@ -14,11 +15,13 @@ from mixedspec.bounds import BoundKind, BoundResult, BoundTarget
 from mixedspec.eig import Spectrum, eigenvalues
 from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph
 from mixedspec.harness import (
+    BLOCK_ENTRIES,
     RAYLEIGH_SAMPLES,
     TRACE_TOL,
     Status,
     SweepConfig,
     VerificationError,
+    _block_len,
     _check_bound,
     _trace2_limit,
     randomized_suite,
@@ -29,7 +32,7 @@ from mixedspec.harness import (
 )
 from mixedspec.matrices import (
     BetaParam,
-    HermitianMatrix,
+    HermitianStack,
     a_alpha_matrix,
     hermitian_adjacency,
     omega_constant,
@@ -177,10 +180,10 @@ class TestExpansionCrossCheck:
         seen = []
         real = mixedspec.harness._expansion_quadratic_form
 
-        def shifted(g, alpha, beta, z):
+        def shifted(g, alphas, beta, z):
             seen.append(z)
-            out = real(g, alpha, beta, z)
-            out[rows] += delta
+            out = real(g, alphas, beta, z)
+            out[:, rows] += delta
             return out
 
         monkeypatch.setattr(mixedspec.harness, "_expansion_quadratic_form", shifted)
@@ -222,8 +225,10 @@ class TestTraceOfSquareCheck:
 
     @staticmethod
     def shift_trace_of_square(monkeypatch, delta):
-        real = HermitianMatrix.trace_of_square
-        monkeypatch.setattr(HermitianMatrix, "trace_of_square", lambda m: real(m) + delta)
+        real = HermitianStack.traces_of_square
+        monkeypatch.setattr(
+            HermitianStack, "traces_of_square", lambda s: [v + delta for v in real(s)]
+        )
 
     def test_off_build_still_raises_on_dense_graph(self, dense, monkeypatch):
         # 1e-6 is about 8 times the 64-ulp limit at 1.0e7, and 1e-13 of the value
@@ -279,11 +284,127 @@ class TestSweep:
         assert report.beta == (omega.re, omega.im)
         assert report == verify_all(c3, 0.5, omega)
 
+    @given(
+        st.integers(1, 20),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(0.0, 1.0), max_size=5),
+        st.one_of(st.none(), st.floats(-math.pi / 2, math.pi / 2)),
+        st.integers(0, 2**63 - 1),
+        st.integers(1, 4),
+        st.randoms(use_true_random=False),
+    )
+    def test_each_point_is_its_own_verify_all(
+        self, n, edge_prob, orient_prob, graph_seed, inner, theta, seed, block, shuffle
+    ):
+        g = random_mixed_graph(n, edge_prob, orient_prob, graph_seed)
+        beta = OMEGA if theta is None else BetaParam.from_angle(theta)
+        grid = [0.0, 1.0, *inner]
+        shuffle.shuffle(grid)
+        # a budget of `block` points per stack, so grids span several blocks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mixedspec.harness, "BLOCK_ENTRIES", block * n * max(n, RAYLEIGH_SAMPLES))
+            assert _block_len(n) == block
+            swept = sweep_alpha(g, grid, beta, seed=seed)
+        assert len(swept) == len(grid)
+        for alpha, report in zip(grid, swept):
+            single = verify_all(g, alpha, beta, rayleigh_seed=seed)
+            # repr shows every float to the last bit, and the sign of a zero
+            assert repr(report) == repr(single)
+
+    def test_grid_longer_than_one_block(self):
+        g = random_mixed_graph(150, 0.3, 0.5, 8)
+        per = _block_len(g.n)
+        assert per * g.n * g.n <= BLOCK_ENTRIES < (per + 1) * g.n * g.n
+        grid = [i / per for i in range(per + 1)]
+        swept = sweep_alpha(g, grid, OMEGA, seed=4)
+        assert [r.alpha for r in swept] == grid
+        for i in (0, per - 1, per):
+            assert repr(swept[i]) == repr(verify_all(g, grid[i], OMEGA, rayleigh_seed=4))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SweepConfig(trials=0)
         with pytest.raises(ValueError):
             SweepConfig(n_range=(5, 2))
+
+
+class TestStackedFailures:
+    """A failure at one point of a stacked grid is raised for that point,
+    and a failing point's error wins over any failure at a later point."""
+
+    G = random_mixed_graph(9, 0.6, 0.5, 4)
+    BETA = BetaParam.from_angle(0.7)
+    GRID = [0.0, 0.1, 0.25, 0.4, 0.6, 0.85, 1.0]
+    MID = 3
+
+    @staticmethod
+    def perturb_eigvals(monkeypatch, row):
+        real = np.linalg.eigvals
+
+        def perturbed(a):
+            w = real(a)
+            if w.ndim == 2 and len(w) > row:
+                w = w.copy()
+                w[row, 0] += 1e-3  # one copy of one doubled eigenvalue
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvals", perturbed)
+
+    def test_perturbed_eigvals_row_fails_its_point(self, monkeypatch):
+        self.perturb_eigvals(monkeypatch, self.MID)
+        assert len(sweep_alpha(self.G, self.GRID[: self.MID], self.BETA, seed=2)) == self.MID
+        with pytest.raises(VerificationError, match="do not pair") as swept:
+            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
+        self.perturb_eigvals(monkeypatch, 0)
+        with pytest.raises(VerificationError) as single:
+            verify_all(self.G, self.GRID[self.MID], self.BETA, rayleigh_seed=2)
+        # the message carries that point's pairing tolerance
+        assert str(swept.value) == str(single.value)
+
+    @staticmethod
+    def shift_expansion_cell(monkeypatch, point, sample):
+        real = mixedspec.harness._expansion_quadratic_form
+
+        def shifted(g, alphas, beta, z):
+            out = real(g, alphas, beta, z)
+            if len(out) > point:
+                out[point, sample] += 2e-10
+            return out
+
+        monkeypatch.setattr(mixedspec.harness, "_expansion_quadratic_form", shifted)
+
+    def test_shifted_expansion_cell_fails(self, monkeypatch):
+        self.shift_expansion_cell(monkeypatch, self.MID, 17)
+        assert len(sweep_alpha(self.G, self.GRID[: self.MID], self.BETA, seed=2)) == self.MID
+        with pytest.raises(VerificationError, match="arc-sum expansion"):
+            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
+
+    @staticmethod
+    def fail_zheevd_at(monkeypatch, alpha):
+        # numpy fails a whole stack when one matrix does not converge
+        target = a_alpha_matrix(TestStackedFailures.G, alpha, TestStackedFailures.BETA).data
+        real = np.linalg.eigvalsh
+
+        def failing(a):
+            if a.ndim == 3 and len(a) > 1 or np.array_equal(a, target):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+
+    def test_lapack_failure_is_charged_to_its_point(self, monkeypatch):
+        self.fail_zheevd_at(monkeypatch, self.GRID[self.MID])
+        assert len(sweep_alpha(self.G, self.GRID[: self.MID], self.BETA, seed=2)) == self.MID
+        with pytest.raises(VerificationError, match="zheevd: Eigenvalues did not converge"):
+            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
+
+    def test_earlier_point_fails_first(self, monkeypatch):
+        self.fail_zheevd_at(monkeypatch, self.GRID[self.MID])
+        self.shift_expansion_cell(monkeypatch, self.MID - 1, 0)
+        with pytest.raises(VerificationError, match="arc-sum expansion"):
+            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
 
 
 class TestRandomizedSuite:

@@ -22,8 +22,10 @@ from mixedspec.harness import sweep_alpha, verify_all
 from mixedspec.matrices import (
     BetaParam,
     HermitianMatrix,
+    HermitianStack,
     _expansion_quadratic_form,
     a_alpha_matrix,
+    a_alpha_stack,
     degree_matrix,
     expected_traces,
     hermitian_adjacency,
@@ -35,6 +37,7 @@ OMEGA = omega_constant()
 # every public function that takes alpha, called on a graph with that alpha
 ALPHA_ENTRY_POINTS = {
     "a_alpha_matrix": lambda g, a: a_alpha_matrix(g, a, OMEGA),
+    "a_alpha_stack": lambda g, a: a_alpha_stack(g, [0.5, a], OMEGA),
     "expected_traces": lambda g, a: expected_traces(g.stats, a),
     "verify_all": lambda g, a: verify_all(g, a, OMEGA),
     "sweep_alpha": lambda g, a: sweep_alpha(g, [0.5, a], OMEGA),
@@ -219,6 +222,44 @@ class TestBuilders:
         got = a_alpha_matrix(g, a, beta).data
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
+    @given(graphs(), st.lists(alphas, min_size=1, max_size=5), beta_angles)
+    def test_stack_matches_single_builds(self, g, grid, theta):
+        beta = BetaParam.from_angle(theta)
+        stack = a_alpha_stack(g, grid, beta)
+        assert stack.data.shape == (len(grid), g.n, g.n) and len(stack) == len(grid)
+        for i, a in enumerate(grid):
+            m = a_alpha_matrix(g, a, beta)
+            assert np.array_equal(stack.data[i].view(np.uint64), m.data.view(np.uint64))
+            assert stack.traces()[i] == m.trace()
+            assert stack.traces_of_square()[i] == m.trace_of_square()
+            assert stack.max_offdiag_moduli()[i] == m.max_offdiag_modulus()
+
+    @given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_stack_quantities_match_each_matrix(self, n, k, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        a = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        ms = [hermitian_from_array(x) for x in a]
+        stack = HermitianStack(np.array([m.data for m in ms]))
+        assert stack.n == n
+        assert stack.traces() == [m.trace() for m in ms]
+        assert stack.traces_of_square() == [m.trace_of_square() for m in ms]
+        assert stack.max_offdiag_moduli() == [m.max_offdiag_modulus() for m in ms]
+
+    def test_stack_rejects_one_non_hermitian_matrix(self):
+        ok = np.eye(2, dtype=complex)
+        not_hermitian = np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex)
+        imag_diagonal = np.diag([1j, 0.0])
+        for bad in (not_hermitian, imag_diagonal):
+            with pytest.raises(ValueError, match="not exactly Hermitian"):
+                HermitianStack(np.array([ok, bad, ok]))
+            with pytest.raises(ValueError, match="not exactly Hermitian"):
+                HermitianMatrix(bad)
+        with pytest.raises(ValueError, match="square"):
+            HermitianStack(np.zeros((2, 2, 3), dtype=complex))
+        stack = HermitianStack(np.array([ok, ok]))
+        with pytest.raises(ValueError):
+            stack.data[1, 0, 0] = 5.0
+
     def test_constructor_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             HermitianMatrix(np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex))
@@ -255,9 +296,9 @@ class TestExpectedTraces:
 class TestQuadraticForm:
     @staticmethod
     def value_on_p2(p2, z):
-        got = _expansion_quadratic_form(p2, 0.0, OMEGA, np.array([z], dtype=complex))
-        assert got.shape == (1,)
-        return got[0]
+        got = _expansion_quadratic_form(p2, [0.0], OMEGA, np.array([z], dtype=complex))
+        assert got.shape == (1, 1)
+        return got[0, 0]
 
     def test_basis_vector_hits_zero_diagonal(self, p2):
         assert self.value_on_p2(p2, [1.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
@@ -279,7 +320,7 @@ class TestQuadraticForm:
         m = a_alpha_matrix(g, a, beta)
         z = unit_rows(np.random.Generator(np.random.PCG64(seed)), k, g.n)
         direct = ((z.conj() @ m.data) * z).sum(axis=1)
-        expanded = _expansion_quadratic_form(g, a, beta, z)
+        (expanded,) = _expansion_quadratic_form(g, [a], beta, z)
         assert expanded.shape == (k,)
         assert np.max(np.abs(direct.real - expanded)) <= 1e-10
         spec = eigenvalues(m)
@@ -296,7 +337,7 @@ class TestArrayExpansion:
 
     @staticmethod
     def assert_matches_reference(g, alpha, beta, z):
-        got = _expansion_quadratic_form(g, alpha, beta, z)
+        (got,) = _expansion_quadratic_form(g, [alpha], beta, z)
         assert got.shape == (z.shape[0],)
         for row, value in zip(z, got):
             scale = (1.0 + max(graph_stats(g).degrees)) * float(np.vdot(row, row).real)
