@@ -167,13 +167,12 @@ class HermitianStack:
     def _per_matrix(self) -> tuple[list[float], list[float], list[float]]:
         k, n = self.data.shape[:2]
         tr = np.trace(self.data, axis1=1, axis2=2).real.tolist()
-        moduli = np.abs(self.data)
-        tr2 = (moduli**2).reshape(k, n * n).sum(axis=1).tolist()
+        moduli = np.abs(self.data).reshape(k, n * n)
+        tr2 = (moduli**2).sum(axis=1).tolist()
         if n < 2:
             return tr, tr2, [0.0] * k
-        i = np.arange(n)
-        moduli[:, i, i] = 0.0
-        return tr, tr2, moduli.reshape(k, n * n).max(axis=1).tolist()
+        moduli[:, :: n + 1] = 0.0
+        return tr, tr2, moduli.max(axis=1).tolist()
 
 
 def _degree_array(g: MixedGraph) -> np.ndarray:
@@ -210,8 +209,7 @@ def _blend(g: MixedGraph, alphas: list[float], beta: BetaParam) -> np.ndarray:
     a = np.array(alphas, dtype=np.float64)[:, None, None]
     s = a * _degree_array(g) + (1.0 - a) * _adjacency_array(g, beta)
     # re-zero the diagonal imag parts that scaling might have left as -0.0
-    i = np.arange(g.n)
-    s[:, i, i] = s[:, i, i].real
+    s.reshape(len(alphas), g.n * g.n)[:, :: g.n + 1].imag = 0.0
     return s
 
 
