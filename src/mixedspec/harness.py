@@ -301,6 +301,7 @@ def _block_len(n: int) -> int:
 
 
 def _verify_grid(g: MixedGraph, grid: list[float], beta: BetaParam, seed: int) -> list[BoundReport]:
+    """The reports of ``sweep_alpha`` for an already checked grid."""
     stats = g.stats
     z = _unit_vectors(g.n, seed)
     expansion = _expansion_quadratic_form(g, grid, beta, z)
