@@ -34,6 +34,19 @@ and ``graph_n2_arc.mg`` is ``2`` / ``1 -> 2``. Regenerate with:
       python -m mixedspec.cli report --graph tests/data/graph_$g.mg --alpha $a --beta-arg 0.3 --format csv > tests/data/report_${g}_a$a.csv
     done; done
     python -m mixedspec.cli check --trials 300 --seed 11 --min-n 1 --max-n 4 > tests/data/check_300_seed11_n1_4.json
+
+A report scores one point, so the files above never hold a None,
+NOT_APPLICABLE or EXPECTED_FAIL cell inside a multi-point block, where one
+column of a bound can change status between points (``unit_offdiag_*`` at
+alpha 0 against alpha > 0). Three-point sweeps on the same graphs pin that:
+
+    for g in n1 n2_empty n2_arc; do
+      python -m mixedspec.cli sweep --graph tests/data/graph_$g.mg --alpha 0:1:0.5 --format json > tests/data/sweep_$g.json
+      python -m mixedspec.cli sweep --graph tests/data/graph_$g.mg --alpha 0:1:0.5 --beta-arg 0.3 > tests/data/sweep_$g.csv
+    done
+
+``tests/data/random_graphs.json`` pins ``random_mixed_graph`` itself (see
+``test_graphs.TestRandomGraph.test_pinned_graphs``).
 """
 
 from pathlib import Path
@@ -67,6 +80,9 @@ for _g in ("n1", "n2_empty", "n2_arc"):
         _report = ["report", "--graph", str(DATA / f"graph_{_g}.mg"), "--alpha", _a]
         CASES[f"report_{_g}_a{_a}.json"] = _report
         CASES[f"report_{_g}_a{_a}.csv"] = _report + ["--beta-arg", "0.3", "--format", "csv"]
+    _sweep = ["sweep", "--graph", str(DATA / f"graph_{_g}.mg"), "--alpha", "0:1:0.5"]
+    CASES[f"sweep_{_g}.json"] = _sweep + ["--format", "json"]
+    CASES[f"sweep_{_g}.csv"] = _sweep + ["--beta-arg", "0.3"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

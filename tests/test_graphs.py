@@ -1,5 +1,6 @@
 """Graph representation, parsing, statistics and the Zagreb lower bound."""
 
+import json
 import os
 import subprocess
 import sys
@@ -228,6 +229,39 @@ class TestRandomGraph:
     def test_rejects_zero_vertices(self):
         with pytest.raises(ValueError):
             random_mixed_graph(0, 0.5, 0.5, 0)
+
+    def test_pinned_graphs(self):
+        # captured from the one-draw-per-call sampler; every suite trial and
+        # every golden check file rests on these exact graphs
+        path = Path(__file__).parent / "data" / "random_graphs.json"
+        for case in json.loads(path.read_text(encoding="utf-8")):
+            g = random_mixed_graph(case["n"], case["edge_prob"], case["orient_prob"], case["seed"])
+            assert serialize_graph(g) == case["graph"], case
+
+    @given(
+        st.integers(1, 14),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**63 - 1),
+    )
+    def test_matches_one_draw_per_call_reference(self, n, edge_prob, orient_prob, seed):
+        args = (n, edge_prob, orient_prob, seed)
+        assert random_mixed_graph(*args) == _reference_random_graph(*args)
+
+
+def _reference_random_graph(n, edge_prob, orient_prob, seed):
+    """The sampler as first written: one ``rng.random()`` call per draw."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    undirected, arcs = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() >= edge_prob:
+                continue
+            if rng.random() < orient_prob:
+                arcs.append((i, j) if rng.random() < 0.5 else (j, i))
+            else:
+                undirected.append((i, j))
+    return MixedGraph(n=n, undirected=frozenset(undirected), arcs=frozenset(arcs))
 
 
 class TestSerialize:
