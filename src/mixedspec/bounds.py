@@ -5,7 +5,13 @@ extremes, Zagreb index) and the blend weight alpha, evaluated exactly as the
 source inequalities state them. alpha is a float, and every function taking
 it rejects a value outside [0, 1] with ValueError; beta is a BetaParam.
 
-Each function decides its own applicability: when a hypothesis (such as
+Each formula family is written once, by a ``_*_columns`` function over the
+NumPy arrays of a block of k points; the public functions returning
+BoundResult are its k = 1 views. NumPy's ``+ - * /`` and ``sqrt`` round as
+Python's do, so both give the same bits. ``(1 - alpha)**2`` stays in Python:
+``**`` calls C ``pow``, which need not round as NumPy's ``x*x`` does.
+
+Each family decides its own applicability: when a hypothesis (such as
 n >= 2 or beta = omega) fails, its results carry ``applicable=False`` and
 the reason in ``note`` instead of raising.
 
@@ -13,14 +19,19 @@ The ``unit_offdiag_*`` pair is special: it assumes every nonzero entry of the
 blend matrix has modulus one, which is true only at alpha = 0 (off-diagonal
 entries scale by 1 - alpha). It is kept beside the corrected ``offdiag_*``
 pair, which it matches where it applies, and is ``expected_fail`` for
-alpha > 0. A variance negative beyond rounding raises VerificationError.
+alpha > 0. A variance negative beyond rounding raises VerificationError;
+over a block it is recorded per point instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
+import numpy as np
 
 from .eig import Spectrum, VerificationError, spectral_radius
 from .graphs import GraphStats, zagreb_lower_bound
@@ -60,8 +71,63 @@ class BoundResult:
     expected_fail: bool = False
 
 
-def _na(name: str, kind: BoundKind, target: BoundTarget, note: str) -> BoundResult:
-    return BoundResult(name, kind, target, None, False, note)
+class Row(NamedTuple):
+    """The static part of a catalog row, the same at every point."""
+
+    name: str
+    kind: BoundKind
+    target: BoundTarget
+    j: int | None = None
+
+
+_LOWER, _UPPER = BoundKind.LOWER, BoundKind.UPPER
+_MU_1, _MU_N = BoundTarget.MU_1, BoundTarget.MU_N
+
+
+class Columns(NamedTuple):
+    """One formula family over a block of k points: row r of ``rows`` has its
+    bound at each point in row r of the (len(rows), k) array ``values``,
+    which is None when a hypothesis on the graph fails. ``note``,
+    ``applicable`` and ``expected_fail`` hold at every point or come one per
+    point; rows without values are never applicable. ``failures`` holds each
+    point's VerificationError message, or None."""
+
+    rows: tuple[Row, ...]
+    values: np.ndarray | None
+    note: str | list[str] = ""
+    applicable: bool | np.ndarray = True
+    expected_fail: bool | np.ndarray = False
+    failures: list[str | None] | None = None
+
+    def results(self) -> tuple[BoundResult, ...]:
+        """The rows at the first point, as BoundResults; raises its failure."""
+        if self.failures and self.failures[0] is not None:
+            raise VerificationError(self.failures[0])
+        note = self.note if isinstance(self.note, str) else self.note[0]
+        if self.values is None:
+            return tuple(BoundResult(r.name, r.kind, r.target, None, False, note, r.j) for r in self.rows)
+        applicable = bool(np.ravel(self.applicable)[0])
+        expected_fail = bool(np.ravel(self.expected_fail)[0])
+        return tuple(
+            BoundResult(r.name, r.kind, r.target, v, applicable, note, r.j, expected_fail)
+            for r, v in zip(self.rows, self.values[:, 0].tolist())
+        )
+
+
+def _point(x: float) -> np.ndarray:
+    return np.array([x], dtype=np.float64)
+
+
+def _clamped(x: np.ndarray, scale: np.ndarray, message: str) -> tuple[np.ndarray, list[str | None]]:
+    """x, a fresh array, with values that cancellation pushed a hair below
+    zero set to zero; a value below -VARIANCE_CLAMP_RTOL * scale is its
+    point's failure."""
+    beyond = x < -VARIANCE_CLAMP_RTOL * scale
+    failures = [None] * len(x)
+    for i in np.flatnonzero(beyond).tolist():
+        failures[i] = message.format(float(x[i]))
+    x[x < 0.0] = 0.0
+    return x, failures
 
 
 @dataclass(frozen=True)
@@ -77,19 +143,32 @@ class WolkowiczMoments:
 
     @classmethod
     def from_traces(cls, tr: float, tr2: float, n: int) -> "WolkowiczMoments":
-        r = tr / n
-        s2 = tr2 / n - r * r
-        if s2 < 0.0:
-            # cancellation can push the variance a hair below zero
-            if s2 < -VARIANCE_CLAMP_RTOL * max(tr2 / n, r * r):
-                raise VerificationError(f"variance {s2} is negative beyond rounding")
-            s2 = 0.0
-        return cls(r=r, s=math.sqrt(s2))
+        r, s, failures = _moments(_point(tr), _point(tr2), n)
+        if failures[0] is not None:
+            raise VerificationError(failures[0])
+        return cls(r=float(r[0]), s=float(s[0]))
 
     @classmethod
     def from_stats(cls, stats: GraphStats, alpha: float) -> "WolkowiczMoments":
         tr, tr2 = expected_traces(stats, alpha)
         return cls.from_traces(tr, tr2, stats.n)
+
+
+def _moments(tr: np.ndarray, tr2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+    """r and s at each point, with each point's failure (see ``_clamped``)."""
+    r = tr / n
+    mean2, r2 = tr2 / n, r * r
+    s2, failures = _clamped(mean2 - r2, np.maximum(mean2, r2), "variance {} is negative beyond rounding")
+    return r, np.sqrt(s2), failures
+
+
+_RAYLEIGH = (Row("rayleigh_mu1_lower", _LOWER, _MU_1),)
+
+
+def _rayleigh_columns(stats: GraphStats, a: np.ndarray, beta: BetaParam) -> Columns:
+    value = (2.0 * a * stats.m + (1.0 - a) * (stats.arc_count + 2.0 * stats.undirected_count)) / stats.n
+    omega = beta.is_omega()
+    return Columns(_RAYLEIGH, value[None], "" if omega else "stated for beta = omega only", omega)
 
 
 def rayleigh_mu1_lower(stats: GraphStats, alpha: float, beta: BetaParam) -> BoundResult:
@@ -98,26 +177,38 @@ def rayleigh_mu1_lower(stats: GraphStats, alpha: float, beta: BetaParam) -> Boun
     Rayleigh quotient of the constant unit vector; the arc coefficient uses
     2*Re(omega) = 1, so this holds for beta = omega only.
     """
-    a = check_alpha(alpha)
-    value = (2.0 * a * stats.m + (1.0 - a) * (stats.arc_count + 2.0 * stats.undirected_count)) / stats.n
-    omega = beta.is_omega()
-    note = "" if omega else "stated for beta = omega only"
-    return BoundResult("rayleigh_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, value, omega, note)
+    return _rayleigh_columns(stats, _point(check_alpha(alpha)), beta).results()[0]
+
+
+_OFFDIAG = (Row("offdiag_mu1_lower", _LOWER, _MU_1), Row("offdiag_mun_upper", _UPPER, _MU_N))
+
+
+def _offdiag_columns(trace: np.ndarray, n: int, offdiag_modulus: np.ndarray) -> Columns:
+    if n < 2:
+        return Columns(_OFFDIAG, None, "needs n >= 2")
+    mean, shift = trace / n, 2.0 * offdiag_modulus / n
+    return Columns(_OFFDIAG, np.array([mean + shift, mean - shift]))
 
 
 def garga_extreme_bounds(trace: float, n: int, offdiag_modulus: float) -> tuple[BoundResult, BoundResult]:
     """mu_1 >= tr/n + 2|a_rs|/n and mu_n <= tr/n - 2|a_rs|/n for any off-diagonal
     entry a_rs of a Hermitian matrix; strongest with the maximal modulus."""
-    if n < 2:
-        return (
-            _na("offdiag_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, "needs n >= 2"),
-            _na("offdiag_mun_upper", BoundKind.UPPER, BoundTarget.MU_N, "needs n >= 2"),
-        )
-    shift = 2.0 * offdiag_modulus / n
-    return (
-        BoundResult("offdiag_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, trace / n + shift),
-        BoundResult("offdiag_mun_upper", BoundKind.UPPER, BoundTarget.MU_N, trace / n - shift),
-    )
+    return _offdiag_columns(_point(trace), n, _point(offdiag_modulus)).results()
+
+
+_UNIT = (Row("unit_offdiag_mu1_lower", _LOWER, _MU_1), Row("unit_offdiag_mun_upper", _UPPER, _MU_N))
+_PREMISE_FAILS = "premise |a_rs| = 1 fails: entries have modulus 1 - alpha"
+
+
+def _unit_columns(stats: GraphStats, a: np.ndarray) -> Columns:
+    n, m = stats.n, stats.m
+    am = a * m
+    values = np.array([2.0 * (am + 1.0) / n, 2.0 * (am - 1.0) / n])
+    if n < 2 or m < 1:
+        return Columns(_UNIT, values, "no off-diagonal entry to instantiate", False)
+    positive = a > 0.0
+    note = [_PREMISE_FAILS if p else "" for p in positive.tolist()]
+    return Columns(_UNIT, values, note, ~positive, positive)
 
 
 def unit_modulus_extreme_bounds(stats: GraphStats, alpha: float) -> tuple[BoundResult, BoundResult]:
@@ -127,29 +218,20 @@ def unit_modulus_extreme_bounds(stats: GraphStats, alpha: float) -> tuple[BoundR
     Valid only at alpha = 0 on a graph with at least one edge; for alpha > 0
     the nonzero entries have modulus 1 - alpha < 1 and the premise fails.
     """
-    a = check_alpha(alpha)
-    n, m = stats.n, stats.m
-    mu1_val = 2.0 * (a * m + 1.0) / n
-    mun_val = 2.0 * (a * m - 1.0) / n
-    expected_fail = False
-    if n < 2 or m < 1:
-        note = "no off-diagonal entry to instantiate"
-    elif a > 0.0:
-        note = "premise |a_rs| = 1 fails: entries have modulus 1 - alpha"
-        expected_fail = True
-    else:
-        note = ""
-    applicable = not note
-    return (
-        BoundResult(
-            "unit_offdiag_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, mu1_val, applicable, note,
-            expected_fail=expected_fail,
-        ),
-        BoundResult(
-            "unit_offdiag_mun_upper", BoundKind.UPPER, BoundTarget.MU_N, mun_val, applicable, note,
-            expected_fail=expected_fail,
-        ),
-    )
+    return _unit_columns(stats, _point(check_alpha(alpha))).results()
+
+
+_WOLKOWICZ = (
+    Row("wolkowicz_mu1_upper", _UPPER, _MU_1), Row("wolkowicz_mu1_lower", _LOWER, _MU_1),
+    Row("wolkowicz_mun_upper", _UPPER, _MU_N), Row("wolkowicz_mun_lower", _LOWER, _MU_N),
+)
+
+
+def _wolkowicz_columns(r: np.ndarray, s: np.ndarray, n: int) -> Columns:
+    if n < 2:
+        return Columns(_WOLKOWICZ, None, "needs n >= 2")
+    root = math.sqrt(n - 1.0)
+    return Columns(_WOLKOWICZ, np.array([r + s * root, r + s / root, r - s / root, r - s * root]))
 
 
 def wolkowicz_extreme_bounds(
@@ -157,125 +239,149 @@ def wolkowicz_extreme_bounds(
 ) -> tuple[BoundResult, BoundResult, BoundResult, BoundResult]:
     """Mean/variance bounds: r + s/sqrt(n-1) <= mu_1 <= r + s*sqrt(n-1) and the
     mirrored pair for mu_n."""
-    if n < 2:
-        return (
-            _na("wolkowicz_mu1_upper", BoundKind.UPPER, BoundTarget.MU_1, "needs n >= 2"),
-            _na("wolkowicz_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, "needs n >= 2"),
-            _na("wolkowicz_mun_upper", BoundKind.UPPER, BoundTarget.MU_N, "needs n >= 2"),
-            _na("wolkowicz_mun_lower", BoundKind.LOWER, BoundTarget.MU_N, "needs n >= 2"),
-        )
-    root = math.sqrt(n - 1.0)
-    return (
-        BoundResult("wolkowicz_mu1_upper", BoundKind.UPPER, BoundTarget.MU_1, mom.r + mom.s * root),
-        BoundResult("wolkowicz_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, mom.r + mom.s / root),
-        BoundResult("wolkowicz_mun_upper", BoundKind.UPPER, BoundTarget.MU_N, mom.r - mom.s / root),
-        BoundResult("wolkowicz_mun_lower", BoundKind.LOWER, BoundTarget.MU_N, mom.r - mom.s * root),
-    )
+    return _wolkowicz_columns(_point(mom.r), _point(mom.s), n).results()
 
 
-def _zagreb_variance_numerator(stats: GraphStats, a: float) -> float:
+def _zagreb_variance_numerator(stats: GraphStats, a: np.ndarray) -> np.ndarray | None:
     """The degree-extremes replacement for n^2 * s^2: substituting the Zagreb
-    lower bound for the exact Zagreb index. Needs n >= 3."""
+    lower bound for the exact Zagreb index. None below n = 3."""
     n, m = stats.n, stats.m
+    if n < 3:
+        return None
     dmax, dmin = stats.max_degree, stats.min_degree
+    # Python's (1 - alpha)**2, point by point: see the module docstring
+    square = np.array([(1.0 - x) ** 2 for x in a.tolist()])
     return (
         (n * a * a / 2.0) * (dmax - dmin) ** 2
         + (2.0 * n * n * a * a / (n - 2.0)) * (2.0 * m / n - (dmax + dmin) / 2.0) ** 2
-        + (1.0 - a) ** 2 * 2.0 * m * n
+        + square * 2.0 * m * n
     )
+
+
+_ZAGREB = (Row("zagreb_mu1_lower", _LOWER, _MU_1), Row("zagreb_mun_upper", _UPPER, _MU_N))
+
+
+def _zagreb_columns(stats: GraphStats, a: np.ndarray, t: np.ndarray | None) -> Columns:
+    """From the variance numerator ``t`` at each point."""
+    n = stats.n
+    if n < 3:
+        return Columns(_ZAGREB, None, "needs n >= 3")
+    center = 2.0 * a * stats.m / n
+    shift = np.sqrt(t / (n * n * (n - 1.0)))
+    return Columns(_ZAGREB, np.array([center + shift, center - shift]))
 
 
 def zagreb_refined_extreme_bounds(stats: GraphStats, alpha: float) -> tuple[BoundResult, BoundResult]:
     """Extreme-eigenvalue bounds with the spectral variance bounded from below
     through the degree extremes: mu_1 >= 2am/n + sqrt(T/(n^2(n-1))) and
     mu_n <= 2am/n - sqrt(T/(n^2(n-1)))."""
-    a = check_alpha(alpha)
-    n = stats.n
-    if n < 3:
-        return (
-            _na("zagreb_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, "needs n >= 3"),
-            _na("zagreb_mun_upper", BoundKind.UPPER, BoundTarget.MU_N, "needs n >= 3"),
-        )
-    t = _zagreb_variance_numerator(stats, a)
-    center = 2.0 * a * stats.m / n
-    shift = math.sqrt(t / (n * n * (n - 1.0)))
-    return (
-        BoundResult("zagreb_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, center + shift),
-        BoundResult("zagreb_mun_upper", BoundKind.UPPER, BoundTarget.MU_N, center - shift),
-    )
+    a = _point(check_alpha(alpha))
+    return _zagreb_columns(stats, a, _zagreb_variance_numerator(stats, a)).results()
+
+
+@functools.lru_cache(maxsize=64)
+def _jth_rows(n: int) -> tuple[Row, ...]:
+    pairs = ((j, kind) for j in range(1, n + 1) for kind in (_LOWER, _UPPER))
+    return tuple(Row(f"wolkowicz_mu_j_{kind.value}", kind, BoundTarget.MU_J, j) for j, kind in pairs)
+
+
+def _jth_columns(r: np.ndarray, s: np.ndarray, n: int) -> Columns:
+    j = np.arange(1, n + 1)[:, None]
+    lower = r - s * np.sqrt((j - 1.0) / (n - j + 1.0))
+    upper = r + s * np.sqrt((n - j) / j)
+    return Columns(_jth_rows(n), np.array([lower, upper]).transpose(1, 0, 2).reshape(2 * n, len(r)))
 
 
 def jth_eigenvalue_bounds(mom: WolkowiczMoments, n: int) -> tuple[BoundResult, ...]:
     """r - s*sqrt((j-1)/(n-j+1)) <= mu_j <= r + s*sqrt((n-j)/j) for j = 1..n,
     as 2n results: the lower then the upper bound of each j in turn."""
-    out = []
-    for j in range(1, n + 1):
-        lower = mom.r - mom.s * math.sqrt((j - 1.0) / (n - j + 1.0))
-        upper = mom.r + mom.s * math.sqrt((n - j) / float(j))
-        out += (
-            BoundResult("wolkowicz_mu_j_lower", BoundKind.LOWER, BoundTarget.MU_J, lower, j=j),
-            BoundResult("wolkowicz_mu_j_upper", BoundKind.UPPER, BoundTarget.MU_J, upper, j=j),
-        )
-    return tuple(out)
+    return _jth_columns(_point(mom.r), _point(mom.s), n).results()
+
+
+_TRACE_NORM = (Row("trace_norm_upper", _UPPER, BoundTarget.TRACE_NORM),)
+
+
+def _trace_norm_columns(stats: GraphStats, a: np.ndarray, tr: np.ndarray, tr2: np.ndarray) -> Columns:
+    """From the closed-form traces ``tr`` and ``tr2`` at each point."""
+    n, m = stats.n, stats.m
+    if n < 2:
+        return Columns(_TRACE_NORM, None, "needs n >= 2")
+    bracket, failures = _clamped(
+        n * tr2 - tr * tr, np.maximum(n * tr2, tr * tr), "variance bracket {} negative beyond rounding"
+    )
+    value = 4.0 * a * m + 2.0 * np.sqrt((n - 1.0) * bracket)
+    return Columns(_TRACE_NORM, value[None], failures=failures)
 
 
 def trace_norm_upper(stats: GraphStats, alpha: float) -> BoundResult:
     """Trace norm <= 4*alpha*m + 2*sqrt((n-1)*(n*tr2 - tr^2))."""
     a = check_alpha(alpha)
-    n, m = stats.n, stats.m
-    if n < 2:
-        return _na("trace_norm_upper", BoundKind.UPPER, BoundTarget.TRACE_NORM, "needs n >= 2")
     tr, tr2 = expected_traces(stats, a)
-    bracket = n * tr2 - tr * tr
-    if bracket < 0.0:
-        if bracket < -VARIANCE_CLAMP_RTOL * max(n * tr2, tr * tr):
-            raise VerificationError(f"variance bracket {bracket} negative beyond rounding")
-        bracket = 0.0
-    value = 4.0 * a * m + 2.0 * math.sqrt((n - 1.0) * bracket)
-    return BoundResult("trace_norm_upper", BoundKind.UPPER, BoundTarget.TRACE_NORM, value)
+    return _trace_norm_columns(stats, _point(a), _point(tr), _point(tr2)).results()[0]
+
+
+_SPREAD = (
+    Row("spread_upper", _UPPER, BoundTarget.SPREAD), Row("spread_lower_moment", _LOWER, BoundTarget.SPREAD)
+)
+
+
+def _spread_columns(s: np.ndarray, n: int) -> Columns:
+    if n < 2:
+        return Columns(_SPREAD, None, "needs n >= 2")
+    upper = math.sqrt(2.0 * n) * s
+    lower = 2.0 * s if n % 2 == 0 else 2.0 * n * s / math.sqrt(n * n - 1.0)
+    return Columns(_SPREAD, np.array([upper, lower]))
 
 
 def spread_moment_bounds(mom: WolkowiczMoments, n: int) -> tuple[BoundResult, BoundResult]:
     """Spread bounds from exact moments: spread <= sqrt(2n)*s, and the
     parity-correct lower bound 2s (n even) or 2ns/sqrt(n^2-1) (n odd)."""
-    if n < 2:
-        return (
-            _na("spread_upper", BoundKind.UPPER, BoundTarget.SPREAD, "needs n >= 2"),
-            _na("spread_lower_moment", BoundKind.LOWER, BoundTarget.SPREAD, "needs n >= 2"),
-        )
-    upper = math.sqrt(2.0 * n) * mom.s
-    if n % 2 == 0:
-        lower = 2.0 * mom.s
-    else:
-        lower = 2.0 * n * mom.s / math.sqrt(n * n - 1.0)
-    return (
-        BoundResult("spread_upper", BoundKind.UPPER, BoundTarget.SPREAD, upper),
-        BoundResult("spread_lower_moment", BoundKind.LOWER, BoundTarget.SPREAD, lower),
-    )
+    return _spread_columns(_point(mom.s), n).results()
+
+
+_SPREAD_ZAGREB = (Row("spread_lower_zagreb", _LOWER, BoundTarget.SPREAD),)
+
+
+def _spread_zagreb_columns(stats: GraphStats, t: np.ndarray | None) -> Columns:
+    """From the variance numerator ``t`` at each point."""
+    n = stats.n
+    if n < 3:
+        return Columns(_SPREAD_ZAGREB, None, "needs n >= 3")
+    value = (2.0 / n) * np.sqrt(t) if n % 2 == 0 else 2.0 * np.sqrt(t / (n * n - 1.0))
+    return Columns(_SPREAD_ZAGREB, value[None])
 
 
 def spread_lower_zagreb(stats: GraphStats, alpha: float) -> BoundResult:
     """Degree-refined spread lower bound: (2/n)*sqrt(T) for even n,
     2*sqrt(T/(n^2-1)) for odd n (n >= 3)."""
-    a = check_alpha(alpha)
-    n = stats.n
-    if n < 3:
-        return _na("spread_lower_zagreb", BoundKind.LOWER, BoundTarget.SPREAD, "needs n >= 3")
-    t = _zagreb_variance_numerator(stats, a)
-    if n % 2 == 0:
-        value = (2.0 / n) * math.sqrt(t)
-    else:
-        value = 2.0 * math.sqrt(t / (n * n - 1.0))
-    return BoundResult("spread_lower_zagreb", BoundKind.LOWER, BoundTarget.SPREAD, value)
+    t = _zagreb_variance_numerator(stats, _point(check_alpha(alpha)))
+    return _spread_zagreb_columns(stats, t).results()[0]
+
+
+_ZAGREB_INDEX = (Row("zagreb_index_lower", _LOWER, BoundTarget.ZAGREB),)
+
+
+def _zagreb_index_columns(stats: GraphStats, k: int) -> Columns:
+    if stats.n < 3:
+        return Columns(_ZAGREB_INDEX, None, "needs n >= 3")
+    return Columns(_ZAGREB_INDEX, np.full((1, k), zagreb_lower_bound(stats)))
 
 
 def zagreb_index_bound(stats: GraphStats) -> BoundResult:
     """First Zagreb index >= its closed-form lower bound in n, m, degree extremes."""
-    if stats.n < 3:
-        return _na("zagreb_index_lower", BoundKind.LOWER, BoundTarget.ZAGREB, "needs n >= 3")
-    return BoundResult(
-        "zagreb_index_lower", BoundKind.LOWER, BoundTarget.ZAGREB, zagreb_lower_bound(stats)
-    )
+    return _zagreb_index_columns(stats, 1).results()[0]
+
+
+_RHO = (Row("rho_sandwich", _LOWER, _MU_1),)
+
+
+def rho_columns(mu_max: list[float], rho: list[float], beta: BetaParam) -> tuple[Columns, list[float]]:
+    """From mu_1 and the spectral radius at each point; also gives mu_1 / rho.
+    The ratio is taken point by point, since each point's note prints it."""
+    c = 0.5 if beta.is_omega() else 1.0 / 3.0
+    ratio = [1.0 if r == 0.0 else mu / r for mu, r in zip(mu_max, rho)]
+    note = [f"c = {c}; ratio mu_1/rho = {x:.17g}" for x in ratio]
+    return Columns(_RHO, c * np.array([rho]), note), ratio
 
 
 def rho_sandwich(spec: Spectrum, beta: BetaParam) -> tuple[BoundResult, float]:
@@ -285,11 +391,40 @@ def rho_sandwich(spec: Spectrum, beta: BetaParam) -> tuple[BoundResult, float]:
     the blend trace is non-negative) and the achieved ratio mu_1 / rho,
     defined as 1 when rho = 0.
     """
-    c = 0.5 if beta.is_omega() else 1.0 / 3.0
-    rho = spectral_radius(spec)
-    ratio = 1.0 if rho == 0.0 else spec.mu_max / rho
-    note = f"c = {c}; ratio mu_1/rho = {ratio:.17g}"
-    return (
-        BoundResult("rho_sandwich", BoundKind.LOWER, BoundTarget.MU_1, c * rho, True, note),
-        ratio,
-    )
+    cols, ratio = rho_columns([spec.mu_max], [spectral_radius(spec)], beta)
+    return cols.results()[0], ratio[0]
+
+
+def catalog_columns(
+    stats: GraphStats,
+    alphas: list[float],
+    beta: BetaParam,
+    closed_forms: list[tuple[float, float]],
+    trace: list[float],
+    offdiag: list[float],
+) -> tuple[list[Columns], list[str | None]]:
+    """Every family of the catalog but ``rho_columns``, in catalog order, over
+    a block of points with these closed-form traces (``expected_traces``),
+    matrix traces and largest off-diagonal moduli; with each point's first
+    failure, in the order the scalar functions would raise them."""
+    n = stats.n
+    a = np.array(alphas)
+    tr, tr2 = np.array(closed_forms).T
+    r, s, failures = _moments(tr, tr2, n)
+    t = _zagreb_variance_numerator(stats, a)
+    trace_norm_columns = _trace_norm_columns(stats, a, tr, tr2)
+    columns = [
+        _rayleigh_columns(stats, a, beta),
+        _offdiag_columns(np.array(trace), n, np.array(offdiag)),
+        _unit_columns(stats, a),
+        _wolkowicz_columns(r, s, n),
+        _zagreb_columns(stats, a, t),
+        _jth_columns(r, s, n),
+        trace_norm_columns,
+        _spread_columns(s, n),
+        _spread_zagreb_columns(stats, t),
+        _zagreb_index_columns(stats, len(alphas)),
+    ]
+    for i, failure in enumerate(trace_norm_columns.failures or ()):
+        failures[i] = failures[i] or failure
+    return columns, failures

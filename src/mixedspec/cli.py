@@ -69,20 +69,22 @@ def _bound_label(name: str, j: int | None) -> str:
 def report_to_dict(report: BoundReport) -> dict:
     stats = report.graph.stats
     bounds = []
-    for c in report.checked:
+    for row, bound, actual, slack, status, note in zip(
+        report.rows, report.bounds, report.actuals, report.slacks, report.statuses, report.notes
+    ):
         entry = {
-            "name": c.result.name,
-            "kind": c.result.kind.value,
-            "target": c.result.target.value,
-            "bound": c.result.bound_value,
-            "actual": c.actual,
-            "slack": c.slack,
-            "status": c.status.value,
+            "name": row.name,
+            "kind": row.kind.value,
+            "target": row.target.value,
+            "bound": bound,
+            "actual": actual,
+            "slack": slack,
+            "status": status.value,
         }
-        if c.result.j is not None:
-            entry["j"] = c.result.j
-        if c.result.note:
-            entry["note"] = c.result.note
+        if row.j is not None:
+            entry["j"] = row.j
+        if note:
+            entry["note"] = note
         bounds.append(entry)
     return {
         "graph": {
@@ -139,8 +141,8 @@ def dump_json(d: dict) -> str:
 
 def csv_header(report: BoundReport) -> str:
     cols = ["alpha", "beta_arg", "mu1", "muN", "rho", "spread", "traceNorm"]
-    for c in report.checked:
-        label = _bound_label(c.result.name, c.result.j)
+    for row in report.rows:
+        label = _bound_label(row.name, row.j)
         cols.append(f"{label}_bound")
         cols.append(f"{label}_slack")
     return ",".join(cols)
@@ -156,9 +158,9 @@ def csv_row(report: BoundReport, beta_arg: float) -> str:
         _fmt(report.spread),
         _fmt(report.trace_norm),
     ]
-    for c in report.checked:
-        cells.append("" if c.result.bound_value is None else _fmt(c.result.bound_value))
-        cells.append("" if c.slack is None else _fmt(c.slack))
+    for bound, slack in zip(report.bounds, report.slacks):
+        cells.append("" if bound is None else _fmt(bound))
+        cells.append("" if slack is None else _fmt(slack))
     return ",".join(cells)
 
 

@@ -12,6 +12,10 @@ from functools import cached_property
 
 import numpy as np
 
+# uniforms per draw of random_mixed_graph: enough for the at most three per
+# vertex pair of a graph on 13 vertices; the stream is the same for any size
+UNIFORM_CHUNK = 256
+
 
 class GraphFormatError(ValueError):
     """Raised when graph text cannot be parsed or violates simplicity."""
@@ -155,27 +159,35 @@ def random_mixed_graph(n: int, edge_prob: float, orient_prob: float, seed: int) 
 
     Uses the PCG64 generator; pairs are visited in lexicographic order and the
     orientation draws happen only for kept pairs, so a fixed seed reproduces
-    the graph exactly.
+    the graph exactly. The uniforms are drawn UNIFORM_CHUNK at a time and
+    consumed in order, which gives the same stream as one draw per call.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not (0.0 <= edge_prob <= 1.0 and 0.0 <= orient_prob <= 1.0):
         raise ValueError(f"probabilities must lie in [0, 1], got {edge_prob}, {orient_prob}")
     rng = np.random.Generator(np.random.PCG64(seed))
+    uniform = _uniforms(rng).__next__
     undirected = []
     arcs = []
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() >= edge_prob:
+            if uniform() >= edge_prob:
                 continue
-            if rng.random() < orient_prob:
-                if rng.random() < 0.5:
+            if uniform() < orient_prob:
+                if uniform() < 0.5:
                     arcs.append((i, j))
                 else:
                     arcs.append((j, i))
             else:
                 undirected.append((i, j))
     return MixedGraph(n=n, undirected=frozenset(undirected), arcs=frozenset(arcs))
+
+
+def _uniforms(rng: np.random.Generator):
+    """The generator's uniform stream, drawn UNIFORM_CHUNK values at a time."""
+    while True:
+        yield from rng.random(UNIFORM_CHUNK).tolist()
 
 
 def parse_graph(text: str) -> MixedGraph:

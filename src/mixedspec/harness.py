@@ -13,15 +13,17 @@ carries it, and the CLI exits 1 on any. A bound whose premise is known-false
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
 from . import bounds as _b
-from .bounds import BoundKind, BoundResult, BoundTarget, WolkowiczMoments
+from .bounds import BoundKind, BoundResult, BoundTarget
 from .eig import (
     Spectrum,
     VerificationError,
@@ -31,7 +33,7 @@ from .eig import (
     spread,
     trace_norm,
 )
-from .graphs import GraphStats, MixedGraph, random_mixed_graph, serialize_graph
+from .graphs import MixedGraph, random_mixed_graph, serialize_graph
 from .matrices import (
     BetaParam,
     HermitianMatrix,
@@ -84,6 +86,11 @@ class CheckedBound:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """One point of a verification. The catalog is held as columns, one entry
+    per row of ``rows`` (static metadata shared by every report of one
+    shape): ``bounds``, ``actuals``, ``slacks``, ``statuses`` and ``notes``.
+    ``checked`` views them as CheckedBound records, built on demand."""
+
     graph: MixedGraph
     alpha: float
     beta: tuple[float, float]
@@ -92,11 +99,30 @@ class BoundReport:
     spread: float
     trace_norm: float
     rho_ratio: float
-    checked: tuple[CheckedBound, ...]
+    rows: tuple[_b.Row, ...]
+    bounds: tuple[float | None, ...]
+    actuals: tuple[float | None, ...]
+    slacks: tuple[float | None, ...]
+    statuses: tuple[Status, ...]
+    notes: tuple[str, ...]
+
+    @property
+    def checked(self) -> tuple[CheckedBound, ...]:
+        return tuple(map(self._checked, range(len(self.rows))))
 
     @property
     def violated(self) -> tuple[CheckedBound, ...]:
-        return tuple(c for c in self.checked if c.status is Status.VIOLATED)
+        return tuple(self._checked(i) for i, s in enumerate(self.statuses) if s is Status.VIOLATED)
+
+    def _checked(self, i: int) -> CheckedBound:
+        # a row is applicable exactly when it is scored HOLDS or VIOLATED
+        row, status = self.rows[i], self.statuses[i]
+        applicable = status is Status.HOLDS or status is Status.VIOLATED
+        result = BoundResult(
+            row.name, row.kind, row.target, self.bounds[i], applicable, self.notes[i], row.j,
+            status is Status.EXPECTED_FAIL,
+        )
+        return CheckedBound(result, self.actuals[i], self.slacks[i], status)
 
 
 @dataclass(frozen=True)
@@ -195,66 +221,71 @@ def _in_range(lowest: float, highest: float, spec: Spectrum) -> bool:
     return spec.mu_min - RAYLEIGH_PAD <= lowest and highest <= spec.mu_max + RAYLEIGH_PAD
 
 
-def _catalog(
-    stats: GraphStats,
-    alpha: float,
-    beta: BetaParam,
-    trace: float,
-    offdiag_modulus: float,
-    spec: Spectrum,
-) -> tuple[list[BoundResult], float]:
-    """Evaluate every bound in a fixed order for the matrix with this trace
-    and largest off-diagonal modulus; returns the list and mu_1/rho. Each
-    bound function decides its own applicability."""
-    n = stats.n
-    mom = WolkowiczMoments.from_stats(stats, alpha)
-    out = [
-        _b.rayleigh_mu1_lower(stats, alpha, beta),
-        *_b.garga_extreme_bounds(trace, n, offdiag_modulus),
-        *_b.unit_modulus_extreme_bounds(stats, alpha),
-        *_b.wolkowicz_extreme_bounds(mom, n),
-        *_b.zagreb_refined_extreme_bounds(stats, alpha),
-        *_b.jth_eigenvalue_bounds(mom, n),
-        _b.trace_norm_upper(stats, alpha),
-        *_b.spread_moment_bounds(mom, n),
-        _b.spread_lower_zagreb(stats, alpha),
-        _b.zagreb_index_bound(stats),
-    ]
-    rho_res, ratio = _b.rho_sandwich(spec, beta)
-    out.append(rho_res)
-    return out, ratio
+# the row of _score's source array that each target reads; mu_j reads row
+# _MU_J_BASE + j
+_SOURCE = {
+    BoundTarget.MU_1: 0,
+    BoundTarget.MU_N: 1,
+    BoundTarget.SPREAD: 2,
+    BoundTarget.TRACE_NORM: 3,
+    BoundTarget.ZAGREB: 4,
+}
+_MU_J_BASE = 4
+# _score's status codes index this array
+_STATUS = np.array(list(Status), dtype=object)
 
 
-def _actual_for(result: BoundResult, spec: Spectrum, stats: GraphStats) -> float:
-    t = result.target
-    if t is BoundTarget.MU_1:
-        return spec.mu_max
-    if t is BoundTarget.MU_N:
-        return spec.mu_min
-    if t is BoundTarget.MU_J:
-        return spec.values[result.j - 1]
-    if t is BoundTarget.SPREAD:
-        return spread(spec)
-    if t is BoundTarget.TRACE_NORM:
-        return trace_norm(spec)
-    if t is BoundTarget.ZAGREB:
-        return float(stats.zagreb)
-    raise VerificationError(f"unhandled target {t}")
+@functools.lru_cache(maxsize=64)
+def _layout(rows: tuple[_b.Row, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the source row its actual value comes from, and whether it
+    is a lower bound (as a column, to broadcast over a block's points)."""
+    source = [_SOURCE.get(r.target, _MU_J_BASE + (r.j or 0)) for r in rows]
+    return np.array(source), np.array([r.kind is BoundKind.LOWER for r in rows])[:, None]
 
 
-def _check_bound(result: BoundResult, spec: Spectrum, stats: GraphStats) -> CheckedBound:
-    if result.bound_value is None:
-        return CheckedBound(result, None, None, Status.NOT_APPLICABLE)
-    actual = _actual_for(result, spec, stats)
-    if result.kind is BoundKind.LOWER:
-        slack = actual - result.bound_value
-    else:
-        slack = result.bound_value - actual
-    if not result.applicable:
-        status = Status.EXPECTED_FAIL if result.expected_fail else Status.NOT_APPLICABLE
-        return CheckedBound(result, actual, slack, status)
-    status = Status.HOLDS if slack >= -SLACK_TOL else Status.VIOLATED
-    return CheckedBound(result, actual, slack, status)
+def _score(columns: list[_b.Columns], spectra: np.ndarray, trace_norms: list[float], zagreb: int):
+    """Score a block's catalog as columns against its (k, n) spectra, rows
+    non-increasing. Returns the rows, and per point the tuples of bounds,
+    actuals, slacks, statuses and notes that a BoundReport holds."""
+    k = len(spectra)
+    rows = tuple(chain.from_iterable(c.rows for c in columns))
+    source_of, lower = _layout(rows)
+    bound = np.concatenate(
+        [np.full((len(c.rows), k), np.nan) if c.values is None else c.values for c in columns]
+    )
+    mu_max, mu_min = spectra[:, 0], spectra[:, -1]
+    head = np.array([mu_max, mu_min, mu_max - mu_min, trace_norms, [float(zagreb)] * k])
+    actual = np.concatenate((head, spectra.T))[source_of]
+    slack = np.where(lower, actual - bound, bound - actual)
+    # codes index _STATUS; a row that is not applicable is EXPECTED_FAIL or
+    # NOT_APPLICABLE whatever its slack
+    code = np.where(slack >= -SLACK_TOL, 0, 1)
+    notes, varying, missing = [], [], []
+    start = 0
+    for c in columns:
+        part = slice(start, start + len(c.rows))
+        start = part.stop
+        if c.values is None:
+            code[part] = 2
+            missing += range(part.start, part.stop)
+        elif c.applicable is not True:
+            code[part] = np.where(c.applicable, code[part], np.where(c.expected_fail, 3, 2))
+        if isinstance(c.note, str):
+            notes += [c.note] * len(c.rows)
+        else:
+            notes += [""] * len(c.rows)
+            varying.append((part, c.note))
+    points = []
+    columns_t = (bound.T.tolist(), actual.T.tolist(), slack.T.tolist(), _STATUS[code].T.tolist())
+    for i, cells in enumerate(zip(*columns_t)):
+        for cell in cells[:3]:
+            for r in missing:
+                cell[r] = None
+        point_notes = notes.copy()
+        for part, note in varying:
+            point_notes[part] = [note[i]] * (part.stop - part.start)
+        points.append((*map(tuple, cells), tuple(point_notes)))
+    return rows, points
 
 
 def verify_all(
@@ -320,8 +351,11 @@ def _verify_grid(g: MixedGraph, grid: list[float], beta: BetaParam, seed: int) -
         vals = forms.real
         route_gap = np.abs(vals - expansion[start : start + len(alphas)]).max(axis=1).tolist()
         lowest, highest = vals.min(axis=1).tolist(), vals.max(axis=1).tolist()
+        closed_forms = [expected_traces(stats, alpha) for alpha in alphas]
+        columns, failures = _b.catalog_columns(stats, alphas, beta, closed_forms, tr, offdiag)
 
-        for i, alpha in enumerate(alphas):
+        specs = []
+        for i in range(len(alphas)):
             spec = primary.spectrum(i)
             oracle.check(i)
             limit = ORACLE_RTOL * math.sqrt(tr2[i])
@@ -329,7 +363,7 @@ def _verify_grid(g: MixedGraph, grid: list[float], beta: BetaParam, seed: int) -
                 raise VerificationError(
                     f"kernel/oracle spectra disagree by {oracle_gap[i]:.3e} (limit {limit:.3e})"
                 )
-            exp_tr, exp_tr2 = expected_traces(stats, alpha)
+            exp_tr, exp_tr2 = closed_forms[i]
             for name, got, want, lim in (
                 ("trace", tr[i], exp_tr, TRACE_TOL),
                 ("tr(M^2)", tr2[i], exp_tr2, _trace2_limit(exp_tr2)),
@@ -346,18 +380,32 @@ def _verify_grid(g: MixedGraph, grid: list[float], beta: BetaParam, seed: int) -
             if not _in_range(lowest[i], highest[i], spec):
                 raise VerificationError("a sampled quadratic form escaped [mu_n, mu_1]")
 
-            results, ratio = _catalog(stats, alpha, beta, tr[i], offdiag[i], spec)
+            if failures[i] is not None:
+                raise VerificationError(failures[i])
+            specs.append(spec)
+
+        rho = [spectral_radius(spec) for spec in specs]
+        rho_columns, ratio = _b.rho_columns([spec.mu_max for spec in specs], rho, beta)
+        trace_norms = [trace_norm(spec) for spec in specs]
+        rows, points = _score(columns + [rho_columns], primary.values, trace_norms, stats.zagreb)
+        for i, spec in enumerate(specs):
+            bounds, actuals, slacks, statuses, notes = points[i]
             reports.append(
                 BoundReport(
                     graph=g,
-                    alpha=alpha,
+                    alpha=alphas[i],
                     beta=(beta.re, beta.im),
                     spectrum=spec,
-                    rho=spectral_radius(spec),
+                    rho=rho[i],
                     spread=spread(spec),
-                    trace_norm=trace_norm(spec),
-                    rho_ratio=ratio,
-                    checked=tuple(_check_bound(r, spec, stats) for r in results),
+                    trace_norm=trace_norms[i],
+                    rho_ratio=ratio[i],
+                    rows=rows,
+                    bounds=bounds,
+                    actuals=actuals,
+                    slacks=slacks,
+                    statuses=statuses,
+                    notes=notes,
                 )
             )
     return reports
@@ -417,13 +465,13 @@ def randomized_suite(cfg: SweepConfig) -> SuiteSummary:
             min_general = (
                 report.rho_ratio if min_general is None else min(min_general, report.rho_ratio)
             )
-        for c in report.checked:
-            counts[c.status.value] += 1
-            if c.slack is not None and c.status is not Status.NOT_APPLICABLE:
-                name = c.result.name
-                if name not in worst or c.slack < worst[name]:
-                    worst[name] = c.slack
-            if c.status is Status.VIOLATED:
+        columns = (report.rows, report.bounds, report.actuals, report.slacks, report.statuses)
+        for row, bound, actual, slack, status in zip(*columns):
+            counts[status.value] += 1
+            if slack is not None and status is not Status.NOT_APPLICABLE:
+                if row.name not in worst or slack < worst[row.name]:
+                    worst[row.name] = slack
+            if status is Status.VIOLATED:
                 violations.append(
                     ViolationRecord(
                         trial=trial,
@@ -431,11 +479,11 @@ def randomized_suite(cfg: SweepConfig) -> SuiteSummary:
                         graph_text=serialize_graph(report.graph),
                         alpha=report.alpha,
                         beta=report.beta,
-                        bound_name=c.result.name,
-                        j=c.result.j,
-                        bound_value=c.result.bound_value,
-                        actual=c.actual,
-                        slack=c.slack,
+                        bound_name=row.name,
+                        j=row.j,
+                        bound_value=bound,
+                        actual=actual,
+                        slack=slack,
                     )
                 )
 

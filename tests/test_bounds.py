@@ -22,9 +22,10 @@ from mixedspec.bounds import (
     zagreb_index_bound,
     zagreb_refined_extreme_bounds,
 )
-from mixedspec.eig import Spectrum, VerificationError, eigenvalues
-from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph
-from mixedspec.matrices import BetaParam, a_alpha_matrix, omega_constant
+from mixedspec.eig import Spectrum, VerificationError, eigenvalues, spectral_radius
+from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph, zagreb_lower_bound
+from mixedspec.harness import sweep_alpha
+from mixedspec.matrices import BetaParam, a_alpha_matrix, a_alpha_stack, expected_traces, omega_constant
 
 OMEGA = omega_constant()
 
@@ -316,3 +317,86 @@ class TestPurity:
         )
         mom = WolkowiczMoments.from_stats(stats, alpha)
         assert wolkowicz_extreme_bounds(mom, stats.n) == wolkowicz_extreme_bounds(mom, stats.n)
+
+
+def _reference_scores(stats, alpha, beta, trace, offdiag, spec):
+    """The catalog at one point as the per-point loop first scored it: each
+    bound a Python float expression in catalog order (None when its
+    hypothesis on n fails), and each scored row's slack and status."""
+    n, m, a = stats.n, stats.m, alpha
+    dmax, dmin = stats.max_degree, stats.min_degree
+    tr, tr2 = expected_traces(stats, a)
+    r = tr / n
+    s = math.sqrt(max(tr2 / n - r * r, 0.0))
+    root = math.sqrt(n - 1.0)
+    bounds = [
+        (2.0 * a * m + (1.0 - a) * (stats.arc_count + 2.0 * stats.undirected_count)) / n,
+        *((trace / n + 2.0 * offdiag / n, trace / n - 2.0 * offdiag / n) if n >= 2 else (None, None)),
+        2.0 * (a * m + 1.0) / n,
+        2.0 * (a * m - 1.0) / n,
+        *((r + s * root, r + s / root, r - s / root, r - s * root) if n >= 2 else (None,) * 4),
+    ]
+    t = None
+    if n >= 3:
+        t = (
+            (n * a * a / 2.0) * (dmax - dmin) ** 2
+            + (2.0 * n * n * a * a / (n - 2.0)) * (2.0 * m / n - (dmax + dmin) / 2.0) ** 2
+            + (1.0 - a) ** 2 * 2.0 * m * n
+        )
+        shift = math.sqrt(t / (n * n * (n - 1.0)))
+        bounds += [2.0 * a * m / n + shift, 2.0 * a * m / n - shift]
+    else:
+        bounds += [None, None]
+    for j in range(1, n + 1):
+        bounds += [
+            r - s * math.sqrt((j - 1.0) / (n - j + 1.0)),
+            r + s * math.sqrt((n - j) / float(j)),
+        ]
+    if n >= 2:
+        bracket = max(n * tr2 - tr * tr, 0.0)
+        odd = 2.0 * n * s / math.sqrt(n * n - 1.0)
+        bounds += [
+            4.0 * a * m + 2.0 * math.sqrt((n - 1.0) * bracket),
+            math.sqrt(2.0 * n) * s,
+            2.0 * s if n % 2 == 0 else odd,
+        ]
+    else:
+        bounds += [None] * 3
+    if n >= 3:
+        even = (2.0 / n) * math.sqrt(t)
+        bounds += [even if n % 2 == 0 else 2.0 * math.sqrt(t / (n * n - 1.0)), zagreb_lower_bound(stats)]
+    else:
+        bounds += [None, None]
+    bounds.append((0.5 if beta.is_omega() else 1.0 / 3.0) * spectral_radius(spec))
+    return bounds
+
+
+class TestBlockMatchesScalarReference:
+    """A stacked sweep scores each point with the bits of the scalar loop."""
+
+    # at alpha = 0.00571, Python's (1 - alpha)**2 (C pow) and x*x differ in
+    # the last bit
+    @given(
+        st.integers(1, 12),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(0.0, 1.0), max_size=4),
+        st.booleans(),
+    )
+    def test_bounds_and_slacks_bit_for_bit(self, n, edge_prob, orient_prob, seed, inner, omega):
+        g = random_mixed_graph(n, edge_prob, orient_prob, seed)
+        grid = [0.0, 0.00571, 1.0, *inner]
+        beta = OMEGA if omega else BetaParam.from_angle(0.9)
+        stack = a_alpha_stack(g, grid, beta)
+        traces, offdiag = stack.traces(), stack.max_offdiag_moduli()
+        for i, report in enumerate(sweep_alpha(g, grid, beta)):
+            want = _reference_scores(g.stats, grid[i], beta, traces[i], offdiag[i], report.spectrum)
+            # repr tells every bit apart, and the sign of a zero
+            assert repr(report.bounds) == repr(tuple(want))
+            for c in report.checked:
+                if c.slack is not None:
+                    actual = c.actual
+                    bound = c.result.bound_value
+                    slack = actual - bound if c.result.kind is BoundKind.LOWER else bound - actual
+                    assert repr(c.slack) == repr(slack)

@@ -1,6 +1,5 @@
 """Command-line interface: grids, formats, exit codes, determinism."""
 
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -11,9 +10,15 @@ import pytest
 import mixedspec.bounds
 import mixedspec.cli
 import mixedspec.matrices
-from mixedspec.bounds import BoundKind, BoundResult, BoundTarget
+from mixedspec.bounds import Columns
 from mixedspec.cli import main, parse_grid
 from mixedspec.matrices import BetaParam
+
+
+def _broken_rayleigh(stats, a, beta):
+    """A falsely high rayleigh_mu1_lower at every point of a block."""
+    return Columns(mixedspec.bounds._RAYLEIGH, np.full((len(a), 1), 1e6))
+
 
 C3_TEXT = "3\n1 -> 2\n2 -> 3\n3 -> 1\n"
 P2_TEXT = "2\n1 -> 2\n"
@@ -191,10 +196,7 @@ class TestReport:
         assert ray["status"] == "NOT_APPLICABLE"
 
     def test_violated_bound_gives_exit_one(self, p2_file, capsys, monkeypatch):
-        def broken(stats, alpha, beta):
-            return BoundResult("rayleigh_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, 1e6)
-
-        monkeypatch.setattr(mixedspec.bounds, "rayleigh_mu1_lower", broken)
+        monkeypatch.setattr(mixedspec.bounds, "_rayleigh_columns", _broken_rayleigh)
         code = main(["report", "--graph", p2_file, "--alpha", "0.5"])
         assert code == 1
         doc = json.loads(capsys.readouterr().out)
@@ -335,10 +337,7 @@ class TestCheck:
         assert main(["check", "--trials", "5", "--min-n", "9", "--max-n", "3"]) == 2
 
     def test_violations_force_exit_one(self, capsys, monkeypatch):
-        def broken(stats, alpha, beta):
-            return BoundResult("rayleigh_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, 1e6)
-
-        monkeypatch.setattr(mixedspec.bounds, "rayleigh_mu1_lower", broken)
+        monkeypatch.setattr(mixedspec.bounds, "_rayleigh_columns", _broken_rayleigh)
         code = main(["check", "--trials", "5", "--seed", "3"])
         assert code == 1
         doc = json.loads(capsys.readouterr().out)
@@ -347,16 +346,13 @@ class TestCheck:
 
     def test_reference_pair_violations_exit_one(self, capsys, monkeypatch):
         # the README's rule: every subcommand exits 1 on any VIOLATED status
-        real = mixedspec.bounds.unit_modulus_extreme_bounds
+        real = mixedspec.bounds._unit_columns
 
-        def violated(stats, alpha):
-            lo, up = real(stats, alpha)
-            return (
-                dataclasses.replace(lo, bound_value=1e6, applicable=True, note=""),
-                dataclasses.replace(up, bound_value=-1e6, applicable=True, note=""),
-            )
+        def violated(stats, a):
+            values = np.repeat([[1e6], [-1e6]], len(a), axis=1)
+            return real(stats, a)._replace(values=values, applicable=True, note="")
 
-        monkeypatch.setattr(mixedspec.bounds, "unit_modulus_extreme_bounds", violated)
+        monkeypatch.setattr(mixedspec.bounds, "_unit_columns", violated)
         code = main(["check", "--trials", "5", "--seed", "3"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 1

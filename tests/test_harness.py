@@ -11,18 +11,19 @@ from hypothesis import given, strategies as st
 
 import mixedspec.bounds
 import mixedspec.harness
-from mixedspec.bounds import BoundKind, BoundResult, BoundTarget
-from mixedspec.eig import Spectrum, eigenvalues
+from mixedspec.bounds import BoundKind, BoundResult, BoundTarget, Columns, Row, WolkowiczMoments
+from mixedspec.eig import Spectrum, eigenvalues, trace_norm
 from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph
 from mixedspec.harness import (
     BLOCK_ENTRIES,
     RAYLEIGH_SAMPLES,
     TRACE_TOL,
+    CheckedBound,
     Status,
     SweepConfig,
     VerificationError,
     _block_len,
-    _check_bound,
+    _score,
     _trace2_limit,
     randomized_suite,
     rayleigh_range_check,
@@ -34,11 +35,29 @@ from mixedspec.matrices import (
     BetaParam,
     HermitianStack,
     a_alpha_matrix,
+    expected_traces,
     hermitian_adjacency,
     omega_constant,
 )
 
 OMEGA = omega_constant()
+
+
+def _check_bound(result, spec, stats):
+    """Score one BoundResult at one point through the columnar ``_score``,
+    as a one-row family over a one-point block."""
+    values = None if result.bound_value is None else np.array([[result.bound_value]])
+    row = Row(result.name, result.kind, result.target, result.j)
+    columns = Columns((row,), values, result.note, result.applicable, result.expected_fail)
+    spectra = np.array([spec.values])
+    rows, [(_, actuals, slacks, statuses, _)] = _score([columns], spectra, [trace_norm(spec)], stats.zagreb)
+    assert rows == (row,)
+    return CheckedBound(result, actuals[0], slacks[0], statuses[0])
+
+
+def _broken_rayleigh(stats, a, beta):
+    """A falsely high rayleigh_mu1_lower at every point of a block."""
+    return Columns(mixedspec.bounds._RAYLEIGH, np.full((len(a), 1), 1e6))
 
 
 class TestVerifyAll:
@@ -406,6 +425,68 @@ class TestStackedFailures:
         with pytest.raises(VerificationError, match="arc-sum expansion"):
             sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
 
+    # tr(M^2) = 0 beside a positive trace puts the spectral variance
+    # tr2/n - r^2, and the trace-norm bracket n*tr2 - tr^2, far below zero
+    @staticmethod
+    def zero(tr2, point):
+        if len(tr2) > point:
+            tr2 = tr2.copy()
+            tr2[point] = 0.0
+        return tr2
+
+    def break_variance_at(self, monkeypatch, point):
+        real = mixedspec.bounds._moments
+        monkeypatch.setattr(
+            mixedspec.bounds, "_moments", lambda tr, tr2, n: real(tr, self.zero(tr2, point), n)
+        )
+
+    def break_bracket_at(self, monkeypatch, point):
+        real = mixedspec.bounds._trace_norm_columns
+
+        def broken(stats, a, tr, tr2):
+            return real(stats, a, tr, self.zero(tr2, point))
+
+        monkeypatch.setattr(mixedspec.bounds, "_trace_norm_columns", broken)
+
+    def test_variance_clamp_fails_its_point(self, monkeypatch):
+        self.break_variance_at(monkeypatch, self.MID)
+        assert len(sweep_alpha(self.G, self.GRID[: self.MID], self.BETA, seed=2)) == self.MID
+        with pytest.raises(VerificationError, match="variance .* is negative beyond rounding") as swept:
+            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
+        tr, _ = expected_traces(self.G.stats, self.GRID[self.MID])
+        with pytest.raises(VerificationError) as single:
+            WolkowiczMoments.from_traces(tr, 0.0, self.G.n)
+        assert str(swept.value) == str(single.value)
+
+    def test_bracket_clamp_fails_its_point(self, monkeypatch):
+        self.break_bracket_at(monkeypatch, self.MID)
+        assert len(sweep_alpha(self.G, self.GRID[: self.MID], self.BETA, seed=2)) == self.MID
+        with pytest.raises(VerificationError, match="variance bracket .* negative beyond rounding"):
+            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
+
+    def test_variance_failure_precedes_bracket_failure_at_one_point(self, monkeypatch):
+        self.break_variance_at(monkeypatch, self.MID)
+        self.break_bracket_at(monkeypatch, self.MID)
+        with pytest.raises(VerificationError, match="variance .* is negative beyond rounding"):
+            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
+
+    def test_earlier_bracket_failure_wins(self, monkeypatch):
+        self.break_variance_at(monkeypatch, self.MID)
+        self.break_bracket_at(monkeypatch, self.MID - 1)
+        with pytest.raises(VerificationError, match="variance bracket"):
+            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
+
+    def test_earlier_oracle_failure_wins_over_variance_failure(self, monkeypatch):
+        self.break_variance_at(monkeypatch, self.MID)
+        self.perturb_eigvals(monkeypatch, self.MID - 1)
+        with pytest.raises(VerificationError, match="do not pair"):
+            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
+
+    def test_point_checks_precede_its_variance_failure(self, monkeypatch):
+        self.break_variance_at(monkeypatch, self.MID)
+        self.perturb_eigvals(monkeypatch, self.MID)
+        with pytest.raises(VerificationError, match="do not pair"):
+            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
 
 class TestRandomizedSuite:
     def test_deterministic(self):
@@ -433,12 +514,7 @@ class TestRandomizedSuite:
 
     def test_violation_record_carries_reproduction_data(self, monkeypatch):
         # force a falsely high lower bound to exercise the reporting path
-        def broken(stats, alpha, beta):
-            return BoundResult(
-                "rayleigh_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, 1e6
-            )
-
-        monkeypatch.setattr(mixedspec.bounds, "rayleigh_mu1_lower", broken)
+        monkeypatch.setattr(mixedspec.bounds, "_rayleigh_columns", _broken_rayleigh)
         summary = randomized_suite(SweepConfig(trials=5, seed=3))
         assert summary.violated_count > 0
         rec = summary.violations[0]
