@@ -122,11 +122,12 @@ def _clamped(x: np.ndarray, scale: np.ndarray, message: str) -> tuple[np.ndarray
     """x, a fresh array, with values that cancellation pushed a hair below
     zero set to zero; a value below -VARIANCE_CLAMP_RTOL * scale is its
     point's failure."""
-    beyond = x < -VARIANCE_CLAMP_RTOL * scale
     failures = [None] * len(x)
-    for i in np.flatnonzero(beyond).tolist():
-        failures[i] = message.format(float(x[i]))
-    x[x < 0.0] = 0.0
+    negative = x < 0.0
+    if negative.any():
+        for i in np.flatnonzero(x < -VARIANCE_CLAMP_RTOL * scale).tolist():
+            failures[i] = message.format(float(x[i]))
+        x[negative] = 0.0
     return x, failures
 
 
@@ -280,16 +281,21 @@ def zagreb_refined_extreme_bounds(stats: GraphStats, alpha: float) -> tuple[Boun
 
 
 @functools.lru_cache(maxsize=64)
-def _jth_rows(n: int) -> tuple[Row, ...]:
+def _jth_static(n: int) -> tuple[tuple[Row, ...], np.ndarray, np.ndarray]:
+    """The rows of order n, lower then upper for each j, and the read-only
+    (n, 1) factors sqrt((j-1)/(n-j+1)) and sqrt((n-j)/j) of s."""
     pairs = ((j, kind) for j in range(1, n + 1) for kind in (_LOWER, _UPPER))
-    return tuple(Row(f"wolkowicz_mu_j_{kind.value}", kind, BoundTarget.MU_J, j) for j, kind in pairs)
+    rows = tuple(Row(f"wolkowicz_mu_j_{kind.value}", kind, BoundTarget.MU_J, j) for j, kind in pairs)
+    j = np.arange(1, n + 1)[:, None]
+    lower, upper = np.sqrt((j - 1.0) / (n - j + 1.0)), np.sqrt((n - j) / j)
+    lower.setflags(write=False)
+    upper.setflags(write=False)
+    return rows, lower, upper
 
 
 def _jth_columns(r: np.ndarray, s: np.ndarray, n: int) -> Columns:
-    j = np.arange(1, n + 1)[:, None]
-    lower = r - s * np.sqrt((j - 1.0) / (n - j + 1.0))
-    upper = r + s * np.sqrt((n - j) / j)
-    return Columns(_jth_rows(n), np.array([lower, upper]).transpose(1, 0, 2).reshape(2 * n, len(r)))
+    rows, lower, upper = _jth_static(n)
+    return Columns(rows, np.array([r - s * lower, r + s * upper]).transpose(1, 0, 2).reshape(2 * n, len(r)))
 
 
 def jth_eigenvalue_bounds(mom: WolkowiczMoments, n: int) -> tuple[BoundResult, ...]:

@@ -12,9 +12,11 @@ from functools import cached_property
 
 import numpy as np
 
-# uniforms per draw of random_mixed_graph: enough for the at most three per
-# vertex pair of a graph on 13 vertices; the stream is the same for any size
-UNIFORM_CHUNK = 256
+# uniforms per draw of random_mixed_graph, which takes at most three per
+# vertex pair: one draw serves a graph on up to 7 vertices, and drawing more
+# at once made the suite's small graphs slower. The stream does not depend
+# on the chunk size.
+UNIFORM_CHUNK = 64
 
 
 class GraphFormatError(ValueError):

@@ -2,6 +2,14 @@
 independent kernels, sample the numerical range, and evaluate every bound
 in the catalog against the computed spectrum.
 
+A grid of alphas is verified in stacked blocks. Each block is built as one
+stack and solved in one LAPACK call per eigen route, and its catalog is
+scored as columns: every formula family gives its bounds for the whole
+block as arrays (``bounds.catalog_columns``), and ``_score`` compares them
+with the block's spectra in one pass. A BoundReport keeps its point's row
+of those columns; ``BoundReport.checked`` builds CheckedBound views from it.
+The checks still raise point by point in grid order.
+
 Three classes of failure are kept apart. Eigen-route failures (see ``eig``),
 kernel/oracle disagreement, trace mismatches, a matrix build that disagrees
 with the graph's arc-sum expansion and numerical-range escapes all raise the
@@ -221,6 +229,8 @@ def _in_range(lowest: float, highest: float, spec: Spectrum) -> bool:
     return spec.mu_min - RAYLEIGH_PAD <= lowest and highest <= spec.mu_max + RAYLEIGH_PAD
 
 
+# _score's status codes index this array
+_STATUS = np.array(list(Status), dtype=object)
 # the row of _score's source array that each target reads; mu_j reads row
 # _MU_J_BASE + j
 _SOURCE = {
@@ -231,14 +241,14 @@ _SOURCE = {
     BoundTarget.ZAGREB: 4,
 }
 _MU_J_BASE = 4
-# _score's status codes index this array
-_STATUS = np.array(list(Status), dtype=object)
 
 
 @functools.lru_cache(maxsize=64)
 def _layout(rows: tuple[_b.Row, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the source row its actual value comes from, and whether it
-    is a lower bound (as a column, to broadcast over a block's points)."""
+    is a lower bound (as a column, to broadcast over a block's points).
+    Cached: reading the enum members row by row costs more than the rest of
+    a one-point block's scoring."""
     source = [_SOURCE.get(r.target, _MU_J_BASE + (r.j or 0)) for r in rows]
     return np.array(source), np.array([r.kind is BoundKind.LOWER for r in rows])[:, None]
 
@@ -249,35 +259,37 @@ def _score(columns: list[_b.Columns], spectra: np.ndarray, trace_norms: list[flo
     actuals, slacks, statuses and notes that a BoundReport holds."""
     k = len(spectra)
     rows = tuple(chain.from_iterable(c.rows for c in columns))
-    source_of, lower = _layout(rows)
-    bound = np.concatenate(
-        [np.full((len(c.rows), k), np.nan) if c.values is None else c.values for c in columns]
-    )
-    mu_max, mu_min = spectra[:, 0], spectra[:, -1]
-    head = np.array([mu_max, mu_min, mu_max - mu_min, trace_norms, [float(zagreb)] * k])
-    actual = np.concatenate((head, spectra.T))[source_of]
-    slack = np.where(lower, actual - bound, bound - actual)
-    # codes index _STATUS; a row that is not applicable is EXPECTED_FAIL or
-    # NOT_APPLICABLE whatever its slack
-    code = np.where(slack >= -SLACK_TOL, 0, 1)
-    notes, varying, missing = [], [], []
+    bound = np.concatenate([np.empty((len(c.rows), k)) if c.values is None else c.values for c in columns])
+    notes, varying, missing, inapplicable = [], [], [], []
     start = 0
     for c in columns:
         part = slice(start, start + len(c.rows))
         start = part.stop
         if c.values is None:
-            code[part] = 2
             missing += range(part.start, part.stop)
         elif c.applicable is not True:
-            code[part] = np.where(c.applicable, code[part], np.where(c.expected_fail, 3, 2))
+            inapplicable.append((part, c))
         if isinstance(c.note, str):
             notes += [c.note] * len(c.rows)
         else:
             notes += [""] * len(c.rows)
             varying.append((part, c.note))
+    bound[missing] = np.nan
+    source_of, lower = _layout(rows)
+    mu_max, mu_min = spectra[:, 0], spectra[:, -1]
+    head = np.array([mu_max, mu_min, mu_max - mu_min, trace_norms, [float(zagreb)] * k])
+    actual = np.concatenate((head, spectra.T))[source_of]
+    slack = np.where(lower, actual - bound, bound - actual)
+    # codes index _STATUS; a row without values is NOT_APPLICABLE, and one
+    # that is not applicable is EXPECTED_FAIL or NOT_APPLICABLE, whatever
+    # its slack
+    code = np.where(slack >= -SLACK_TOL, 0, 1)
+    code[missing] = 2
+    for part, c in inapplicable:
+        code[part] = np.where(c.applicable, code[part], np.where(c.expected_fail, 3, 2))
     points = []
-    columns_t = (bound.T.tolist(), actual.T.tolist(), slack.T.tolist(), _STATUS[code].T.tolist())
-    for i, cells in enumerate(zip(*columns_t)):
+    by_point = (bound.T.tolist(), actual.T.tolist(), slack.T.tolist(), _STATUS[code].T.tolist())
+    for i, cells in enumerate(zip(*by_point)):
         for cell in cells[:3]:
             for r in missing:
                 cell[r] = None
