@@ -166,8 +166,9 @@ def _moments(tr: np.ndarray, tr2: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
 _RAYLEIGH = (Row("rayleigh_mu1_lower", _LOWER, _MU_1),)
 
 
-def _rayleigh_columns(stats: GraphStats, a: np.ndarray, beta: BetaParam) -> Columns:
-    value = (2.0 * a * stats.m + (1.0 - a) * (stats.arc_count + 2.0 * stats.undirected_count)) / stats.n
+def _rayleigh_columns(stats: GraphStats, a: np.ndarray, tr: np.ndarray, beta: BetaParam) -> Columns:
+    """From the closed-form trace ``tr`` = 2*alpha*m at each point."""
+    value = (tr + (1.0 - a) * (stats.arc_count + 2.0 * stats.undirected_count)) / stats.n
     omega = beta.is_omega()
     return Columns(_RAYLEIGH, value[None], "" if omega else "stated for beta = omega only", omega)
 
@@ -178,7 +179,8 @@ def rayleigh_mu1_lower(stats: GraphStats, alpha: float, beta: BetaParam) -> Boun
     Rayleigh quotient of the constant unit vector; the arc coefficient uses
     2*Re(omega) = 1, so this holds for beta = omega only.
     """
-    return _rayleigh_columns(stats, _point(check_alpha(alpha)), beta).results()[0]
+    a = check_alpha(alpha)
+    return _rayleigh_columns(stats, _point(a), _point(expected_traces(stats, a)[0]), beta).results()[0]
 
 
 _OFFDIAG = (Row("offdiag_mu1_lower", _LOWER, _MU_1), Row("offdiag_mun_upper", _UPPER, _MU_N))
@@ -232,7 +234,8 @@ def _wolkowicz_columns(r: np.ndarray, s: np.ndarray, n: int) -> Columns:
     if n < 2:
         return Columns(_WOLKOWICZ, None, "needs n >= 2")
     root = math.sqrt(n - 1.0)
-    return Columns(_WOLKOWICZ, np.array([r + s * root, r + s / root, r - s / root, r - s * root]))
+    times, over = s * root, s / root
+    return Columns(_WOLKOWICZ, np.array([r + times, r + over, r - over, r - times]))
 
 
 def wolkowicz_extreme_bounds(
@@ -262,22 +265,23 @@ def _zagreb_variance_numerator(stats: GraphStats, a: np.ndarray) -> np.ndarray |
 _ZAGREB = (Row("zagreb_mu1_lower", _LOWER, _MU_1), Row("zagreb_mun_upper", _UPPER, _MU_N))
 
 
-def _zagreb_columns(stats: GraphStats, a: np.ndarray, t: np.ndarray | None) -> Columns:
-    """From the variance numerator ``t`` at each point."""
+def _zagreb_columns(stats: GraphStats, r: np.ndarray, t: np.ndarray | None) -> Columns:
+    """From the spectral mean ``r`` = 2*alpha*m/n and the variance numerator
+    ``t`` at each point."""
     n = stats.n
     if n < 3:
         return Columns(_ZAGREB, None, "needs n >= 3")
-    center = 2.0 * a * stats.m / n
     shift = np.sqrt(t / (n * n * (n - 1.0)))
-    return Columns(_ZAGREB, np.array([center + shift, center - shift]))
+    return Columns(_ZAGREB, np.array([r + shift, r - shift]))
 
 
 def zagreb_refined_extreme_bounds(stats: GraphStats, alpha: float) -> tuple[BoundResult, BoundResult]:
     """Extreme-eigenvalue bounds with the spectral variance bounded from below
     through the degree extremes: mu_1 >= 2am/n + sqrt(T/(n^2(n-1))) and
     mu_n <= 2am/n - sqrt(T/(n^2(n-1)))."""
-    a = _point(check_alpha(alpha))
-    return _zagreb_columns(stats, a, _zagreb_variance_numerator(stats, a)).results()
+    a = check_alpha(alpha)
+    r = _point(expected_traces(stats, a)[0] / stats.n)
+    return _zagreb_columns(stats, r, _zagreb_variance_numerator(stats, _point(a))).results()
 
 
 @functools.lru_cache(maxsize=64)
@@ -370,7 +374,7 @@ _ZAGREB_INDEX = (Row("zagreb_index_lower", _LOWER, BoundTarget.ZAGREB),)
 def _zagreb_index_columns(stats: GraphStats, k: int) -> Columns:
     if stats.n < 3:
         return Columns(_ZAGREB_INDEX, None, "needs n >= 3")
-    return Columns(_ZAGREB_INDEX, np.full((1, k), zagreb_lower_bound(stats)))
+    return Columns(_ZAGREB_INDEX, np.array([[zagreb_lower_bound(stats)] * k]))
 
 
 def zagreb_index_bound(stats: GraphStats) -> BoundResult:
@@ -420,11 +424,11 @@ def catalog_columns(
     t = _zagreb_variance_numerator(stats, a)
     trace_norm_columns = _trace_norm_columns(stats, a, tr, tr2)
     columns = [
-        _rayleigh_columns(stats, a, beta),
+        _rayleigh_columns(stats, a, tr, beta),
         _offdiag_columns(np.array(trace), n, np.array(offdiag)),
         _unit_columns(stats, a),
         _wolkowicz_columns(r, s, n),
-        _zagreb_columns(stats, a, t),
+        _zagreb_columns(stats, r, t),
         _jth_columns(r, s, n),
         trace_norm_columns,
         _spread_columns(s, n),

@@ -288,15 +288,15 @@ def _score(columns: list[_b.Columns], spectra: np.ndarray, trace_norms: list[flo
     for part, c in inapplicable:
         code[part] = np.where(c.applicable, code[part], np.where(c.expected_fail, 3, 2))
     points = []
-    by_point = (bound.T.tolist(), actual.T.tolist(), slack.T.tolist(), _STATUS[code].T.tolist())
-    for i, cells in enumerate(zip(*by_point)):
-        for cell in cells[:3]:
+    by_point = np.array((bound, actual, slack)).transpose(2, 0, 1).tolist()
+    for i, (cells, statuses) in enumerate(zip(by_point, _STATUS[code].T.tolist())):
+        for cell in cells:
             for r in missing:
                 cell[r] = None
         point_notes = notes.copy()
         for part, note in varying:
             point_notes[part] = [note[i]] * (part.stop - part.start)
-        points.append((*map(tuple, cells), tuple(point_notes)))
+        points.append((*map(tuple, cells), tuple(statuses), tuple(point_notes)))
     return rows, points
 
 

@@ -15,9 +15,9 @@ from mixedspec.cli import main, parse_grid
 from mixedspec.matrices import BetaParam
 
 
-def _broken_rayleigh(stats, a, beta):
+def _broken_rayleigh(stats, a, tr, beta):
     """A falsely high rayleigh_mu1_lower at every point of a block."""
-    return Columns(mixedspec.bounds._RAYLEIGH, np.full((len(a), 1), 1e6))
+    return Columns(mixedspec.bounds._RAYLEIGH, np.full((1, len(a)), 1e6))
 
 
 C3_TEXT = "3\n1 -> 2\n2 -> 3\n3 -> 1\n"
@@ -270,6 +270,14 @@ class TestSweep:
         mu1_idx = header.index("mu1")
         mu1 = [float(row.split(",")[mu1_idx]) for row in out[1:]]
         assert mu1 == pytest.approx([1.0, 1.5, 2.0], abs=1e-9)
+
+    def test_violated_bound_at_every_point_gives_exit_one(self, c3_file, capsys, monkeypatch):
+        monkeypatch.setattr(mixedspec.bounds, "_rayleigh_columns", _broken_rayleigh)
+        code = main(["sweep", "--graph", c3_file, "--alpha", "0:1:0.5"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        column = out[0].split(",").index("rayleigh_mu1_lower_bound")
+        assert [row.split(",")[column] for row in out[1:]] == ["1000000"] * 3
 
     def test_constant_column_count(self, c3_file, capsys):
         main(["sweep", "--graph", c3_file, "--alpha", "0:1:0.25"])

@@ -55,9 +55,9 @@ def _check_bound(result, spec, stats):
     return CheckedBound(result, actuals[0], slacks[0], statuses[0])
 
 
-def _broken_rayleigh(stats, a, beta):
+def _broken_rayleigh(stats, a, tr, beta):
     """A falsely high rayleigh_mu1_lower at every point of a block."""
-    return Columns(mixedspec.bounds._RAYLEIGH, np.full((len(a), 1), 1e6))
+    return Columns(mixedspec.bounds._RAYLEIGH, np.full((1, len(a)), 1e6))
 
 
 class TestVerifyAll:
@@ -487,6 +487,7 @@ class TestStackedFailures:
         self.perturb_eigvals(monkeypatch, self.MID)
         with pytest.raises(VerificationError, match="do not pair"):
             sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
+
 
 class TestRandomizedSuite:
     def test_deterministic(self):
