@@ -246,11 +246,14 @@ _MU_J_BASE = 4
 @functools.lru_cache(maxsize=64)
 def _layout(rows: tuple[_b.Row, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the source row its actual value comes from, and whether it
-    is a lower bound (as a column, to broadcast over a block's points).
-    Cached: reading the enum members row by row costs more than the rest of
-    a one-point block's scoring."""
-    source = [_SOURCE.get(r.target, _MU_J_BASE + (r.j or 0)) for r in rows]
-    return np.array(source), np.array([r.kind is BoundKind.LOWER for r in rows])[:, None]
+    is a lower bound (as a column, to broadcast over a block's points); both
+    read-only. Cached: reading the enum members row by row costs about as
+    much as the rest of a one-point block's scoring."""
+    source = np.array([_SOURCE.get(r.target, _MU_J_BASE + (r.j or 0)) for r in rows])
+    lower = np.array([r.kind is BoundKind.LOWER for r in rows])[:, None]
+    source.setflags(write=False)
+    lower.setflags(write=False)
+    return source, lower
 
 
 def _score(columns: list[_b.Columns], spectra: np.ndarray, trace_norms: list[float], zagreb: int):
@@ -259,7 +262,9 @@ def _score(columns: list[_b.Columns], spectra: np.ndarray, trace_norms: list[flo
     actuals, slacks, statuses and notes that a BoundReport holds."""
     k = len(spectra)
     rows = tuple(chain.from_iterable(c.rows for c in columns))
-    bound = np.concatenate([np.empty((len(c.rows), k)) if c.values is None else c.values for c in columns])
+    bound = np.concatenate(
+        [np.empty((len(c.rows), k)) if c.values is None else c.values for c in columns]
+    )
     notes, varying, missing, inapplicable = [], [], [], []
     start = 0
     for c in columns:
