@@ -564,6 +564,12 @@ class TestReportShape:
         r3 = verify_all(c3, 0.5, OMEGA)
         assert len(r3.checked) - len(r2.checked) == 2  # one j pair per extra vertex
 
+    def test_block_shares_its_rows(self, c3):
+        first, last = sweep_alpha(c3, [0.0, 1.0], OMEGA)
+        assert first.rows is last.rows
+        assert [c.result.name for c in first.checked] == [r.name for r in first.rows]
+        assert first.statuses != last.statuses  # unit_offdiag_* is EXPECTED_FAIL only at alpha > 0
+
     def test_report_is_frozen(self, p2):
         report = verify_all(p2, 0.5, OMEGA)
         with pytest.raises(dataclasses.FrozenInstanceError):
