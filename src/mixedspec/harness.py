@@ -279,7 +279,8 @@ def _score(columns: list[_b.Columns], spectra: np.ndarray, trace_norms: list[flo
         else:
             notes += [""] * len(c.rows)
             varying.append((part, c.note))
-    bound[missing] = np.nan
+    if missing:
+        bound[missing] = np.nan
     source_of, lower = _layout(rows)
     mu_max, mu_min = spectra[:, 0], spectra[:, -1]
     head = np.array([mu_max, mu_min, mu_max - mu_min, trace_norms, [float(zagreb)] * k])
@@ -289,9 +290,11 @@ def _score(columns: list[_b.Columns], spectra: np.ndarray, trace_norms: list[flo
     # that is not applicable is EXPECTED_FAIL or NOT_APPLICABLE, whatever
     # its slack
     code = np.where(slack >= -SLACK_TOL, 0, 1)
-    code[missing] = 2
+    if missing:
+        code[missing] = 2
     for part, c in inapplicable:
-        code[part] = np.where(c.applicable, code[part], np.where(c.expected_fail, 3, 2))
+        skipped = np.where(c.expected_fail, 3, 2)
+        code[part] = skipped if c.applicable is False else np.where(c.applicable, code[part], skipped)
     points = []
     by_point = np.array((bound, actual, slack)).transpose(2, 0, 1).tolist()
     for i, (cells, statuses) in enumerate(zip(by_point, _STATUS[code].T.tolist())):
