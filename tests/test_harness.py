@@ -286,13 +286,16 @@ class TestSweep:
 
     def test_grid_validated_before_any_solve(self, c3, monkeypatch):
         calls = []
-        real = mixedspec.harness.verify_all
+        real = mixedspec.harness.eigenvalues
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(mixedspec.harness, "verify_all", counting)
+        # one point per block, so the valid points would be solved before
+        # the block that holds 1.5 were built
+        monkeypatch.setattr(mixedspec.harness, "BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(mixedspec.harness, "eigenvalues", counting)
         with pytest.raises(ValueError, match="1.5"):
             sweep_alpha(c3, (0.0, 0.5, 1.5), OMEGA)
         assert calls == []
