@@ -25,7 +25,6 @@ from .harness import (
     VerificationError,
     randomized_suite,
     sweep_alpha,
-    verify_all,
 )
 from .matrices import BetaParam, omega_constant
 
@@ -169,43 +168,27 @@ def _read_graph(path: str):
         return parse_graph(fh.read())
 
 
-def _beta_from_arg(beta_arg: float | None) -> tuple[BetaParam, float]:
-    if beta_arg is None:
-        return omega_constant(), math.pi / 3
-    return BetaParam.from_angle(beta_arg), beta_arg
-
-
-def _exit_code(reports: list[BoundReport]) -> int:
-    return 1 if any(r.violated for r in reports) else 0
-
-
-def cmd_report(args) -> int:
-    graph = _read_graph(args.graph)
-    alphas = parse_grid(args.alpha)
-    if len(alphas) != 1:
-        raise ValueError("report takes a single alpha; use sweep for grids")
-    beta, beta_arg = _beta_from_arg(args.beta_arg)
-    report = verify_all(graph, alphas[0], beta)
-    if args.format == "json":
-        sys.stdout.write(dump_json(report_to_dict(report)))
-    else:
-        sys.stdout.write(csv_header(report) + "\n")
-        sys.stdout.write(csv_row(report, beta_arg) + "\n")
-    return _exit_code([report])
-
-
 def cmd_sweep(args) -> int:
+    """``sweep``, and ``report`` as its one-point case at Rayleigh seed 0: a
+    report takes a single alpha and prints its JSON as an object, not a list."""
     graph = _read_graph(args.graph)
     alphas = parse_grid(args.alpha)
-    beta, beta_arg = _beta_from_arg(args.beta_arg)
+    one_point = args.command == "report"
+    if one_point and len(alphas) != 1:
+        raise ValueError("report takes a single alpha; use sweep for grids")
+    if args.beta_arg is None:
+        beta, beta_arg = omega_constant(), math.pi / 3
+    else:
+        beta, beta_arg = BetaParam.from_angle(args.beta_arg), args.beta_arg
     reports = sweep_alpha(graph, alphas, beta, seed=args.seed)
     if args.format == "json":
-        sys.stdout.write(dump_json([report_to_dict(r) for r in reports]))
+        docs = [report_to_dict(r) for r in reports]
+        sys.stdout.write(dump_json(docs[0] if one_point else docs))
     else:
         sys.stdout.write(csv_header(reports[0]) + "\n")
         for r in reports:
             sys.stdout.write(csv_row(r, beta_arg) + "\n")
-    return _exit_code(reports)
+    return 1 if any(r.violated for r in reports) else 0
 
 
 def cmd_check(args) -> int:
@@ -237,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--alpha", default="0", help="blend weight in [0, 1]")
     rep.add_argument("--beta-arg", type=float, default=None, help="angle of beta (default pi/3)")
     rep.add_argument("--format", choices=("json", "csv"), default="json")
-    rep.set_defaults(func=cmd_report)
+    rep.set_defaults(func=cmd_sweep, seed=0)
 
     sw = sub.add_parser("sweep", help="verify one graph over an alpha grid")
     sw.add_argument("--graph", required=True, help="graph file path")

@@ -9,8 +9,9 @@ share no eigen solver: a different matrix in different arithmetic, through
 different algorithms. Agreement between them is the library's main internal
 consistency check.
 
-Both routes also take a HermitianStack and then make one LAPACK call for
-the whole stack, which gives the same bits per matrix as one call each.
+Both routes solve a HermitianStack with one LAPACK call for the whole
+stack, which gives the same bits per matrix as one call each; a
+HermitianMatrix is solved as its one-matrix stack.
 Their checks run per matrix, and a failure is raised only when that
 matrix's row of the resulting SpectrumStack is read.
 """
@@ -88,9 +89,8 @@ class SpectrumStack:
 
 def _as_stack(m: HermitianMatrix | HermitianStack) -> tuple[np.ndarray, list[float], list[float]]:
     """(k, n, n) data with each matrix's trace and trace of square."""
-    if isinstance(m, HermitianStack):
-        return m.data, m.traces(), m.traces_of_square()
-    return m.data[None], [m.trace()], [m.trace_of_square()]
+    stack = m if isinstance(m, HermitianStack) else m.stack
+    return stack.data, stack.traces(), stack.traces_of_square()
 
 
 def _result(m: HermitianMatrix | HermitianStack, spectra: SpectrumStack) -> Spectrum | SpectrumStack:

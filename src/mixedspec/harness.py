@@ -325,7 +325,12 @@ def verify_all(
     VerificationError; violated bounds are returned as data. This is the
     one-point grid of ``sweep_alpha``.
     """
-    return _verify_grid(g, [check_alpha(alpha)], beta, rayleigh_seed)[0]
+    return sweep_alpha(g, [alpha], beta, seed=rayleigh_seed)[0]
+
+
+def _block_len(n: int) -> int:
+    """Grid points per block at order n."""
+    return max(1, BLOCK_ENTRIES // (n * max(n, RAYLEIGH_SAMPLES)))
 
 
 def sweep_alpha(
@@ -343,16 +348,6 @@ def sweep_alpha(
     z. The checks run point by point in grid order, so a failing point
     raises its own first failing check."""
     grid = [check_alpha(a) for a in alphas]
-    return _verify_grid(g, grid, beta, seed)
-
-
-def _block_len(n: int) -> int:
-    """Grid points per block at order n."""
-    return max(1, BLOCK_ENTRIES // (n * max(n, RAYLEIGH_SAMPLES)))
-
-
-def _verify_grid(g: MixedGraph, grid: list[float], beta: BetaParam, seed: int) -> list[BoundReport]:
-    """The reports of ``sweep_alpha`` for an already checked grid."""
     stats = g.stats
     z = _unit_vectors(g.n, seed)
     expansion = _expansion_quadratic_form(g, grid, beta, z)

@@ -81,58 +81,13 @@ def omega_constant() -> BetaParam:
 
 
 @dataclass(frozen=True)
-class HermitianMatrix:
-    """Dense n x n complex Hermitian matrix; entries are read-only after construction.
-
-    Conjugate symmetry is exact (entries are written in conjugate pairs), so
-    the diagonal has exactly zero imaginary part.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.data, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.array_equal(a, a.conj().T):
-            raise ValueError("matrix is not exactly Hermitian")
-        a.setflags(write=False)
-        object.__setattr__(self, "data", a)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.data).real)
-
-    def trace_of_square(self) -> float:
-        return self._sum_of_squared_moduli
-
-    @cached_property
-    def _sum_of_squared_moduli(self) -> float:
-        # tr(M^2) for Hermitian M; the entries are read-only, so it is summed once
-        return float(np.sum(np.abs(self.data) ** 2))
-
-    def frobenius_norm(self) -> float:
-        return math.sqrt(self.trace_of_square())
-
-    def max_offdiag_modulus(self) -> float:
-        if self.n < 2:
-            return 0.0
-        off = np.abs(self.data).copy()
-        np.fill_diagonal(off, 0.0)
-        return float(off.max())
-
-
-@dataclass(frozen=True)
 class HermitianStack:
     """k dense n x n Hermitian matrices in one read-only (k, n, n) array.
 
-    Each matrix is validated as HermitianMatrix validates one, and its
-    per-matrix quantities equal HermitianMatrix's to the last bit: the trace
-    sums the diagonal in the same order, and tr(M^2) sums the matrix's n^2
-    squared moduli as one contiguous row (harness._trace2_limit assumes that
+    Each matrix must be exactly Hermitian (entries are written in conjugate
+    pairs, so the diagonal has exactly zero imaginary part). Per matrix, the
+    trace sums the diagonal, and tr(M^2) sums the matrix's n^2 squared
+    moduli as one contiguous row (harness._trace2_limit assumes that
     summation).
     """
 
@@ -173,6 +128,41 @@ class HermitianStack:
             return tr, tr2, [0.0] * k
         moduli[:, :: n + 1] = 0.0
         return tr, tr2, moduli.max(axis=1).tolist()
+
+
+@dataclass(frozen=True, init=False)
+class HermitianMatrix:
+    """One dense n x n Hermitian matrix, held as the one-matrix HermitianStack
+    ``stack``, which validates it and computes its quantities; ``data`` is
+    the stack's read-only (n, n) matrix."""
+
+    stack: HermitianStack
+
+    def __init__(self, data):
+        a = np.asarray(data)
+        if a.ndim != 2:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        object.__setattr__(self, "stack", HermitianStack(a[None]))
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.stack.data[0]
+
+    @property
+    def n(self) -> int:
+        return self.stack.n
+
+    def trace(self) -> float:
+        return self.stack.traces()[0]
+
+    def trace_of_square(self) -> float:
+        return self.stack.traces_of_square()[0]
+
+    def frobenius_norm(self) -> float:
+        return math.sqrt(self.trace_of_square())
+
+    def max_offdiag_modulus(self) -> float:
+        return self.stack.max_offdiag_moduli()[0]
 
 
 def _degree_array(g: MixedGraph) -> np.ndarray:

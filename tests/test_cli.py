@@ -143,6 +143,14 @@ class TestReport:
     def test_missing_file(self, capsys):
         assert main(["report", "--graph", "/nonexistent/file.mg"]) == 2
 
+    def test_missing_file_reported_before_grid_alpha(self, capsys):
+        code = main(["report", "--graph", "/nonexistent/file.mg", "--alpha", "0:1:0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "No such file" in captured.err
+        assert "single alpha" not in captured.err
+
     def test_unparseable_graph(self, tmp_path, capsys):
         bad = tmp_path / "bad.mg"
         bad.write_text("2\n1 -- 1\n")
@@ -293,11 +301,16 @@ class TestSweep:
         doc = json.loads(capsys.readouterr().out)
         assert len(header) == 7 + 2 * len(doc["bounds"])
 
-    def test_single_point_matches_report_csv(self, c3_file, capsys):
-        main(["sweep", "--graph", c3_file, "--alpha", "0.5"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_single_point_matches_report(self, c3_file, capsys, fmt):
+        main(["sweep", "--graph", c3_file, "--alpha", "0.5", "--format", fmt])
         swept = capsys.readouterr().out
-        main(["report", "--graph", c3_file, "--alpha", "0.5", "--format", "csv"])
+        main(["report", "--graph", c3_file, "--alpha", "0.5", "--format", fmt])
         reported = capsys.readouterr().out
+        if fmt == "json":
+            # a report prints the one item of the sweep's list as an object
+            (only,) = json.loads(swept)
+            swept = json.dumps(only, indent=2) + "\n"
         assert swept == reported
 
     def test_non_finite_grid_is_usage_error(self, c3_file, capsys):
