@@ -13,18 +13,6 @@ from .bounds import (
     BoundKind,
     BoundResult,
     BoundTarget,
-    WolkowiczMoments,
-    garga_extreme_bounds,
-    jth_eigenvalue_bounds,
-    rayleigh_mu1_lower,
-    rho_sandwich,
-    spread_lower_zagreb,
-    spread_moment_bounds,
-    trace_norm_upper,
-    unit_modulus_extreme_bounds,
-    wolkowicz_extreme_bounds,
-    zagreb_index_bound,
-    zagreb_refined_extreme_bounds,
 )
 from .eig import (
     Spectrum,
@@ -92,37 +80,25 @@ __all__ = [
     "SweepConfig",
     "VerificationError",
     "ViolationRecord",
-    "WolkowiczMoments",
     "a_alpha_matrix",
     "a_alpha_stack",
     "degree_matrix",
     "eigenvalues",
     "expected_traces",
-    "garga_extreme_bounds",
     "graph_stats",
     "hermitian_adjacency",
-    "jth_eigenvalue_bounds",
     "omega_constant",
     "oracle_eigenvalues",
     "parse_graph",
     "randomized_suite",
     "random_mixed_graph",
-    "rayleigh_mu1_lower",
     "rayleigh_range_check",
-    "rho_sandwich",
     "run_trial",
     "serialize_graph",
     "spectral_radius",
     "spread",
-    "spread_lower_zagreb",
-    "spread_moment_bounds",
     "sweep_alpha",
     "trace_norm",
-    "trace_norm_upper",
-    "unit_modulus_extreme_bounds",
     "verify_all",
-    "wolkowicz_extreme_bounds",
-    "zagreb_index_bound",
     "zagreb_lower_bound",
-    "zagreb_refined_extreme_bounds",
 ]

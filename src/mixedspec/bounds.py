@@ -1,26 +1,27 @@
 """Catalog of eigenvalue, spread and trace-norm bounds for blend matrices.
 
 Every bound is a pure function of graph statistics (n, m, arc counts, degree
-extremes, Zagreb index) and the blend weight alpha, evaluated exactly as the
-source inequalities state them. alpha is a float, and every function taking
-it rejects a value outside [0, 1] with ValueError; beta is a BetaParam.
-
-Each formula family is written once, by a ``_*_columns`` function over the
-NumPy arrays of a block of k points; the public functions returning
-BoundResult are its k = 1 views. NumPy's ``+ - * /`` and ``sqrt`` round as
-Python's do, so both give the same bits. ``(1 - alpha)**2`` stays in Python:
-``**`` calls C ``pow``, which need not round as NumPy's ``x*x`` does.
+extremes, Zagreb index), the blend weight alpha and the closed-form traces,
+evaluated exactly as the source inequalities state them (the README's bound
+catalog lists each formula). Each formula family is written once, by a
+``_*_columns`` function over the NumPy arrays of a block of k points, with
+one caller: ``catalog_columns`` lists the families in catalog order, and
+``rho_columns`` adds the one that needs the spectrum. ``harness.sweep_alpha``
+(and ``verify_all``, its one-point grid) is the only way to evaluate and
+score them. NumPy's ``+ - * /`` and ``sqrt`` round as Python's do, so each
+point gets the bits of a scalar evaluation. ``(1 - alpha)**2`` stays in
+Python: ``**`` calls C ``pow``, which need not round as NumPy's ``x*x`` does.
 
 Each family decides its own applicability: when a hypothesis (such as
-n >= 2 or beta = omega) fails, its results carry ``applicable=False`` and
-the reason in ``note`` instead of raising.
+n >= 2 or beta = omega) fails, its rows carry ``applicable=False`` and the
+reason in ``note`` instead of raising.
 
 The ``unit_offdiag_*`` pair is special: it assumes every nonzero entry of the
 blend matrix has modulus one, which is true only at alpha = 0 (off-diagonal
 entries scale by 1 - alpha). It is kept beside the corrected ``offdiag_*``
 pair, which it matches where it applies, and is ``expected_fail`` for
-alpha > 0. A variance negative beyond rounding raises VerificationError;
-over a block it is recorded per point instead.
+alpha > 0. A variance negative beyond rounding is recorded as its point's
+failure, which the harness raises as VerificationError.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eig import Spectrum, VerificationError, spectral_radius
 from .graphs import GraphStats, zagreb_lower_bound
-from .matrices import BetaParam, check_alpha, expected_traces
+from .matrices import BetaParam
 
 VARIANCE_CLAMP_RTOL = 1e-12
 
@@ -99,24 +99,6 @@ class Columns(NamedTuple):
     expected_fail: bool | np.ndarray = False
     failures: list[str | None] | None = None
 
-    def results(self) -> tuple[BoundResult, ...]:
-        """The rows at the first point, as BoundResults; raises its failure."""
-        if self.failures and self.failures[0] is not None:
-            raise VerificationError(self.failures[0])
-        note = self.note if isinstance(self.note, str) else self.note[0]
-        if self.values is None:
-            return tuple(BoundResult(r.name, r.kind, r.target, None, False, note, r.j) for r in self.rows)
-        applicable = bool(np.ravel(self.applicable)[0])
-        expected_fail = bool(np.ravel(self.expected_fail)[0])
-        return tuple(
-            BoundResult(r.name, r.kind, r.target, v, applicable, note, r.j, expected_fail)
-            for r, v in zip(self.rows, self.values[:, 0].tolist())
-        )
-
-
-def _point(x: float) -> np.ndarray:
-    return np.array([x], dtype=np.float64)
-
 
 def _clamped(x: np.ndarray, scale: np.ndarray, message: str) -> tuple[np.ndarray, list[str | None]]:
     """x, a fresh array, with values that cancellation pushed a hair below
@@ -131,30 +113,6 @@ def _clamped(x: np.ndarray, scale: np.ndarray, message: str) -> tuple[np.ndarray
     return x, failures
 
 
-@dataclass(frozen=True)
-class WolkowiczMoments:
-    """Spectral mean r = tr/n and standard deviation s = sqrt(tr2/n - r^2)."""
-
-    r: float
-    s: float
-
-    def __post_init__(self):
-        if self.s < 0.0:
-            raise ValueError(f"s must be non-negative, got {self.s}")
-
-    @classmethod
-    def from_traces(cls, tr: float, tr2: float, n: int) -> "WolkowiczMoments":
-        r, s, failures = _moments(_point(tr), _point(tr2), n)
-        if failures[0] is not None:
-            raise VerificationError(failures[0])
-        return cls(r=float(r[0]), s=float(s[0]))
-
-    @classmethod
-    def from_stats(cls, stats: GraphStats, alpha: float) -> "WolkowiczMoments":
-        tr, tr2 = expected_traces(stats, alpha)
-        return cls.from_traces(tr, tr2, stats.n)
-
-
 def _moments(tr: np.ndarray, tr2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
     """r and s at each point, with each point's failure (see ``_clamped``)."""
     r = tr / n
@@ -167,20 +125,12 @@ _RAYLEIGH = (Row("rayleigh_mu1_lower", _LOWER, _MU_1),)
 
 
 def _rayleigh_columns(stats: GraphStats, a: np.ndarray, tr: np.ndarray, beta: BetaParam) -> Columns:
-    """From the closed-form trace ``tr`` = 2*alpha*m at each point."""
+    """The Rayleigh quotient of the constant unit vector, from the closed-form
+    trace ``tr`` = 2*alpha*m at each point; its arc term uses 2*Re(omega) = 1,
+    so it holds for beta = omega only."""
     value = (tr + (1.0 - a) * (stats.arc_count + 2.0 * stats.undirected_count)) / stats.n
     omega = beta.is_omega()
     return Columns(_RAYLEIGH, value[None], "" if omega else "stated for beta = omega only", omega)
-
-
-def rayleigh_mu1_lower(stats: GraphStats, alpha: float, beta: BetaParam) -> BoundResult:
-    """mu_1 >= (2*alpha*m + (1-alpha)*(arcs + 2*undirected)) / n.
-
-    Rayleigh quotient of the constant unit vector; the arc coefficient uses
-    2*Re(omega) = 1, so this holds for beta = omega only.
-    """
-    a = check_alpha(alpha)
-    return _rayleigh_columns(stats, _point(a), _point(expected_traces(stats, a)[0]), beta).results()[0]
 
 
 _OFFDIAG = (Row("offdiag_mu1_lower", _LOWER, _MU_1), Row("offdiag_mun_upper", _UPPER, _MU_N))
@@ -191,12 +141,6 @@ def _offdiag_columns(trace: np.ndarray, n: int, offdiag_modulus: np.ndarray) -> 
         return Columns(_OFFDIAG, None, "needs n >= 2")
     mean, shift = trace / n, 2.0 * offdiag_modulus / n
     return Columns(_OFFDIAG, np.array([mean + shift, mean - shift]))
-
-
-def garga_extreme_bounds(trace: float, n: int, offdiag_modulus: float) -> tuple[BoundResult, BoundResult]:
-    """mu_1 >= tr/n + 2|a_rs|/n and mu_n <= tr/n - 2|a_rs|/n for any off-diagonal
-    entry a_rs of a Hermitian matrix; strongest with the maximal modulus."""
-    return _offdiag_columns(_point(trace), n, _point(offdiag_modulus)).results()
 
 
 _UNIT = (Row("unit_offdiag_mu1_lower", _LOWER, _MU_1), Row("unit_offdiag_mun_upper", _UPPER, _MU_N))
@@ -214,16 +158,6 @@ def _unit_columns(stats: GraphStats, a: np.ndarray) -> Columns:
     return Columns(_UNIT, values, note, ~positive, positive)
 
 
-def unit_modulus_extreme_bounds(stats: GraphStats, alpha: float) -> tuple[BoundResult, BoundResult]:
-    """Reference variant of the off-diagonal bounds taking |a_rs| = 1:
-    mu_1 >= 2(alpha*m + 1)/n and mu_n <= 2(alpha*m - 1)/n.
-
-    Valid only at alpha = 0 on a graph with at least one edge; for alpha > 0
-    the nonzero entries have modulus 1 - alpha < 1 and the premise fails.
-    """
-    return _unit_columns(stats, _point(check_alpha(alpha))).results()
-
-
 _WOLKOWICZ = (
     Row("wolkowicz_mu1_upper", _UPPER, _MU_1), Row("wolkowicz_mu1_lower", _LOWER, _MU_1),
     Row("wolkowicz_mun_upper", _UPPER, _MU_N), Row("wolkowicz_mun_lower", _LOWER, _MU_N),
@@ -236,14 +170,6 @@ def _wolkowicz_columns(r: np.ndarray, s: np.ndarray, n: int) -> Columns:
     root = math.sqrt(n - 1.0)
     times, over = s * root, s / root
     return Columns(_WOLKOWICZ, np.array([r + times, r + over, r - over, r - times]))
-
-
-def wolkowicz_extreme_bounds(
-    mom: WolkowiczMoments, n: int
-) -> tuple[BoundResult, BoundResult, BoundResult, BoundResult]:
-    """Mean/variance bounds: r + s/sqrt(n-1) <= mu_1 <= r + s*sqrt(n-1) and the
-    mirrored pair for mu_n."""
-    return _wolkowicz_columns(_point(mom.r), _point(mom.s), n).results()
 
 
 def _zagreb_variance_numerator(stats: GraphStats, a: np.ndarray) -> np.ndarray | None:
@@ -275,15 +201,6 @@ def _zagreb_columns(stats: GraphStats, r: np.ndarray, t: np.ndarray | None) -> C
     return Columns(_ZAGREB, np.array([r + shift, r - shift]))
 
 
-def zagreb_refined_extreme_bounds(stats: GraphStats, alpha: float) -> tuple[BoundResult, BoundResult]:
-    """Extreme-eigenvalue bounds with the spectral variance bounded from below
-    through the degree extremes: mu_1 >= 2am/n + sqrt(T/(n^2(n-1))) and
-    mu_n <= 2am/n - sqrt(T/(n^2(n-1)))."""
-    a = check_alpha(alpha)
-    r = _point(expected_traces(stats, a)[0] / stats.n)
-    return _zagreb_columns(stats, r, _zagreb_variance_numerator(stats, _point(a))).results()
-
-
 @functools.lru_cache(maxsize=64)
 def _jth_static(n: int) -> tuple[tuple[Row, ...], np.ndarray, np.ndarray]:
     """The rows of order n, lower then upper for each j, and the read-only
@@ -302,12 +219,6 @@ def _jth_columns(r: np.ndarray, s: np.ndarray, n: int) -> Columns:
     return Columns(rows, np.array([r - s * lower, r + s * upper]).transpose(1, 0, 2).reshape(2 * n, len(r)))
 
 
-def jth_eigenvalue_bounds(mom: WolkowiczMoments, n: int) -> tuple[BoundResult, ...]:
-    """r - s*sqrt((j-1)/(n-j+1)) <= mu_j <= r + s*sqrt((n-j)/j) for j = 1..n,
-    as 2n results: the lower then the upper bound of each j in turn."""
-    return _jth_columns(_point(mom.r), _point(mom.s), n).results()
-
-
 _TRACE_NORM = (Row("trace_norm_upper", _UPPER, BoundTarget.TRACE_NORM),)
 
 
@@ -323,13 +234,6 @@ def _trace_norm_columns(stats: GraphStats, a: np.ndarray, tr: np.ndarray, tr2: n
     return Columns(_TRACE_NORM, value[None], failures=failures)
 
 
-def trace_norm_upper(stats: GraphStats, alpha: float) -> BoundResult:
-    """Trace norm <= 4*alpha*m + 2*sqrt((n-1)*(n*tr2 - tr^2))."""
-    a = check_alpha(alpha)
-    tr, tr2 = expected_traces(stats, a)
-    return _trace_norm_columns(stats, _point(a), _point(tr), _point(tr2)).results()[0]
-
-
 _SPREAD = (
     Row("spread_upper", _UPPER, BoundTarget.SPREAD), Row("spread_lower_moment", _LOWER, BoundTarget.SPREAD)
 )
@@ -341,12 +245,6 @@ def _spread_columns(s: np.ndarray, n: int) -> Columns:
     upper = math.sqrt(2.0 * n) * s
     lower = 2.0 * s if n % 2 == 0 else 2.0 * n * s / math.sqrt(n * n - 1.0)
     return Columns(_SPREAD, np.array([upper, lower]))
-
-
-def spread_moment_bounds(mom: WolkowiczMoments, n: int) -> tuple[BoundResult, BoundResult]:
-    """Spread bounds from exact moments: spread <= sqrt(2n)*s, and the
-    parity-correct lower bound 2s (n even) or 2ns/sqrt(n^2-1) (n odd)."""
-    return _spread_columns(_point(mom.s), n).results()
 
 
 _SPREAD_ZAGREB = (Row("spread_lower_zagreb", _LOWER, BoundTarget.SPREAD),)
@@ -361,13 +259,6 @@ def _spread_zagreb_columns(stats: GraphStats, t: np.ndarray | None) -> Columns:
     return Columns(_SPREAD_ZAGREB, value[None])
 
 
-def spread_lower_zagreb(stats: GraphStats, alpha: float) -> BoundResult:
-    """Degree-refined spread lower bound: (2/n)*sqrt(T) for even n,
-    2*sqrt(T/(n^2-1)) for odd n (n >= 3)."""
-    t = _zagreb_variance_numerator(stats, _point(check_alpha(alpha)))
-    return _spread_zagreb_columns(stats, t).results()[0]
-
-
 _ZAGREB_INDEX = (Row("zagreb_index_lower", _LOWER, BoundTarget.ZAGREB),)
 
 
@@ -375,11 +266,6 @@ def _zagreb_index_columns(stats: GraphStats, k: int) -> Columns:
     if stats.n < 3:
         return Columns(_ZAGREB_INDEX, None, "needs n >= 3")
     return Columns(_ZAGREB_INDEX, np.array([[zagreb_lower_bound(stats)] * k]))
-
-
-def zagreb_index_bound(stats: GraphStats) -> BoundResult:
-    """First Zagreb index >= its closed-form lower bound in n, m, degree extremes."""
-    return _zagreb_index_columns(stats, 1).results()[0]
 
 
 _RHO = (Row("rho_sandwich", _LOWER, _MU_1),)
@@ -394,17 +280,6 @@ def rho_columns(mu_max: list[float], rho: list[float], beta: BetaParam) -> tuple
     return Columns(_RHO, c * np.array([rho]), note), ratio
 
 
-def rho_sandwich(spec: Spectrum, beta: BetaParam) -> tuple[BoundResult, float]:
-    """c * rho <= mu_1 <= rho with c = 1/2 at beta = omega, 1/3 otherwise.
-
-    Returns the lower-side bound result (mu_1 <= rho holds structurally since
-    the blend trace is non-negative) and the achieved ratio mu_1 / rho,
-    defined as 1 when rho = 0.
-    """
-    cols, ratio = rho_columns([spec.mu_max], [spectral_radius(spec)], beta)
-    return cols.results()[0], ratio[0]
-
-
 def catalog_columns(
     stats: GraphStats,
     alphas: list[float],
@@ -416,7 +291,7 @@ def catalog_columns(
     """Every family of the catalog but ``rho_columns``, in catalog order, over
     a block of points with these closed-form traces (``expected_traces``),
     matrix traces and largest off-diagonal moduli; with each point's first
-    failure, in the order the scalar functions would raise them."""
+    failure, the spectral variance's before the trace-norm bracket's."""
     n = stats.n
     a = np.array(alphas)
     tr, tr2 = np.array(closed_forms).T

@@ -1,37 +1,35 @@
 """Bound catalog: formula values on anchor graphs, applicability flags,
-formula coincidences, and the refinement-ordering property."""
+formula coincidences, and the refinement-ordering property. Anchor values
+are read by row name from ``verify_all``, the one way into the catalog;
+synthetic inputs go straight to the family functions."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from mixedspec.bounds import (
     BoundKind,
     BoundTarget,
-    WolkowiczMoments,
-    garga_extreme_bounds,
-    jth_eigenvalue_bounds,
-    rayleigh_mu1_lower,
-    rho_sandwich,
-    spread_lower_zagreb,
-    spread_moment_bounds,
-    trace_norm_upper,
-    unit_modulus_extreme_bounds,
-    wolkowicz_extreme_bounds,
-    zagreb_index_bound,
-    zagreb_refined_extreme_bounds,
+    _moments,
+    _offdiag_columns,
+    _unit_columns,
+    _wolkowicz_columns,
+    rho_columns,
 )
-from mixedspec.eig import Spectrum, VerificationError, eigenvalues, spectral_radius
+from mixedspec.eig import spectral_radius
 from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph, zagreb_lower_bound
-from mixedspec.harness import sweep_alpha
-from mixedspec.matrices import BetaParam, a_alpha_matrix, a_alpha_stack, expected_traces, omega_constant
+from mixedspec.harness import Status, sweep_alpha, verify_all
+from mixedspec.matrices import BetaParam, a_alpha_stack, expected_traces, omega_constant
 
 OMEGA = omega_constant()
+ONE_VERTEX = parse_graph("1\n")
 
 
 @st.composite
-def stats_and_alpha(draw, min_n=1, max_n=12):
+def graph_and_alpha(draw, min_n=1, max_n=12):
     n = draw(st.integers(min_n, max_n))
     g = random_mixed_graph(
         n,
@@ -39,75 +37,110 @@ def stats_and_alpha(draw, min_n=1, max_n=12):
         draw(st.floats(0.0, 1.0)),
         draw(st.integers(0, 2**32 - 1)),
     )
-    return graph_stats(g), draw(st.floats(0.0, 1.0))
+    return g, draw(st.floats(0.0, 1.0))
+
+
+def _rows(g, alpha, beta=OMEGA):
+    """The scored catalog of one verified point as CheckedBounds, keyed by
+    row name, or by (name, j) for the per-j rows."""
+    checked = verify_all(g, alpha, beta).checked
+    return {c.result.name if c.result.j is None else (c.result.name, c.result.j): c for c in checked}
+
+
+def _values(rows, *names):
+    return tuple(rows[name].result.bound_value for name in names)
+
+
+def _moments_at(stats, alpha):
+    """r and s of the closed-form traces at one alpha."""
+    tr, tr2 = expected_traces(stats, alpha)
+    r, s, failures = _moments(np.array([tr]), np.array([tr2]), stats.n)
+    assert failures == [None]
+    return float(r[0]), float(s[0])
+
+
+def _states(rows, *names):
+    """The set of (bound, applicable, status, note) over the named rows."""
+    checked = [rows[name] for name in names]
+    return {(c.result.bound_value, c.result.applicable, c.status, c.result.note) for c in checked}
+
+
+NEEDS_TWO = (None, False, Status.NOT_APPLICABLE, "needs n >= 2")
+
+
+_WOLKOWICZ = ("wolkowicz_mu1_upper", "wolkowicz_mu1_lower", "wolkowicz_mun_upper", "wolkowicz_mun_lower")
 
 
 class TestWolkowiczMoments:
+    """The spectral mean r and deviation s that ``_moments`` gives the
+    Wolkowicz, per-j and spread families."""
+
     def test_single_arc_alpha_zero(self, p2):
-        mom = WolkowiczMoments.from_stats(graph_stats(p2), 0.0)
-        assert mom.r == 0.0
-        assert mom.s == pytest.approx(1.0, abs=1e-15)
+        r, s = _moments_at(graph_stats(p2), 0.0)
+        assert r == 0.0
+        assert s == pytest.approx(1.0, abs=1e-15)
 
     def test_triangle_alpha_zero(self, c3):
-        mom = WolkowiczMoments.from_stats(graph_stats(c3), 0.0)
-        assert mom.r == 0.0
-        assert mom.s == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        r, s = _moments_at(graph_stats(c3), 0.0)
+        assert r == 0.0
+        assert s == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
     def test_tiny_negative_variance_clamped(self):
-        mom = WolkowiczMoments.from_traces(2.0, 4.0 / 3.0 * (1.0 - 1e-15), 3)
-        assert mom.s == 0.0
+        _, s, failures = _moments(np.array([2.0]), np.array([4.0 / 3.0 * (1.0 - 1e-15)]), 3)
+        assert s.tolist() == [0.0]
+        assert failures == [None]
 
     def test_large_negative_variance_rejected(self):
-        with pytest.raises(VerificationError, match="variance .* is negative beyond rounding"):
-            WolkowiczMoments.from_traces(2.0, 1.0, 3)
-
-    def test_negative_s_rejected(self):
-        with pytest.raises(ValueError):
-            WolkowiczMoments(r=0.0, s=-1.0)
+        _, s, [failure] = _moments(np.array([2.0]), np.array([1.0]), 3)
+        assert failure is not None
+        assert re.fullmatch("variance .* is negative beyond rounding", failure)
+        assert s.tolist() == [0.0]
 
 
 class TestRayleighLower:
     def test_single_arc(self, p2):
-        assert rayleigh_mu1_lower(graph_stats(p2), 0.0, OMEGA).bound_value == 0.5
+        assert _rows(p2, 0.0)["rayleigh_mu1_lower"].result.bound_value == 0.5
 
     def test_triangle_tight(self, c3):
-        assert rayleigh_mu1_lower(graph_stats(c3), 0.0, OMEGA).bound_value == 1.0
+        ray = _rows(c3, 0.0)["rayleigh_mu1_lower"]
+        assert ray.result.bound_value == 1.0
+        assert ray.status is Status.HOLDS
 
-    @given(stats_and_alpha())
-    def test_alpha_one_is_average_degree(self, sa):
-        stats, _ = sa
-        r = rayleigh_mu1_lower(stats, 1.0, OMEGA)
-        assert r.bound_value == pytest.approx(2.0 * stats.m / stats.n, abs=1e-12)
+    @given(graph_and_alpha())
+    def test_alpha_one_is_average_degree(self, ga):
+        g, _ = ga
+        r = _rows(g, 1.0)["rayleigh_mu1_lower"].result
+        assert r.bound_value == pytest.approx(2.0 * g.stats.m / g.n, abs=1e-12)
 
 
 class TestOffdiagBounds:
     def test_corrected_single_arc_midpoint(self):
-        lo, hi = garga_extreme_bounds(1.0, 2, 0.5)
-        assert lo.bound_value == 1.0
-        assert hi.bound_value == 0.0
+        cols = _offdiag_columns(np.array([1.0]), 2, np.array([0.5]))
+        assert cols.values.tolist() == [[1.0], [0.0]]
+        lo, hi = cols.rows
         assert lo.kind is BoundKind.LOWER and lo.target is BoundTarget.MU_1
         assert hi.kind is BoundKind.UPPER and hi.target is BoundTarget.MU_N
 
     def test_rejects_single_vertex(self):
-        pair = garga_extreme_bounds(0.0, 1, 0.0)
-        assert [(b.bound_value, b.applicable, b.note) for b in pair] == [(None, False, "needs n >= 2")] * 2
+        rows = _rows(ONE_VERTEX, 0.5)
+        assert _states(rows, "offdiag_mu1_lower", "offdiag_mun_upper") == {NEEDS_TWO}
 
     def test_literal_form_values(self, p2):
-        lo, hi = unit_modulus_extreme_bounds(graph_stats(p2), 0.5)
-        assert lo.bound_value == 1.5
-        assert hi.bound_value == -0.5
-        assert not lo.applicable and not hi.applicable
+        rows = _rows(p2, 0.5)
+        assert _values(rows, "unit_offdiag_mu1_lower", "unit_offdiag_mun_upper") == (1.5, -0.5)
+        assert not rows["unit_offdiag_mu1_lower"].result.applicable
+        assert not rows["unit_offdiag_mun_upper"].result.applicable
 
     def test_literal_form_applicable_at_alpha_zero(self, p2):
-        lo, hi = unit_modulus_extreme_bounds(graph_stats(p2), 0.0)
-        assert lo.applicable and hi.applicable
-        assert lo.bound_value == 1.0
-        assert hi.bound_value == -1.0
+        rows = _rows(p2, 0.0)
+        assert _values(rows, "unit_offdiag_mu1_lower", "unit_offdiag_mun_upper") == (1.0, -1.0)
+        assert rows["unit_offdiag_mu1_lower"].status is Status.HOLDS
+        assert rows["unit_offdiag_mun_upper"].status is Status.HOLDS
 
     def test_literal_form_needs_an_edge(self):
-        stats = graph_stats(parse_graph("3\n"))
-        lo, _ = unit_modulus_extreme_bounds(stats, 0.0)
-        assert not lo.applicable
+        lo = _rows(parse_graph("3\n"), 0.0)["unit_offdiag_mu1_lower"]
+        assert not lo.result.applicable
+        assert lo.status is Status.NOT_APPLICABLE
 
     @pytest.mark.parametrize(
         "text, alpha, expected",
@@ -120,203 +153,176 @@ class TestOffdiagBounds:
         ids=["arc-a0.5", "arc-a0", "edgeless-a0.5", "n1-a0.5"],
     )
     def test_literal_form_expected_fail_only_when_premise_fails(self, text, alpha, expected):
-        pair = unit_modulus_extreme_bounds(graph_stats(parse_graph(text)), alpha)
-        assert [b.expected_fail for b in pair] == [expected] * 2
+        rows = _rows(parse_graph(text), alpha)
+        pair = [rows[name] for name in ("unit_offdiag_mu1_lower", "unit_offdiag_mun_upper")]
+        assert [c.result.expected_fail for c in pair] == [expected] * 2
+        assert [c.status is Status.EXPECTED_FAIL for c in pair] == [expected] * 2
 
     def test_literal_coincides_with_corrected_at_alpha_zero(self, c3):
         # max off-diagonal modulus is 1 at alpha = 0, so the forms match
         stats = graph_stats(c3)
-        lo_lit, hi_lit = unit_modulus_extreme_bounds(stats, 0.0)
-        lo_cor, hi_cor = garga_extreme_bounds(0.0, stats.n, 1.0)
-        assert lo_lit.bound_value == lo_cor.bound_value
-        assert hi_lit.bound_value == hi_cor.bound_value
+        literal = _unit_columns(stats, np.array([0.0])).values
+        corrected = _offdiag_columns(np.array([0.0]), stats.n, np.array([1.0])).values
+        assert literal.tolist() == corrected.tolist()
 
 
 class TestWolkowiczExtremes:
     def test_single_arc_all_tight(self, p2):
-        mom = WolkowiczMoments.from_stats(graph_stats(p2), 0.0)
-        up1, lo1, upn, lon = wolkowicz_extreme_bounds(mom, 2)
-        assert (up1.bound_value, lo1.bound_value) == (1.0, 1.0)
-        assert (upn.bound_value, lon.bound_value) == (-1.0, -1.0)
+        assert _values(_rows(p2, 0.0), *_WOLKOWICZ) == (1.0, 1.0, -1.0, -1.0)
 
     def test_triangle(self, c3):
-        mom = WolkowiczMoments.from_stats(graph_stats(c3), 0.0)
-        up1, lo1, upn, lon = wolkowicz_extreme_bounds(mom, 3)
-        assert up1.bound_value == pytest.approx(2.0, abs=1e-12)
-        assert lo1.bound_value == pytest.approx(1.0, abs=1e-12)
-        assert upn.bound_value == pytest.approx(-1.0, abs=1e-12)
-        assert lon.bound_value == pytest.approx(-2.0, abs=1e-12)
+        up1, lo1, upn, lon = _values(_rows(c3, 0.0), *_WOLKOWICZ)
+        assert up1 == pytest.approx(2.0, abs=1e-12)
+        assert lo1 == pytest.approx(1.0, abs=1e-12)
+        assert upn == pytest.approx(-1.0, abs=1e-12)
+        assert lon == pytest.approx(-2.0, abs=1e-12)
 
     def test_zero_variance_collapses_to_mean(self):
-        four = wolkowicz_extreme_bounds(WolkowiczMoments(r=2.5, s=0.0), 5)
-        assert all(b.bound_value == 2.5 for b in four)
+        four = _wolkowicz_columns(np.array([2.5]), np.array([0.0]), 5).values
+        assert four.tolist() == [[2.5]] * 4
 
     def test_not_applicable_at_single_vertex(self):
-        four = wolkowicz_extreme_bounds(WolkowiczMoments(r=0.0, s=0.0), 1)
-        assert [(b.bound_value, b.applicable, b.note) for b in four] == [(None, False, "needs n >= 2")] * 4
+        assert _states(_rows(ONE_VERTEX, 0.0), *_WOLKOWICZ) == {NEEDS_TWO}
 
 
 class TestZagrebRefinedExtremes:
     def test_triangle_midpoint_tight(self, c3):
-        lo, hi = zagreb_refined_extreme_bounds(graph_stats(c3), 0.5)
-        assert lo.bound_value == pytest.approx(1.5, abs=1e-12)
-        assert hi.bound_value == pytest.approx(0.5, abs=1e-12)
+        lo, hi = _values(_rows(c3, 0.5), "zagreb_mu1_lower", "zagreb_mun_upper")
+        assert lo == pytest.approx(1.5, abs=1e-12)
+        assert hi == pytest.approx(0.5, abs=1e-12)
 
     def test_small_graph_flagged(self, p2):
-        lo, hi = zagreb_refined_extreme_bounds(graph_stats(p2), 0.5)
-        assert not lo.applicable and not hi.applicable
-        assert lo.bound_value is None
+        assert _states(_rows(p2, 0.5), "zagreb_mu1_lower", "zagreb_mun_upper") == {
+            (None, False, Status.NOT_APPLICABLE, "needs n >= 3")
+        }
 
-    @given(stats_and_alpha(min_n=3))
-    def test_regular_alpha_one_hits_degree(self, sa):
-        stats, _ = sa
+    @given(graph_and_alpha(min_n=3))
+    def test_regular_alpha_one_hits_degree(self, ga):
+        g, _ = ga
+        stats = g.stats
         if stats.max_degree != stats.min_degree:
             return
-        lo, _ = zagreb_refined_extreme_bounds(stats, 1.0)
-        assert lo.bound_value == pytest.approx(stats.max_degree, abs=1e-9)
+        lo = _rows(g, 1.0)["zagreb_mu1_lower"].result.bound_value
+        assert lo == pytest.approx(stats.max_degree, abs=1e-9)
 
-    @given(stats_and_alpha(min_n=3))
-    def test_never_beats_exact_moment_form(self, sa):
+    @given(graph_and_alpha(min_n=3))
+    def test_never_beats_exact_moment_form(self, ga):
         # the refined form replaces the Zagreb index by its lower bound, so
         # it can only weaken the mean/variance mu_1 lower bound
-        stats, alpha = sa
-        mom = WolkowiczMoments.from_stats(stats, alpha)
-        _, lo_mom, upn_mom, _ = wolkowicz_extreme_bounds(mom, stats.n)
-        lo_ref, upn_ref = zagreb_refined_extreme_bounds(stats, alpha)
-        assert lo_ref.bound_value <= lo_mom.bound_value + 1e-9
-        assert upn_ref.bound_value >= upn_mom.bound_value - 1e-9
+        rows = _rows(*ga)
+        lo_ref, upn_ref, lo_mom, upn_mom = _values(
+            rows, "zagreb_mu1_lower", "zagreb_mun_upper", "wolkowicz_mu1_lower", "wolkowicz_mun_upper"
+        )
+        assert lo_ref <= lo_mom + 1e-9
+        assert upn_ref >= upn_mom - 1e-9
 
     def test_moment_form_strictly_tighter_on_irregular_path(self):
         # degree sequence (1,2,2,1): the Zagreb slack is positive, so the
         # refined bound is strictly below the exact-moment bound
-        g = parse_graph("4\n1 -> 2\n2 -> 3\n3 -> 4\n")
-        stats = graph_stats(g)
-        mom = WolkowiczMoments.from_stats(stats, 0.5)
-        _, lo_mom, _, _ = wolkowicz_extreme_bounds(mom, 4)
-        lo_ref, _ = zagreb_refined_extreme_bounds(stats, 0.5)
-        assert lo_ref.bound_value < lo_mom.bound_value - 1e-3
+        rows = _rows(parse_graph("4\n1 -> 2\n2 -> 3\n3 -> 4\n"), 0.5)
+        lo_ref, lo_mom = _values(rows, "zagreb_mu1_lower", "wolkowicz_mu1_lower")
+        assert lo_ref < lo_mom - 1e-3
 
 
 class TestJthBounds:
-    # the family is (lower_1, upper_1, ..., lower_n, upper_n): the j = n lower
-    # bound sits at [2n - 2] and the j = 1 upper bound at [1]
     def test_triangle_last_eigenvalue_tight(self, c3):
-        mom = WolkowiczMoments.from_stats(graph_stats(c3), 0.0)
-        lo = jth_eigenvalue_bounds(mom, 3)[4]
-        assert lo.bound_value == pytest.approx(-2.0, abs=1e-12)
-        assert lo.j == 3
+        lo = _rows(c3, 0.0)[("wolkowicz_mu_j_lower", 3)]
+        assert lo.result.bound_value == pytest.approx(-2.0, abs=1e-12)
+        assert lo.result.target is BoundTarget.MU_J
 
     def test_triangle_first_upper(self, c3):
-        mom = WolkowiczMoments.from_stats(graph_stats(c3), 0.0)
-        up = jth_eigenvalue_bounds(mom, 3)[1]
-        assert up.bound_value == pytest.approx(2.0, abs=1e-12)
+        up = _rows(c3, 0.0)[("wolkowicz_mu_j_upper", 1)]
+        assert up.result.bound_value == pytest.approx(2.0, abs=1e-12)
 
-    @given(stats_and_alpha(min_n=2))
-    def test_extreme_j_reduces_to_extreme_bounds(self, sa):
-        stats, alpha = sa
-        n = stats.n
-        mom = WolkowiczMoments.from_stats(stats, alpha)
-        up1, _, _, lon = wolkowicz_extreme_bounds(mom, n)
-        family = jth_eigenvalue_bounds(mom, n)
-        j1_up, jn_lo = family[1], family[2 * n - 2]
-        assert abs(j1_up.bound_value - up1.bound_value) <= 1e-12
-        assert abs(jn_lo.bound_value - lon.bound_value) <= 1e-12
+    @given(graph_and_alpha(min_n=2))
+    def test_extreme_j_reduces_to_extreme_bounds(self, ga):
+        g, alpha = ga
+        rows = _rows(g, alpha)
+        up1, lon = _values(rows, "wolkowicz_mu1_upper", "wolkowicz_mun_lower")
+        j1_up, jn_lo = _values(rows, ("wolkowicz_mu_j_upper", 1), ("wolkowicz_mu_j_lower", g.n))
+        assert abs(j1_up - up1) <= 1e-12
+        assert abs(jn_lo - lon) <= 1e-12
 
 
 class TestTraceNormUpper:
     def test_triangle(self, c3):
-        assert trace_norm_upper(graph_stats(c3), 0.0).bound_value == pytest.approx(12.0, abs=1e-12)
+        assert _rows(c3, 0.0)["trace_norm_upper"].result.bound_value == pytest.approx(12.0, abs=1e-12)
 
     def test_single_arc(self, p2):
-        assert trace_norm_upper(graph_stats(p2), 0.0).bound_value == pytest.approx(4.0, abs=1e-12)
+        assert _rows(p2, 0.0)["trace_norm_upper"].result.bound_value == pytest.approx(4.0, abs=1e-12)
 
     def test_empty_graph_tight(self):
-        stats = graph_stats(parse_graph("5\n"))
-        assert trace_norm_upper(stats, 0.7).bound_value == 0.0
+        row = _rows(parse_graph("5\n"), 0.7)["trace_norm_upper"]
+        assert row.result.bound_value == 0.0
+        assert row.slack == 0.0
 
 
 class TestSpreadBounds:
     def test_single_arc_even_case(self, p2):
-        mom = WolkowiczMoments.from_stats(graph_stats(p2), 0.0)
-        up, lo = spread_moment_bounds(mom, 2)
-        assert up.bound_value == pytest.approx(2.0, abs=1e-12)
-        assert lo.bound_value == pytest.approx(2.0, abs=1e-12)
+        up, lo = _values(_rows(p2, 0.0), "spread_upper", "spread_lower_moment")
+        assert up == pytest.approx(2.0, abs=1e-12)
+        assert lo == pytest.approx(2.0, abs=1e-12)
 
     def test_triangle_odd_case(self, c3):
-        mom = WolkowiczMoments.from_stats(graph_stats(c3), 0.0)
-        _, lo = spread_moment_bounds(mom, 3)
-        assert lo.bound_value == pytest.approx(3.0, abs=1e-12)
+        assert _rows(c3, 0.0)["spread_lower_moment"].result.bound_value == pytest.approx(3.0, abs=1e-12)
 
     def test_not_applicable_at_single_vertex(self):
-        pair = spread_moment_bounds(WolkowiczMoments(r=0.0, s=0.0), 1)
-        assert [(b.bound_value, b.applicable, b.note) for b in pair] == [(None, False, "needs n >= 2")] * 2
+        assert _states(_rows(ONE_VERTEX, 0.0), "spread_upper", "spread_lower_moment") == {NEEDS_TWO}
 
     def test_refined_lower_needs_three_vertices(self, p2):
-        stats = graph_stats(p2)
-        up, _ = spread_moment_bounds(WolkowiczMoments.from_stats(stats, 0.0), 2)
-        assert up.applicable
-        assert not spread_lower_zagreb(stats, 0.0).applicable
+        rows = _rows(p2, 0.0)
+        assert rows["spread_upper"].result.applicable
+        assert not rows["spread_lower_zagreb"].result.applicable
 
     def test_regular_alpha_one_collapses(self, c3):
-        stats = graph_stats(c3)
-        up, _ = spread_moment_bounds(WolkowiczMoments.from_stats(stats, 1.0), 3)
-        assert up.bound_value == pytest.approx(0.0, abs=1e-12)
-        assert spread_lower_zagreb(stats, 1.0).bound_value == pytest.approx(0.0, abs=1e-12)
+        up, lo = _values(_rows(c3, 1.0), "spread_upper", "spread_lower_zagreb")
+        assert up == pytest.approx(0.0, abs=1e-12)
+        assert lo == pytest.approx(0.0, abs=1e-12)
 
-    @given(stats_and_alpha(min_n=3))
-    def test_refined_lower_never_beats_moment_lower(self, sa):
-        stats, alpha = sa
-        mom = WolkowiczMoments.from_stats(stats, alpha)
-        _, lo_mom = spread_moment_bounds(mom, stats.n)
-        lo_ref = spread_lower_zagreb(stats, alpha)
-        assert lo_ref.bound_value <= lo_mom.bound_value + 1e-9
+    @given(graph_and_alpha(min_n=3))
+    def test_refined_lower_never_beats_moment_lower(self, ga):
+        lo_ref, lo_mom = _values(_rows(*ga), "spread_lower_zagreb", "spread_lower_moment")
+        assert lo_ref <= lo_mom + 1e-9
 
 
 class TestZagrebIndexBound:
     def test_star_equality(self, k13):
-        r = zagreb_index_bound(graph_stats(k13))
-        assert r.bound_value == pytest.approx(12.0, abs=1e-12)
-        assert r.target is BoundTarget.ZAGREB
+        row = _rows(k13, 0.5)["zagreb_index_lower"]
+        assert row.result.bound_value == pytest.approx(12.0, abs=1e-12)
+        assert row.result.target is BoundTarget.ZAGREB
+        assert row.actual == 12.0
 
     def test_small_graph_flagged(self, p2):
-        assert not zagreb_index_bound(graph_stats(p2)).applicable
+        assert not _rows(p2, 0.5)["zagreb_index_lower"].result.applicable
 
 
 class TestRhoSandwich:
     def test_triangle_hits_half(self, c3):
-        spec = eigenvalues(a_alpha_matrix(c3, 0.0, OMEGA))
-        res, ratio = rho_sandwich(spec, OMEGA)
-        assert res.bound_value == pytest.approx(1.0, abs=1e-12)
-        assert ratio == pytest.approx(0.5, abs=1e-12)
+        report = verify_all(c3, 0.0, OMEGA)
+        [row] = [c for c in report.checked if c.result.name == "rho_sandwich"]
+        assert row.result.bound_value == pytest.approx(1.0, abs=1e-12)
+        assert report.rho_ratio == pytest.approx(0.5, abs=1e-12)
 
     def test_single_arc_ratio_one(self, p2):
-        spec = eigenvalues(a_alpha_matrix(p2, 0.25, OMEGA))
-        _, ratio = rho_sandwich(spec, OMEGA)
-        assert ratio == pytest.approx(1.0, abs=1e-12)
+        assert verify_all(p2, 0.25, OMEGA).rho_ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_general_beta_uses_one_third(self):
-        spec = Spectrum((1.0, -3.0))
-        res, _ = rho_sandwich(spec, BetaParam(1.0, 0.0))
-        assert res.bound_value == pytest.approx(1.0, abs=1e-15)
+        # mu_1 = 1 and rho = 3, as for the spectrum (1, -3)
+        cols, _ = rho_columns([1.0], [3.0], BetaParam(1.0, 0.0))
+        assert cols.values[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_spectrum_ratio_defined_as_one(self):
-        spec = Spectrum((0.0, 0.0))
-        res, ratio = rho_sandwich(spec, OMEGA)
-        assert res.bound_value == 0.0
-        assert ratio == 1.0
+        cols, ratio = rho_columns([0.0], [0.0], OMEGA)
+        assert cols.values.tolist() == [[0.0]]
+        assert ratio == [1.0]
 
 
 class TestPurity:
-    @given(stats_and_alpha(min_n=2))
-    def test_repeat_calls_identical(self, sa):
-        stats, alpha = sa
-        assert rayleigh_mu1_lower(stats, alpha, OMEGA) == rayleigh_mu1_lower(stats, alpha, OMEGA)
-        assert trace_norm_upper(stats, alpha) == trace_norm_upper(stats, alpha)
-        assert zagreb_refined_extreme_bounds(stats, alpha) == zagreb_refined_extreme_bounds(
-            stats, alpha
-        )
-        mom = WolkowiczMoments.from_stats(stats, alpha)
-        assert wolkowicz_extreme_bounds(mom, stats.n) == wolkowicz_extreme_bounds(mom, stats.n)
+    @given(graph_and_alpha(min_n=2))
+    def test_repeat_calls_identical(self, ga):
+        g, alpha = ga
+        # repr tells every bit apart, and the sign of a zero
+        assert repr(verify_all(g, alpha, OMEGA)) == repr(verify_all(g, alpha, OMEGA))
 
 
 def _reference_scores(stats, alpha, beta, trace, offdiag, spec):

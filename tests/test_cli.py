@@ -9,6 +9,7 @@ import pytest
 
 import mixedspec.bounds
 import mixedspec.cli
+import mixedspec.harness
 import mixedspec.matrices
 from mixedspec.bounds import Columns
 from mixedspec.cli import main, parse_grid
@@ -332,6 +333,32 @@ class TestSweep:
         docs = json.loads(capsys.readouterr().out)
         assert code == 0
         assert [d["alpha"] for d in docs] == pytest.approx([0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failure_in_a_later_block_prints_nothing(self, c3_file, capsys, monkeypatch, fmt):
+        # two points a block, so 0:1:0.25 runs as three blocks; the second
+        # block's second point (alpha = 0.75) gets tr(M^2) = 0 beside a
+        # positive trace, a spectral variance far below zero
+        monkeypatch.setattr(mixedspec.harness, "BLOCK_ENTRIES", 2 * 3 * mixedspec.harness.RAYLEIGH_SAMPLES)
+        assert mixedspec.harness._block_len(3) == 2
+        real, blocks = mixedspec.bounds._moments, []
+
+        def broken(tr, tr2, n):
+            blocks.append(tr)
+            if len(blocks) == 2:
+                tr2 = tr2.copy()
+                tr2[1] = 0.0
+            return real(tr, tr2, n)
+
+        monkeypatch.setattr(mixedspec.bounds, "_moments", broken)
+        code = main(["sweep", "--graph", c3_file, "--alpha", "0:1:0.25", "--format", fmt])
+        captured = capsys.readouterr()
+        assert len(blocks) == 2
+        assert code == 1
+        # the first block verified, yet a failing sweep prints no partial output
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("verification failure: variance ")
 
 
 class TestCheck:

@@ -17,6 +17,7 @@ from mixedspec.eig import (
     trace_norm,
 )
 from mixedspec.graphs import MixedGraph, parse_graph, random_mixed_graph
+from mixedspec.harness import ORACLE_RTOL, sweep_alpha
 from mixedspec.matrices import (
     BetaParam,
     HermitianMatrix,
@@ -232,3 +233,38 @@ class TestSpectrumSymmetries:
     def test_alpha_one_is_degree_sequence(self, g, beta):
         degrees = tuple(float(d) for d in sorted(g.stats.degrees, reverse=True))
         assert blend_spectrum(g, 1.0, beta) == degrees
+
+
+class TestBlendFamilyStructure:
+    """Order facts of the family alpha -> A_alpha. With |beta| = 1, both
+    D + H and D - H are sums of one PSD term |x_u +- h x_v|^2 per edge or
+    arc, so A_alpha = (1 - alpha)(D + H) + (2 alpha - 1) D is PSD for
+    alpha >= 1/2, and dA_alpha/dalpha = D - H is PSD. Each tolerance is the
+    oracle agreement limit ORACLE_RTOL * ||M||_F."""
+
+    any_beta = st.one_of(st.just(OMEGA), betas)
+
+    @given(mixed_graphs, st.floats(0.5, 1.0), any_beta)
+    def test_psd_from_alpha_one_half(self, g, alpha, beta):
+        m = a_alpha_matrix(g, alpha, beta)
+        assert eigenvalues(m).mu_min >= -ORACLE_RTOL * m.frobenius_norm()
+
+    @given(mixed_graphs, st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8), any_beta)
+    def test_every_eigenvalue_non_decreasing_in_alpha(self, g, grid, beta):
+        grid = sorted(grid)
+        spectra = [np.array(r.spectrum.values) for r in sweep_alpha(g, grid, beta)]
+        norms = [a_alpha_matrix(g, alpha, beta).frobenius_norm() for alpha in grid]
+        for i in range(len(grid) - 1):
+            limit = ORACLE_RTOL * max(norms[i], norms[i + 1])
+            assert np.all(spectra[i + 1] >= spectra[i] - limit)
+
+    @given(mixed_graphs, st.floats(0.0, 1.0), any_beta)
+    def test_radius_at_most_that_of_underlying_graph(self, g, alpha, beta):
+        # |A_alpha(H)| is entrywise the non-negative A_alpha of the underlying
+        # graph, whose Perron root bounds its spectral radius
+        underlying = MixedGraph(
+            n=g.n, undirected=g.undirected | {tuple(sorted(a)) for a in g.arcs}, arcs=frozenset()
+        )
+        m = a_alpha_matrix(g, alpha, beta)
+        perron = spectral_radius(eigenvalues(a_alpha_matrix(underlying, alpha, beta)))
+        assert spectral_radius(eigenvalues(m)) <= perron + ORACLE_RTOL * m.frobenius_norm()

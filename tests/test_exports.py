@@ -1,7 +1,8 @@
 """Package surface: every public name resolves, none is listed twice, each
 blend parameter has one form in every public signature, and every public
 exception, like every raise in the package, belongs to one of the two
-families the CLI maps to an exit code."""
+families the CLI maps to an exit code, and every module uses each name it
+imports."""
 
 import ast
 import importlib
@@ -71,3 +72,26 @@ def test_every_raise_is_bad_input_or_verification_failure():
             if not (isinstance(cls, type) and issubclass(cls, (ValueError, VerificationError))):
                 odd.append(f"{path.name}:{node.lineno}")
     assert odd == []
+
+
+def test_every_import_is_used():
+    # the project runs no linter, so this catches a name that a deletion
+    # leaves imported: each name a module imports (bar ``from __future__``)
+    # is read in it
+    package = Path(mixedspec.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -9,13 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import hermitian_from_array
-from mixedspec.bounds import (
-    rayleigh_mu1_lower,
-    spread_lower_zagreb,
-    trace_norm_upper,
-    unit_modulus_extreme_bounds,
-    zagreb_refined_extreme_bounds,
-)
 from mixedspec.eig import eigenvalues
 from mixedspec.graphs import MixedGraph, graph_stats, parse_graph, random_mixed_graph
 from mixedspec.harness import sweep_alpha, verify_all
@@ -41,11 +34,6 @@ ALPHA_ENTRY_POINTS = {
     "expected_traces": lambda g, a: expected_traces(g.stats, a),
     "verify_all": lambda g, a: verify_all(g, a, OMEGA),
     "sweep_alpha": lambda g, a: sweep_alpha(g, [0.5, a], OMEGA),
-    "rayleigh_mu1_lower": lambda g, a: rayleigh_mu1_lower(g.stats, a, OMEGA),
-    "unit_modulus_extreme_bounds": lambda g, a: unit_modulus_extreme_bounds(g.stats, a),
-    "zagreb_refined_extreme_bounds": lambda g, a: zagreb_refined_extreme_bounds(g.stats, a),
-    "trace_norm_upper": lambda g, a: trace_norm_upper(g.stats, a),
-    "spread_lower_zagreb": lambda g, a: spread_lower_zagreb(g.stats, a),
 }
 
 
