@@ -42,20 +42,15 @@ from .harness import (
     SweepConfig,
     ViolationRecord,
     randomized_suite,
-    rayleigh_range_check,
     run_trial,
     sweep_alpha,
     verify_all,
 )
 from .matrices import (
     BetaParam,
-    HermitianMatrix,
     HermitianStack,
-    a_alpha_matrix,
     a_alpha_stack,
-    degree_matrix,
     expected_traces,
-    hermitian_adjacency,
     omega_constant,
 )
 
@@ -70,7 +65,6 @@ __all__ = [
     "CheckedBound",
     "GraphFormatError",
     "GraphStats",
-    "HermitianMatrix",
     "HermitianStack",
     "MixedGraph",
     "Spectrum",
@@ -80,19 +74,15 @@ __all__ = [
     "SweepConfig",
     "VerificationError",
     "ViolationRecord",
-    "a_alpha_matrix",
     "a_alpha_stack",
-    "degree_matrix",
     "eigenvalues",
     "expected_traces",
     "graph_stats",
-    "hermitian_adjacency",
     "omega_constant",
     "oracle_eigenvalues",
     "parse_graph",
     "randomized_suite",
     "random_mixed_graph",
-    "rayleigh_range_check",
     "run_trial",
     "serialize_graph",
     "spectral_radius",

@@ -9,11 +9,11 @@ share no eigen solver: a different matrix in different arithmetic, through
 different algorithms. Agreement between them is the library's main internal
 consistency check.
 
-Both routes solve a HermitianStack with one LAPACK call for the whole
-stack, which gives the same bits per matrix as one call each; a
-HermitianMatrix is solved as its one-matrix stack.
-Their checks run per matrix, and a failure is raised only when that
-matrix's row of the resulting SpectrumStack is read.
+Both routes take a HermitianStack, the one matrix type, and solve it with
+one LAPACK call for the whole stack, which gives the same bits per matrix
+as one call each; a single matrix is a one-matrix stack. Their checks run
+per matrix, and a failure is raised only when that matrix's row of the
+resulting SpectrumStack is read.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matrices import HermitianMatrix, HermitianStack
+from .matrices import HermitianStack
 
 MOMENT_RTOL = 1e-8
 PAIR_RTOL = 1e-8
@@ -87,16 +87,6 @@ class SpectrumStack:
         return self.values.tolist()
 
 
-def _as_stack(m: HermitianMatrix | HermitianStack) -> tuple[np.ndarray, list[float], list[float]]:
-    """(k, n, n) data with each matrix's trace and trace of square."""
-    stack = m if isinstance(m, HermitianStack) else m.stack
-    return stack.data, stack.traces(), stack.traces_of_square()
-
-
-def _result(m: HermitianMatrix | HermitianStack, spectra: SpectrumStack) -> Spectrum | SpectrumStack:
-    return spectra if isinstance(m, HermitianStack) else spectra.spectrum(0)
-
-
 def _solve(solver, data: np.ndarray, route: str) -> tuple[np.ndarray, list[str | None]]:
     """``solver`` on the whole stack in one call. numpy raises for the stack
     when any matrix fails, so after a LinAlgError each matrix is solved alone
@@ -120,49 +110,49 @@ def _check_moments(
     values: np.ndarray, tr: list[float], tr2: list[float], route: str, failures: list[str | None]
 ) -> tuple[str | None, ...]:
     """Record a broken moment identity (sum of eigenvalues = tr, sum of their
-    squares = tr(M^2)) for each matrix that has not failed yet."""
+    squares = tr(M^2)) for each matrix that has not failed yet. An identity
+    that cannot be confirmed, because a side is NaN, counts as broken."""
     sum1 = values.sum(axis=1).tolist()
     sum2 = (values * values).sum(axis=1).tolist()
     for i, failure in enumerate(failures):
         if failure is not None:
             continue
-        if abs(sum1[i] - tr[i]) > MOMENT_RTOL * max(1.0, abs(tr[i])):
+        if not abs(sum1[i] - tr[i]) <= MOMENT_RTOL * max(1.0, abs(tr[i])):
             failures[i] = f"{route}: eigenvalue sum {sum1[i]} does not match trace {tr[i]}"
-        elif abs(sum2[i] - tr2[i]) > MOMENT_RTOL * max(1.0, tr2[i]):
+        elif not abs(sum2[i] - tr2[i]) <= MOMENT_RTOL * max(1.0, tr2[i]):
             failures[i] = (
                 f"{route}: eigenvalue square sum {sum2[i]} does not match trace of square {tr2[i]}"
             )
     return tuple(failures)
 
 
-def eigenvalues(m: HermitianMatrix | HermitianStack) -> Spectrum | SpectrumStack:
-    """All eigenvalues of ``m`` by LAPACK zheevd, sorted non-increasing.
+def eigenvalues(m: HermitianStack) -> SpectrumStack:
+    """All eigenvalues of each matrix of ``m`` by LAPACK zheevd, in one
+    LAPACK call, each row sorted non-increasing.
 
     Deterministic for fixed input. A LAPACK failure to converge or a broken
-    moment identity raises VerificationError. A HermitianStack is solved in
-    one LAPACK call and gives a SpectrumStack, which raises a matrix's
-    failure when its row is read.
+    moment identity is a matrix's failure, raised as VerificationError
+    when its row is read.
     """
-    data, tr, tr2 = _as_stack(m)
-    d, failures = _solve(np.linalg.eigvalsh, data, "zheevd")
+    tr, tr2 = m.traces(), m.traces_of_square()
+    d, failures = _solve(np.linalg.eigvalsh, m.data, "zheevd")
     vals = d[:, ::-1]
-    return _result(m, SpectrumStack(vals, _check_moments(vals, tr, tr2, "zheevd", failures)))
+    return SpectrumStack(vals, _check_moments(vals, tr, tr2, "zheevd", failures))
 
 
-def oracle_eigenvalues(m: HermitianMatrix | HermitianStack) -> Spectrum | SpectrumStack:
+def oracle_eigenvalues(m: HermitianStack) -> SpectrumStack:
     """Eigenvalues via the real embedding, solved by LAPACK dgeev.
 
-    dgeev does not assume symmetry, so it may return complex eigenvalues; an
-    imaginary part above 1e-8 * ||m||_F raises VerificationError. The
-    embedding doubles every eigenvalue; adjacent sorted values are paired and
-    averaged, and a pair gap above the same tolerance raises
-    VerificationError too. So does a LAPACK failure or a broken moment
-    identity. A HermitianStack is solved as one (k, 2n, 2n) stack of
-    embeddings in one LAPACK call and gives a SpectrumStack, as for
-    ``eigenvalues``.
+    The stack is solved as one (k, 2n, 2n) stack of embeddings in one
+    LAPACK call. dgeev does not assume symmetry, so it may return complex
+    eigenvalues; an imaginary part above 1e-8 * ||M||_F is a matrix's
+    failure. The embedding doubles every eigenvalue; adjacent sorted values
+    are paired and averaged, and a pair gap above the same tolerance is a
+    failure too. So is a LAPACK failure or a broken moment identity. As for
+    ``eigenvalues``, a failure is raised when its row is read.
     """
-    data, tr, tr2 = _as_stack(m)
-    k, n = data.shape[0], data.shape[-1]
+    data, tr, tr2 = m.data, m.traces(), m.traces_of_square()
+    k, n = len(m), m.n
     x = data.real
     y = data.imag
     emb = np.empty((k, 2 * n, 2 * n))
@@ -187,7 +177,7 @@ def oracle_eigenvalues(m: HermitianMatrix | HermitianStack) -> Spectrum | Spectr
         elif worst[i] > pair_tol:
             failures[i] = f"embedding eigenvalues do not pair: worst gap {worst[i]} > {pair_tol}"
     vals = ((d[:, 0::2] + d[:, 1::2]) / 2.0)[:, ::-1]
-    return _result(m, SpectrumStack(vals, _check_moments(vals, tr, tr2, "embedding", failures)))
+    return SpectrumStack(vals, _check_moments(vals, tr, tr2, "embedding", failures))
 
 
 def spectral_radius(s: Spectrum) -> float:

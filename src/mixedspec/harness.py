@@ -44,7 +44,6 @@ from .eig import (
 from .graphs import MixedGraph, random_mixed_graph, serialize_graph
 from .matrices import (
     BetaParam,
-    HermitianMatrix,
     _expansion_quadratic_form,
     _is_omega,
     a_alpha_stack,
@@ -60,8 +59,6 @@ RAYLEIGH_SAMPLES = 100
 RAYLEIGH_PAD = 1e-9
 IMAG_TOL = 1e-10
 EXPANSION_TOL = 1e-10
-# an imaginary part of z*Mz above IMAG_TOL means M was not Hermitian
-_NON_REAL = "quadratic form came out non-real on Hermitian input"
 EDGE_PROB_RANGE = (0.05, 0.95)
 # complex entries per block of a grid, counted as the larger of the block's
 # k*n*n matrix entries and its k*RAYLEIGH_SAMPLES*n products z*M (16 MB);
@@ -194,8 +191,8 @@ def _unit_vectors(n: int, seed: int) -> np.ndarray:
 
 
 def _quadratic_forms(z: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """z*Mz for each row of z, over the last two axes of ``data``: (n, n)
-    gives (RAYLEIGH_SAMPLES,), a (k, n, n) stack gives (k, RAYLEIGH_SAMPLES)."""
+    """z*Mz for each row of z and each matrix of the (k, n, n) stack
+    ``data``, as a (k, RAYLEIGH_SAMPLES) array."""
     return ((z.conj() @ data) * z).sum(axis=-1)
 
 
@@ -208,19 +205,6 @@ def _trace2_limit(closed_form: float) -> float:
     of 1; hypot errs by < 1 ulp, so arcs move the sum by < 8.1 u tr(M^2), and
     62.1 u tr(M^2) < 64 ulps; a 1e-12 modulus slack would allow 2e-12 tr(M^2)."""
     return max(TRACE_TOL, 64 * math.ulp(closed_form))
-
-
-def rayleigh_range_check(m: HermitianMatrix, spec: Spectrum, seed: int) -> bool:
-    """Sample RAYLEIGH_SAMPLES random unit vectors and test z*Mz against [mu_n, mu_1].
-
-    Returns False when any quadratic form falls outside the padded interval.
-    Works on any Hermitian matrix; ``verify_all`` draws the same samples and
-    also checks each one against the graph's arc-sum expansion.
-    """
-    vals = _quadratic_forms(_unit_vectors(m.n, seed), m.data)
-    if np.max(np.abs(vals.imag)) > IMAG_TOL:
-        raise VerificationError(_NON_REAL)
-    return _in_range(float(vals.real.min()), float(vals.real.max()), spec)
 
 
 def _in_range(lowest: float, highest: float, spec: Spectrum) -> bool:
@@ -354,8 +338,8 @@ def sweep_alpha(
     step = _block_len(g.n)
     reports = []
     for start in range(0, len(grid), step):
-        alphas = grid[start : start + step]
-        stack = a_alpha_stack(g, alphas, beta)
+        block = grid[start : start + step]
+        stack = a_alpha_stack(g, block, beta)
         primary = eigenvalues(stack)
         oracle = oracle_eigenvalues(stack)
         tr, tr2 = stack.traces(), stack.traces_of_square()
@@ -364,13 +348,13 @@ def sweep_alpha(
         forms = _quadratic_forms(z, stack.data)
         imag = np.abs(forms.imag).max(axis=1).tolist()
         vals = forms.real
-        route_gap = np.abs(vals - expansion[start : start + len(alphas)]).max(axis=1).tolist()
+        route_gap = np.abs(vals - expansion[start : start + len(block)]).max(axis=1).tolist()
         lowest, highest = vals.min(axis=1).tolist(), vals.max(axis=1).tolist()
-        closed_forms = [expected_traces(stats, alpha) for alpha in alphas]
-        columns, failures = _b.catalog_columns(stats, alphas, beta, closed_forms, tr, offdiag)
+        closed_forms = [expected_traces(stats, alpha) for alpha in block]
+        columns, failures = _b.catalog_columns(stats, block, beta, closed_forms, tr, offdiag)
 
         specs = []
-        for i in range(len(alphas)):
+        for i in range(len(block)):
             spec = primary.spectrum(i)
             oracle.check(i)
             limit = ORACLE_RTOL * math.sqrt(tr2[i])
@@ -385,8 +369,9 @@ def sweep_alpha(
             ):
                 if abs(got - want) > lim:
                     raise VerificationError(f"{name} {got} != closed form {want} beyond {lim}")
+            # an imaginary part of z*Mz above IMAG_TOL means M was not Hermitian
             if imag[i] > IMAG_TOL:
-                raise VerificationError(_NON_REAL)
+                raise VerificationError("quadratic form came out non-real on Hermitian input")
             if route_gap[i] > EXPANSION_TOL:
                 raise VerificationError(
                     f"matrix build disagrees with the graph's arc-sum expansion: "
@@ -408,7 +393,7 @@ def sweep_alpha(
             reports.append(
                 BoundReport(
                     graph=g,
-                    alpha=alphas[i],
+                    alpha=block[i],
                     beta=(beta.re, beta.im),
                     spectrum=spec,
                     rho=rho[i],

@@ -84,11 +84,11 @@ def omega_constant() -> BetaParam:
 class HermitianStack:
     """k dense n x n Hermitian matrices in one read-only (k, n, n) array.
 
-    Each matrix must be exactly Hermitian (entries are written in conjugate
-    pairs, so the diagonal has exactly zero imaginary part). Per matrix, the
-    trace sums the diagonal, and tr(M^2) sums the matrix's n^2 squared
-    moduli as one contiguous row (harness._trace2_limit assumes that
-    summation).
+    Each matrix must be finite and exactly Hermitian (entries are written in
+    conjugate pairs, so the diagonal has exactly zero imaginary part). Per
+    matrix, the trace sums the diagonal, and tr(M^2) sums the matrix's n^2
+    squared moduli as one contiguous row (harness._trace2_limit assumes
+    that summation).
     """
 
     data: np.ndarray
@@ -97,6 +97,8 @@ class HermitianStack:
         a = np.array(self.data, dtype=np.complex128)
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError("matrix has a non-finite entry")
         if not np.array_equal(a, a.conj().transpose(0, 2, 1)):
             raise ValueError("matrix is not exactly Hermitian")
         a.setflags(write=False)
@@ -130,41 +132,6 @@ class HermitianStack:
         return tr, tr2, moduli.max(axis=1).tolist()
 
 
-@dataclass(frozen=True, init=False)
-class HermitianMatrix:
-    """One dense n x n Hermitian matrix, held as the one-matrix HermitianStack
-    ``stack``, which validates it and computes its quantities; ``data`` is
-    the stack's read-only (n, n) matrix."""
-
-    stack: HermitianStack
-
-    def __init__(self, data):
-        a = np.asarray(data)
-        if a.ndim != 2:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        object.__setattr__(self, "stack", HermitianStack(a[None]))
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.stack.data[0]
-
-    @property
-    def n(self) -> int:
-        return self.stack.n
-
-    def trace(self) -> float:
-        return self.stack.traces()[0]
-
-    def trace_of_square(self) -> float:
-        return self.stack.traces_of_square()[0]
-
-    def frobenius_norm(self) -> float:
-        return math.sqrt(self.trace_of_square())
-
-    def max_offdiag_modulus(self) -> float:
-        return self.stack.max_offdiag_moduli()[0]
-
-
 def _degree_array(g: MixedGraph) -> np.ndarray:
     d = np.zeros((g.n, g.n), dtype=np.complex128)
     np.fill_diagonal(d, np.asarray(g.stats.degrees, dtype=np.float64))
@@ -183,16 +150,6 @@ def _adjacency_array(g: MixedGraph, beta: BetaParam) -> np.ndarray:
     return h
 
 
-def degree_matrix(g: MixedGraph) -> HermitianMatrix:
-    """Diagonal matrix of underlying-graph degrees (the alpha = 1 endpoint)."""
-    return HermitianMatrix(_degree_array(g))
-
-
-def hermitian_adjacency(g: MixedGraph, beta: BetaParam) -> HermitianMatrix:
-    """Phase adjacency matrix: beta on arcs tail->head, conj(beta) reversed, 1 on edges."""
-    return HermitianMatrix(_adjacency_array(g, beta))
-
-
 def _blend(g: MixedGraph, alphas: list[float], beta: BetaParam) -> np.ndarray:
     """The (k, n, n) array of alpha*D + (1-alpha)*H, one matrix per alpha;
     D and H are filled once as plain arrays."""
@@ -203,14 +160,10 @@ def _blend(g: MixedGraph, alphas: list[float], beta: BetaParam) -> np.ndarray:
     return s
 
 
-def a_alpha_matrix(g: MixedGraph, alpha: float, beta: BetaParam) -> HermitianMatrix:
-    """Convex blend alpha*D + (1-alpha)*H of degree matrix and phase adjacency."""
-    return HermitianMatrix(_blend(g, [check_alpha(alpha)], beta)[0])
-
-
 def a_alpha_stack(g: MixedGraph, alphas: Iterable[float], beta: BetaParam) -> HermitianStack:
     """The blends alpha*D + (1-alpha)*H for each alpha, in order, as one stack;
-    matrix i equals ``a_alpha_matrix(g, alphas[i], beta)`` bit for bit."""
+    matrix i equals the one matrix of ``a_alpha_stack(g, [alphas[i]], beta)``
+    bit for bit."""
     return HermitianStack(_blend(g, [check_alpha(a) for a in alphas], beta))
 
 

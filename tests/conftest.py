@@ -1,5 +1,5 @@
 """Shared fixtures: anchor graphs, omega, an eigensolver warm-up, and a
-symmetrizer that wraps arbitrary arrays as Hermitian matrices.
+symmetrizer that wraps an arbitrary array as a one-matrix HermitianStack.
 
 The warm-up fixture solves one small matrix on both eigen routes before any
 test runs, so first-call set-up cost (loading LAPACK, allocating workspaces)
@@ -12,18 +12,19 @@ from hypothesis import settings
 
 from mixedspec.eig import eigenvalues, oracle_eigenvalues
 from mixedspec.graphs import parse_graph
-from mixedspec.matrices import HermitianMatrix, omega_constant
+from mixedspec.matrices import HermitianStack, omega_constant
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 
 
-def hermitian_from_array(a: np.ndarray) -> HermitianMatrix:
-    """Symmetrize (A + A*)/2 and wrap; exact conjugate symmetry by construction."""
+def hermitian_from_array(a: np.ndarray) -> HermitianStack:
+    """Symmetrize (A + A*)/2 and wrap as a one-matrix stack; exact conjugate
+    symmetry by construction."""
     a = np.asarray(a, dtype=np.complex128)
     h = (a + a.conj().T) / 2.0
     np.fill_diagonal(h, h.diagonal().real)
-    return HermitianMatrix(h)
+    return HermitianStack(h[None])
 
 
 P2_TEXT = "2\n1 -> 2\n"

@@ -232,11 +232,13 @@ class TestReport:
         block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
         exec(block.group(1), {})
         out = capsys.readouterr().out.splitlines()
-        comment = re.search(r"print\(eigenvalues\(m\)\.values\)\s+# (.*)", block.group(1))
+        comment = re.search(r"print\(report\.spectrum\.values\)\s+# (.*)", block.group(1))
         printed = [float(x) for x in out[0].strip("()").split(",")]
         documented = [float(x) for x in comment.group(1).strip("()").split(",")]
         assert printed == pytest.approx([1.5, 1.5, 0.0], abs=1e-12)
         assert documented == pytest.approx(printed, abs=1e-12)
+        # the stack route's raw spectrum is the verified one, bit for bit
+        assert out[-1] == out[0]
 
     @pytest.mark.parametrize("solver", ["eigvalsh", "eigvals"])
     def test_solver_failure_gives_exit_one(self, c3_file, capsys, monkeypatch, solver):

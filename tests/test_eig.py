@@ -10,6 +10,7 @@ from conftest import hermitian_from_array
 from mixedspec.eig import (
     Spectrum,
     VerificationError,
+    _check_moments,
     eigenvalues,
     oracle_eigenvalues,
     spectral_radius,
@@ -18,19 +19,13 @@ from mixedspec.eig import (
 )
 from mixedspec.graphs import MixedGraph, parse_graph, random_mixed_graph
 from mixedspec.harness import ORACLE_RTOL, sweep_alpha
-from mixedspec.matrices import (
-    BetaParam,
-    HermitianMatrix,
-    HermitianStack,
-    a_alpha_matrix,
-    hermitian_adjacency,
-    omega_constant,
-)
+from mixedspec.matrices import BetaParam, HermitianStack, a_alpha_stack, omega_constant
 
 OMEGA = omega_constant()
 
 
 def random_hermitian(n, seed, scale=1.0):
+    """A random one-matrix stack."""
     rng = np.random.Generator(np.random.PCG64(seed))
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return hermitian_from_array(scale * a)
@@ -54,8 +49,22 @@ mixed_graphs = st.builds(
 betas = st.builds(BetaParam.from_angle, st.floats(-math.pi / 2, math.pi / 2))
 
 
+def frobenius_norm(m):
+    """||M||_F of a one-matrix stack."""
+    return math.sqrt(m.traces_of_square()[0])
+
+
+def solve(m, route=eigenvalues):
+    """The spectrum of a one-matrix stack on one eigen route."""
+    return route(m).spectrum(0)
+
+
+def adjacency(g):
+    return a_alpha_stack(g, [0.0], OMEGA)
+
+
 def blend_spectrum(g, alpha, beta):
-    return eigenvalues(a_alpha_matrix(g, alpha, beta)).values
+    return solve(a_alpha_stack(g, [alpha], beta)).values
 
 
 class TestSpectrumType:
@@ -76,33 +85,33 @@ class TestSpectrumType:
 
 class TestClosedForms:
     def test_single_arc_spectrum(self, p2):
-        spec = eigenvalues(hermitian_adjacency(p2, OMEGA))
+        spec = solve(adjacency(p2))
         assert np.allclose(spec.values, [1.0, -1.0], atol=1e-9)
 
     def test_cyclic_triangle_spectrum(self, c3):
-        spec = eigenvalues(hermitian_adjacency(c3, OMEGA))
+        spec = solve(adjacency(c3))
         assert np.allclose(spec.values, [1.0, 1.0, -2.0], atol=1e-9)
 
     def test_triangle_blend_midpoint(self, c3):
-        spec = eigenvalues(a_alpha_matrix(c3, 0.5, OMEGA))
-        assert np.allclose(spec.values, [1.5, 1.5, 0.0], atol=1e-9)
+        spec = blend_spectrum(c3, 0.5, OMEGA)
+        assert np.allclose(spec, [1.5, 1.5, 0.0], atol=1e-9)
 
     def test_one_by_one(self):
-        spec = eigenvalues(HermitianMatrix(np.zeros((1, 1), dtype=complex)))
+        spec = solve(HermitianStack(np.zeros((1, 1, 1), dtype=complex)))
         assert spec.values == (0.0,)
 
 
 class TestOracle:
     def test_single_arc(self, p2):
-        spec = oracle_eigenvalues(hermitian_adjacency(p2, OMEGA))
+        spec = solve(adjacency(p2), oracle_eigenvalues)
         assert np.allclose(spec.values, [1.0, -1.0], atol=1e-9)
 
     def test_real_diagonal(self):
-        spec = oracle_eigenvalues(HermitianMatrix(np.diag([3.0 + 0j, 1.0])))
+        spec = solve(HermitianStack(np.diag([3.0 + 0j, 1.0])[None]), oracle_eigenvalues)
         assert np.allclose(spec.values, [3.0, 1.0], atol=1e-12)
 
     def test_zero_matrix(self):
-        spec = oracle_eigenvalues(HermitianMatrix(np.zeros((4, 4), dtype=complex)))
+        spec = solve(HermitianStack(np.zeros((1, 4, 4), dtype=complex)), oracle_eigenvalues)
         assert spec.values == (0.0, 0.0, 0.0, 0.0)
 
     def test_rejects_non_real_embedding_eigenvalues(self, p2, monkeypatch):
@@ -111,13 +120,13 @@ class TestOracle:
 
         monkeypatch.setattr(np.linalg, "eigvals", complex_pair)
         with pytest.raises(VerificationError, match="not real"):
-            oracle_eigenvalues(hermitian_adjacency(p2, OMEGA))
+            solve(adjacency(p2), oracle_eigenvalues)
 
     @given(hermitians)
     def test_agrees_with_primary_kernel(self, m):
-        a = eigenvalues(m)
-        b = oracle_eigenvalues(m)
-        tol = 1e-8 * m.frobenius_norm()
+        a = solve(m)
+        b = solve(m, oracle_eigenvalues)
+        tol = 1e-8 * frobenius_norm(m)
         assert np.max(np.abs(np.array(a.values) - np.array(b.values))) <= tol
 
 
@@ -125,18 +134,18 @@ class TestStacks:
     @given(st.integers(1, 12), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
     def test_rows_match_single_matrix_routes(self, n, seeds):
         ms = [random_hermitian(n, seed) for seed in seeds]
-        stack = HermitianStack(np.array([m.data for m in ms]))
+        stack = HermitianStack(np.concatenate([m.data for m in ms]))
         primary = eigenvalues(stack)
         oracle = oracle_eigenvalues(stack)
         assert primary.values.shape == oracle.values.shape == (len(ms), n)
         for i, m in enumerate(ms):
-            assert primary.spectrum(i) == eigenvalues(m)
-            assert oracle.spectrum(i) == oracle_eigenvalues(m)
+            assert primary.spectrum(i) == solve(m)
+            assert oracle.spectrum(i) == solve(m, oracle_eigenvalues)
 
     def test_failure_raised_when_its_row_is_read(self, monkeypatch):
         ms = [random_hermitian(3, seed) for seed in (1, 2, 3)]
-        stack = HermitianStack(np.array([m.data for m in ms]))
-        first = eigenvalues(ms[0])
+        stack = HermitianStack(np.concatenate([m.data for m in ms]))
+        first = solve(ms[0])
         real = np.linalg.eigvalsh
 
         def shifted_row(a):
@@ -152,41 +161,70 @@ class TestStacks:
             spectra.spectrum(1)
 
 
+class TestUnconfirmedMoments:
+    """A moment identity that cannot be confirmed fails its matrix: a NaN gap
+    compares False against any tolerance, so it must not pass as a match."""
+
+    @pytest.mark.parametrize("route", [eigenvalues, oracle_eigenvalues])
+    def test_overflowing_finite_matrix_fails_on_both_routes(self, route):
+        # finite entries whose squares overflow: tr(M^2) is inf, and each
+        # route's eigenvalue sums come out inf or NaN
+        big = np.array([[0.0, 1e308], [1e308, 0.0]], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            spectra = route(HermitianStack(big[None]))
+        with pytest.raises(VerificationError, match="does not match"):
+            spectra.spectrum(0)
+
+    @pytest.mark.parametrize(
+        "values, tr, tr2",
+        [
+            ([math.nan, 0.0], 0.0, 0.0),
+            ([1.0, -1.0], math.nan, 2.0),
+            ([1.0, -1.0], 0.0, math.nan),
+            ([math.inf, -math.inf], 0.0, math.inf),
+        ],
+    )
+    def test_nan_gap_is_a_failure(self, values, tr, tr2):
+        with np.errstate(invalid="ignore"):
+            failures = _check_moments(np.array([values]), [tr], [tr2], "route", [None])
+        assert failures[0] is not None and failures[0].startswith("route: eigenvalue")
+
+
 class TestKernelProperties:
     @given(hermitians)
     def test_matches_reference_solver(self, m):
         # zgeev, a general complex solver that neither eigen route uses
-        ref = np.sort(np.linalg.eigvals(m.data).real)[::-1]
-        got = np.array(eigenvalues(m).values)
-        assert np.max(np.abs(got - ref)) <= 1e-8 * max(1.0, m.frobenius_norm())
+        ref = np.sort(np.linalg.eigvals(m.data[0]).real)[::-1]
+        got = np.array(solve(m).values)
+        assert np.max(np.abs(got - ref)) <= 1e-8 * max(1.0, frobenius_norm(m))
 
     @given(hermitians)
     def test_moment_identities(self, m):
-        vals = np.array(eigenvalues(m).values)
-        tr2 = m.trace_of_square()
-        assert abs(vals.sum() - m.trace()) <= 1e-8 * max(1.0, abs(m.trace()))
+        vals = np.array(solve(m).values)
+        tr, tr2 = m.traces()[0], m.traces_of_square()[0]
+        assert abs(vals.sum() - tr) <= 1e-8 * max(1.0, abs(tr))
         assert abs((vals**2).sum() - tr2) <= 1e-8 * max(1.0, tr2)
 
     @settings(max_examples=40)
     @given(hermitians, st.floats(-10.0, 10.0))
     def test_shift_covariance(self, m, c):
-        shifted = HermitianMatrix(m.data + c * np.eye(m.n))
-        base = np.array(eigenvalues(m).values)
-        got = np.array(eigenvalues(shifted).values)
-        assert np.max(np.abs(got - (base + c))) <= 1e-9 * max(1.0, m.frobenius_norm() + abs(c))
+        shifted = HermitianStack(m.data + c * np.eye(m.n))
+        base = np.array(solve(m).values)
+        got = np.array(solve(shifted).values)
+        assert np.max(np.abs(got - (base + c))) <= 1e-9 * max(1.0, frobenius_norm(m) + abs(c))
 
     @settings(max_examples=40)
     @given(hermitians, st.floats(-10.0, 10.0))
     def test_scale_covariance(self, m, c):
-        scaled = HermitianMatrix(c * m.data)
-        base = np.array(eigenvalues(m).values)
+        scaled = HermitianStack(c * m.data)
+        base = np.array(solve(m).values)
         expect = np.sort(c * base)[::-1]
-        got = np.array(eigenvalues(scaled).values)
-        assert np.max(np.abs(got - expect)) <= 1e-9 * max(1.0, abs(c) * m.frobenius_norm())
+        got = np.array(solve(scaled).values)
+        assert np.max(np.abs(got - expect)) <= 1e-9 * max(1.0, abs(c) * frobenius_norm(m))
 
     def test_deterministic(self):
         m = random_hermitian(9, 123)
-        assert eigenvalues(m) == eigenvalues(m)
+        assert solve(m) == solve(m)
 
 
 class TestDerivedQuantities:
@@ -246,14 +284,14 @@ class TestBlendFamilyStructure:
 
     @given(mixed_graphs, st.floats(0.5, 1.0), any_beta)
     def test_psd_from_alpha_one_half(self, g, alpha, beta):
-        m = a_alpha_matrix(g, alpha, beta)
-        assert eigenvalues(m).mu_min >= -ORACLE_RTOL * m.frobenius_norm()
+        m = a_alpha_stack(g, [alpha], beta)
+        assert solve(m).mu_min >= -ORACLE_RTOL * frobenius_norm(m)
 
     @given(mixed_graphs, st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8), any_beta)
     def test_every_eigenvalue_non_decreasing_in_alpha(self, g, grid, beta):
         grid = sorted(grid)
         spectra = [np.array(r.spectrum.values) for r in sweep_alpha(g, grid, beta)]
-        norms = [a_alpha_matrix(g, alpha, beta).frobenius_norm() for alpha in grid]
+        norms = [math.sqrt(t) for t in a_alpha_stack(g, grid, beta).traces_of_square()]
         for i in range(len(grid) - 1):
             limit = ORACLE_RTOL * max(norms[i], norms[i + 1])
             assert np.all(spectra[i + 1] >= spectra[i] - limit)
@@ -265,6 +303,6 @@ class TestBlendFamilyStructure:
         underlying = MixedGraph(
             n=g.n, undirected=g.undirected | {tuple(sorted(a)) for a in g.arcs}, arcs=frozenset()
         )
-        m = a_alpha_matrix(g, alpha, beta)
-        perron = spectral_radius(eigenvalues(a_alpha_matrix(underlying, alpha, beta)))
-        assert spectral_radius(eigenvalues(m)) <= perron + ORACLE_RTOL * m.frobenius_norm()
+        m = a_alpha_stack(g, [alpha], beta)
+        perron = spectral_radius(solve(a_alpha_stack(underlying, [alpha], beta)))
+        assert spectral_radius(solve(m)) <= perron + ORACLE_RTOL * frobenius_norm(m)

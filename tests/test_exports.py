@@ -1,8 +1,8 @@
 """Package surface: every public name resolves, none is listed twice, each
 blend parameter has one form in every public signature, and every public
 exception, like every raise in the package, belongs to one of the two
-families the CLI maps to an exit code, and every module uses each name it
-imports."""
+families the CLI maps to an exit code, every module uses each name it
+imports, and every public function is on the package's own verified path."""
 
 import ast
 import importlib
@@ -95,3 +95,20 @@ def test_every_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_every_public_function_is_called_in_the_package():
+    # a public function that no module calls is a second route beside the
+    # verified one, which only the tests would exercise
+    package = Path(mixedspec.__file__).parent
+    called = set()
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                # f(...) is a Name call, module.f(...) an Attribute call
+                called.add(getattr(node.func, "attr", getattr(node.func, "id", None)))
+    functions = [n for n in mixedspec.__all__ if inspect.isfunction(getattr(mixedspec, n))]
+    assert functions
+    assert [name for name in functions if name not in called] == []

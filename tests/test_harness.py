@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 import mixedspec.bounds
 import mixedspec.harness
 from mixedspec.bounds import BoundKind, BoundResult, BoundTarget, Columns, Row, _moments
-from mixedspec.eig import Spectrum, eigenvalues, trace_norm
+from mixedspec.eig import Spectrum, SpectrumStack, trace_norm
 from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph
 from mixedspec.harness import (
     BLOCK_ENTRIES,
@@ -26,7 +26,6 @@ from mixedspec.harness import (
     _score,
     _trace2_limit,
     randomized_suite,
-    rayleigh_range_check,
     run_trial,
     sweep_alpha,
     verify_all,
@@ -34,9 +33,8 @@ from mixedspec.harness import (
 from mixedspec.matrices import (
     BetaParam,
     HermitianStack,
-    a_alpha_matrix,
+    a_alpha_stack,
     expected_traces,
-    hermitian_adjacency,
     omega_constant,
 )
 
@@ -176,19 +174,22 @@ class TestStatusAssignment:
 
 
 class TestRayleighRangeCheck:
+    """The numerical-range check inside sweep_alpha, through verify_all."""
+
     def test_single_arc_contained(self, p2):
-        h = hermitian_adjacency(p2, OMEGA)
-        assert rayleigh_range_check(h, eigenvalues(h), seed=3)
+        verify_all(p2, 0.0, OMEGA, rayleigh_seed=3)
 
     def test_zero_matrix(self):
-        g = parse_graph("3\n")
-        h = hermitian_adjacency(g, OMEGA)
-        assert rayleigh_range_check(h, eigenvalues(h), seed=0)
+        verify_all(parse_graph("3\n"), 0.0, OMEGA, rayleigh_seed=0)
 
-    def test_truncated_spectrum_detected(self, c3):
-        h = hermitian_adjacency(c3, OMEGA)
-        fake = Spectrum((0.5, 0.5, -2.0))
-        assert not rayleigh_range_check(h, fake, seed=11)
+    def test_truncated_spectrum_detected(self, c3, monkeypatch):
+        # both routes agree on a spectrum that misses the true mu_1 = 1, so
+        # only the range check can catch it
+        fake = SpectrumStack(np.array([[0.5, 0.5, -2.0]]), (None,))
+        monkeypatch.setattr(mixedspec.harness, "eigenvalues", lambda stack: fake)
+        monkeypatch.setattr(mixedspec.harness, "oracle_eigenvalues", lambda stack: fake)
+        with pytest.raises(VerificationError, match=r"escaped \[mu_n, mu_1\]"):
+            verify_all(c3, 0.0, OMEGA, rayleigh_seed=11)
 
 
 class TestExpansionCrossCheck:
@@ -406,7 +407,7 @@ class TestStackedFailures:
     @staticmethod
     def fail_zheevd_at(monkeypatch, alpha):
         # numpy fails a whole stack when one matrix does not converge
-        target = a_alpha_matrix(TestStackedFailures.G, alpha, TestStackedFailures.BETA).data
+        target = a_alpha_stack(TestStackedFailures.G, [alpha], TestStackedFailures.BETA).data[0]
         real = np.linalg.eigvalsh
 
         def failing(a):

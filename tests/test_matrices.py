@@ -14,14 +14,10 @@ from mixedspec.graphs import MixedGraph, graph_stats, parse_graph, random_mixed_
 from mixedspec.harness import sweep_alpha, verify_all
 from mixedspec.matrices import (
     BetaParam,
-    HermitianMatrix,
     HermitianStack,
     _expansion_quadratic_form,
-    a_alpha_matrix,
     a_alpha_stack,
-    degree_matrix,
     expected_traces,
-    hermitian_adjacency,
     omega_constant,
 )
 
@@ -29,7 +25,6 @@ OMEGA = omega_constant()
 
 # every public function that takes alpha, called on a graph with that alpha
 ALPHA_ENTRY_POINTS = {
-    "a_alpha_matrix": lambda g, a: a_alpha_matrix(g, a, OMEGA),
     "a_alpha_stack": lambda g, a: a_alpha_stack(g, [0.5, a], OMEGA),
     "expected_traces": lambda g, a: expected_traces(g.stats, a),
     "verify_all": lambda g, a: verify_all(g, a, OMEGA),
@@ -51,6 +46,33 @@ def graphs(draw, max_n=10):
 alphas = st.floats(0.0, 1.0)
 # angles in [-pi/2, pi/2] keep Re(beta) >= 0
 beta_angles = st.floats(-math.pi / 2, math.pi / 2)
+
+
+def degree_reference(g: MixedGraph) -> np.ndarray:
+    """D filled from the edge and arc lists: each one adds 1 to the degree
+    of both its ends."""
+    d = np.zeros((g.n, g.n), dtype=np.complex128)
+    for v, u in (*g.undirected, *g.arcs):
+        d[v, v] += 1.0
+        d[u, u] += 1.0
+    return d
+
+
+def adjacency_reference(g: MixedGraph, beta: BetaParam) -> np.ndarray:
+    """H filled from the edge and arc lists: 1 on both entries of an edge,
+    beta on tail->head and conj(beta) on head->tail of an arc."""
+    h = np.zeros((g.n, g.n), dtype=np.complex128)
+    for v, u in g.undirected:
+        h[v, u] = h[u, v] = 1.0
+    for t, hd in g.arcs:
+        h[t, hd] = beta.value
+        h[hd, t] = beta.value.conjugate()
+    return h
+
+
+def endpoints(g: MixedGraph, beta: BetaParam) -> np.ndarray:
+    """The built D and H, as the alpha = 1 and alpha = 0 blends."""
+    return a_alpha_stack(g, [1.0, 0.0], beta).data
 
 
 def unit_rows(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
@@ -149,89 +171,95 @@ class TestParams:
 
 
 class TestBuilders:
-    def test_degree_matrix_single_arc(self, p2):
-        d = degree_matrix(p2)
-        assert np.array_equal(d.data, np.diag([1.0 + 0j, 1.0]))
+    def test_degree_endpoint_single_arc(self, p2):
+        d, _ = endpoints(p2, OMEGA)
+        assert np.array_equal(d, np.diag([1.0 + 0j, 1.0]))
 
-    def test_degree_matrix_triangle(self, c3):
-        assert np.array_equal(degree_matrix(c3).data, 2.0 * np.eye(3))
+    def test_degree_endpoint_triangle(self, c3):
+        d, _ = endpoints(c3, OMEGA)
+        assert np.array_equal(d, 2.0 * np.eye(3))
 
-    def test_degree_matrix_empty_graph(self):
-        g = parse_graph("3\n")
-        assert np.array_equal(degree_matrix(g).data, np.zeros((3, 3)))
+    def test_degree_endpoint_empty_graph(self):
+        d, _ = endpoints(parse_graph("3\n"), OMEGA)
+        assert np.array_equal(d, np.zeros((3, 3)))
 
     def test_adjacency_single_arc(self, p2):
-        h = hermitian_adjacency(p2, OMEGA)
+        _, h = endpoints(p2, OMEGA)
         w = OMEGA.value
-        assert h.data[0, 1] == w
-        assert h.data[1, 0] == w.conjugate()
-        assert h.data[0, 0] == 0 and h.data[1, 1] == 0
+        assert h[0, 1] == w
+        assert h[1, 0] == w.conjugate()
+        assert h[0, 0] == 0 and h[1, 1] == 0
 
     def test_adjacency_undirected_edge(self):
-        g = parse_graph("2\n1 -- 2\n")
-        h = hermitian_adjacency(g, OMEGA)
-        assert np.array_equal(h.data, np.array([[0, 1], [1, 0]], dtype=complex))
+        _, h = endpoints(parse_graph("2\n1 -- 2\n"), OMEGA)
+        assert np.array_equal(h, np.array([[0, 1], [1, 0]], dtype=complex))
+
+    @given(graphs(), beta_angles)
+    def test_endpoints_match_edge_list_references(self, g, theta):
+        beta = BetaParam.from_angle(theta)
+        d, h = endpoints(g, beta)
+        assert np.array_equal(d, degree_reference(g))
+        assert np.array_equal(h, adjacency_reference(g, beta))
 
     @given(graphs())
     def test_beta_one_gives_classical_adjacency(self, g):
-        h = hermitian_adjacency(g, BetaParam(1.0, 0.0))
+        _, h = endpoints(g, BetaParam(1.0, 0.0))
         ref = np.zeros((g.n, g.n))
         for i, j in g.undirected:
             ref[i, j] = ref[j, i] = 1.0
         for t, hd in g.arcs:
             ref[t, hd] = ref[hd, t] = 1.0
-        assert np.array_equal(h.data, ref.astype(complex))
+        assert np.array_equal(h, ref.astype(complex))
 
     def test_blend_endpoints(self, p2):
-        assert np.array_equal(
-            a_alpha_matrix(p2, 0.0, OMEGA).data, hermitian_adjacency(p2, OMEGA).data
-        )
-        assert np.array_equal(a_alpha_matrix(p2, 1.0, OMEGA).data, np.diag([1.0 + 0j, 1.0]))
+        h, d = a_alpha_stack(p2, [0.0, 1.0], OMEGA).data
+        assert np.array_equal(h, adjacency_reference(p2, OMEGA))
+        assert np.array_equal(d, np.diag([1.0 + 0j, 1.0]))
 
     def test_blend_midpoint_triangle(self, c3):
-        m = a_alpha_matrix(c3, 0.5, OMEGA)
-        assert np.allclose(np.diagonal(m.data), 1.0)
-        off = np.abs(m.data[~np.eye(3, dtype=bool)])
+        (m,) = a_alpha_stack(c3, [0.5], OMEGA).data
+        assert np.allclose(np.diagonal(m), 1.0)
+        off = np.abs(m[~np.eye(3, dtype=bool)])
         assert np.allclose(off, 0.5)
 
     @given(graphs(), alphas, beta_angles)
     def test_blend_is_exactly_hermitian(self, g, a, theta):
-        m = a_alpha_matrix(g, a, BetaParam.from_angle(theta))
-        assert np.array_equal(m.data, m.data.conj().T)
-        assert np.all(np.diagonal(m.data).imag == 0.0)
+        (m,) = a_alpha_stack(g, [a], BetaParam.from_angle(theta)).data
+        assert np.array_equal(m, m.conj().T)
+        assert np.all(np.diagonal(m).imag == 0.0)
 
     @given(graphs(), alphas, beta_angles)
-    def test_blend_bits_match_blend_of_validated_parts(self, g, a, theta):
-        # every entry equals alpha*D + (1-alpha)*H over the validated endpoint
-        # matrices bit for bit, signed zeros included
+    def test_blend_bits_match_blend_of_references(self, g, a, theta):
+        # every entry equals alpha*D + (1-alpha)*H over D and H filled from
+        # the edge and arc lists, bit for bit, signed zeros included
         beta = BetaParam.from_angle(theta)
-        ref = a * degree_matrix(g).data + (1.0 - a) * hermitian_adjacency(g, beta).data
+        ref = a * degree_reference(g) + (1.0 - a) * adjacency_reference(g, beta)
         np.fill_diagonal(ref, ref.diagonal().real)
-        got = a_alpha_matrix(g, a, beta).data
+        (got,) = a_alpha_stack(g, [a], beta).data
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     @given(graphs(), st.lists(alphas, min_size=1, max_size=5), beta_angles)
-    def test_stack_matches_single_builds(self, g, grid, theta):
+    def test_stack_matches_one_point_stacks(self, g, grid, theta):
         beta = BetaParam.from_angle(theta)
         stack = a_alpha_stack(g, grid, beta)
         assert stack.data.shape == (len(grid), g.n, g.n) and len(stack) == len(grid)
         for i, a in enumerate(grid):
-            m = a_alpha_matrix(g, a, beta)
-            assert np.array_equal(stack.data[i].view(np.uint64), m.data.view(np.uint64))
-            assert stack.traces()[i] == m.trace()
-            assert stack.traces_of_square()[i] == m.trace_of_square()
-            assert stack.max_offdiag_moduli()[i] == m.max_offdiag_modulus()
+            one = a_alpha_stack(g, [a], beta)
+            assert np.array_equal(stack.data[i].view(np.uint64), one.data[0].view(np.uint64))
+            assert stack.traces()[i] == one.traces()[0]
+            assert stack.traces_of_square()[i] == one.traces_of_square()[0]
+            assert stack.max_offdiag_moduli()[i] == one.max_offdiag_moduli()[0]
 
     @given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
     def test_stack_quantities_match_each_matrix(self, n, k, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
         a = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
         ms = [hermitian_from_array(x) for x in a]
-        stack = HermitianStack(np.array([m.data for m in ms]))
+        stack = HermitianStack(np.concatenate([m.data for m in ms]))
         assert stack.n == n
-        assert stack.traces() == [m.trace() for m in ms]
-        assert stack.traces_of_square() == [m.trace_of_square() for m in ms]
-        assert stack.max_offdiag_moduli() == [m.max_offdiag_modulus() for m in ms]
+        assert stack.traces() == [m.traces()[0] for m in ms]
+        assert stack.traces_of_square() == [m.traces_of_square()[0] for m in ms]
+        assert stack.max_offdiag_moduli() == [m.max_offdiag_moduli()[0] for m in ms]
 
     def test_stack_rejects_one_non_hermitian_matrix(self):
         ok = np.eye(2, dtype=complex)
@@ -241,25 +269,33 @@ class TestBuilders:
             with pytest.raises(ValueError, match="not exactly Hermitian"):
                 HermitianStack(np.array([ok, bad, ok]))
             with pytest.raises(ValueError, match="not exactly Hermitian"):
-                HermitianMatrix(bad)
+                HermitianStack(bad[None])
         with pytest.raises(ValueError, match="square"):
             HermitianStack(np.zeros((2, 2, 3), dtype=complex))
         stack = HermitianStack(np.array([ok, ok]))
         with pytest.raises(ValueError):
             stack.data[1, 0, 0] = 5.0
 
-    def test_constructor_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            HermitianMatrix(np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex))
+    def test_stack_rejects_a_bare_matrix(self):
+        with pytest.raises(ValueError, match="stack of square matrices"):
+            HermitianStack(np.eye(2, dtype=complex))
 
-    def test_constructor_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            HermitianMatrix(np.zeros((2, 3), dtype=complex))
+    @pytest.mark.parametrize(
+        "entry", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)], ids=str
+    )
+    def test_stack_rejects_non_finite_entries(self, entry):
+        # checked before the Hermitian check, so a conjugate pair of
+        # infinities, which compares equal to its conjugate, is refused too
+        bad = np.zeros((2, 2), dtype=complex)
+        bad[0, 1] = entry
+        bad[1, 0] = np.conj(entry)
+        with pytest.raises(ValueError, match="non-finite"):
+            HermitianStack(np.array([np.eye(2), bad]))
 
     def test_entries_read_only(self, p2):
-        m = a_alpha_matrix(p2, 0.5, OMEGA)
+        m = a_alpha_stack(p2, [0.5], OMEGA)
         with pytest.raises(ValueError):
-            m.data[0, 0] = 5.0
+            m.data[0, 0, 0] = 5.0
 
 
 class TestExpectedTraces:
@@ -275,10 +311,10 @@ class TestExpectedTraces:
 
     @given(graphs(), alphas, beta_angles)
     def test_built_matrix_matches_closed_forms(self, g, a, theta):
-        m = a_alpha_matrix(g, a, BetaParam.from_angle(theta))
+        m = a_alpha_stack(g, [a], BetaParam.from_angle(theta))
         tr, tr2 = expected_traces(graph_stats(g), a)
-        assert abs(m.trace() - tr) <= 1e-9
-        assert abs(m.trace_of_square() - tr2) <= 1e-9
+        assert abs(m.traces()[0] - tr) <= 1e-9
+        assert abs(m.traces_of_square()[0] - tr2) <= 1e-9
 
 
 class TestQuadraticForm:
@@ -305,13 +341,13 @@ class TestQuadraticForm:
     )
     def test_two_routes_agree_and_value_in_numerical_range(self, g, k, a, theta, seed):
         beta = BetaParam.from_angle(theta)
-        m = a_alpha_matrix(g, a, beta)
+        m = a_alpha_stack(g, [a], beta)
         z = unit_rows(np.random.Generator(np.random.PCG64(seed)), k, g.n)
-        direct = ((z.conj() @ m.data) * z).sum(axis=1)
+        direct = ((z.conj() @ m.data[0]) * z).sum(axis=1)
         (expanded,) = _expansion_quadratic_form(g, [a], beta, z)
         assert expanded.shape == (k,)
         assert np.max(np.abs(direct.real - expanded)) <= 1e-10
-        spec = eigenvalues(m)
+        spec = eigenvalues(m).spectrum(0)
         assert np.all(spec.mu_min - 1e-9 <= expanded)
         assert np.all(expanded <= spec.mu_max + 1e-9)
 
@@ -359,5 +395,5 @@ class TestTextFormat:
     def test_symmetrizer_output_accepted(self):
         rng = np.random.Generator(np.random.PCG64(5))
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        m = hermitian_from_array(a)
-        assert np.array_equal(m.data, m.data.conj().T)
+        (m,) = hermitian_from_array(a).data
+        assert np.array_equal(m, m.conj().T)
