@@ -171,15 +171,15 @@ class TestParams:
 
 
 class TestBuilders:
-    def test_degree_endpoint_single_arc(self, p2):
+    def test_degree_matrix_single_arc(self, p2):
         d, _ = endpoints(p2, OMEGA)
         assert np.array_equal(d, np.diag([1.0 + 0j, 1.0]))
 
-    def test_degree_endpoint_triangle(self, c3):
+    def test_degree_matrix_triangle(self, c3):
         d, _ = endpoints(c3, OMEGA)
         assert np.array_equal(d, 2.0 * np.eye(3))
 
-    def test_degree_endpoint_empty_graph(self):
+    def test_degree_matrix_empty_graph(self):
         d, _ = endpoints(parse_graph("3\n"), OMEGA)
         assert np.array_equal(d, np.zeros((3, 3)))
 
@@ -229,9 +229,11 @@ class TestBuilders:
         assert np.all(np.diagonal(m).imag == 0.0)
 
     @given(graphs(), alphas, beta_angles)
-    def test_blend_bits_match_blend_of_references(self, g, a, theta):
-        # every entry equals alpha*D + (1-alpha)*H over D and H filled from
-        # the edge and arc lists, bit for bit, signed zeros included
+    def test_blend_bits_match_blend_of_validated_parts(self, g, a, theta):
+        # every entry equals alpha*D + (1-alpha)*H, bit for bit, signed zeros
+        # included; D and H are filled from the edge and arc lists, which
+        # test_endpoints_match_edge_list_references pins to the validated
+        # alpha = 1 and alpha = 0 stacks
         beta = BetaParam.from_angle(theta)
         ref = a * degree_reference(g) + (1.0 - a) * adjacency_reference(g, beta)
         np.fill_diagonal(ref, ref.diagonal().real)
@@ -239,7 +241,7 @@ class TestBuilders:
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     @given(graphs(), st.lists(alphas, min_size=1, max_size=5), beta_angles)
-    def test_stack_matches_one_point_stacks(self, g, grid, theta):
+    def test_stack_matches_single_builds(self, g, grid, theta):
         beta = BetaParam.from_angle(theta)
         stack = a_alpha_stack(g, grid, beta)
         assert stack.data.shape == (len(grid), g.n, g.n) and len(stack) == len(grid)
@@ -268,13 +270,22 @@ class TestBuilders:
         for bad in (not_hermitian, imag_diagonal):
             with pytest.raises(ValueError, match="not exactly Hermitian"):
                 HermitianStack(np.array([ok, bad, ok]))
-            with pytest.raises(ValueError, match="not exactly Hermitian"):
-                HermitianStack(bad[None])
         with pytest.raises(ValueError, match="square"):
             HermitianStack(np.zeros((2, 2, 3), dtype=complex))
         stack = HermitianStack(np.array([ok, ok]))
         with pytest.raises(ValueError):
             stack.data[1, 0, 0] = 5.0
+
+    def test_constructor_rejects_non_hermitian(self):
+        bad = np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            HermitianStack(bad[None])
+
+    def test_constructor_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            HermitianStack(np.zeros((1, 2, 3), dtype=complex))
+        with pytest.raises(ValueError, match="square"):
+            HermitianStack(np.zeros((2, 3), dtype=complex))
 
     def test_stack_rejects_a_bare_matrix(self):
         with pytest.raises(ValueError, match="stack of square matrices"):
