@@ -20,9 +20,6 @@ from .eig import (
     VerificationError,
     eigenvalues,
     oracle_eigenvalues,
-    spectral_radius,
-    spread,
-    trace_norm,
 )
 from .graphs import (
     GraphFormatError,
@@ -85,10 +82,7 @@ __all__ = [
     "random_mixed_graph",
     "run_trial",
     "serialize_graph",
-    "spectral_radius",
-    "spread",
     "sweep_alpha",
-    "trace_norm",
     "verify_all",
     "zagreb_lower_bound",
 ]

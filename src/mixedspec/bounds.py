@@ -5,11 +5,12 @@ extremes, Zagreb index), the blend weight alpha and the closed-form traces,
 evaluated exactly as the source inequalities state them (the README's bound
 catalog lists each formula). Each formula family is written once, by a
 ``_*_columns`` function over the NumPy arrays of a block of k points, with
-one caller: ``catalog_columns`` lists the families in catalog order, and
-``rho_columns`` adds the one that needs the spectrum. ``harness.sweep_alpha``
-(and ``verify_all``, its one-point grid) is the only way to evaluate and
-score them. NumPy's ``+ - * /`` and ``sqrt`` round as Python's do, so each
-point gets the bits of a scalar evaluation. ``(1 - alpha)**2`` stays in
+one caller: ``catalog_columns`` lists the families in catalog order, the
+one that needs the spectrum (``rho_sandwich``, from mu_1 and the spectral
+radius) last. ``harness.sweep_alpha`` (and ``verify_all``, its one-point
+grid) is the only way to evaluate and score them, with one
+``catalog_columns`` call per block. NumPy's ``+ - * /`` and ``sqrt`` round
+as Python's do, so each point gets the bits of a scalar evaluation. ``(1 - alpha)**2`` stays in
 Python: ``**`` calls C ``pow``, which need not round as NumPy's ``x*x`` does.
 
 Each family decides its own applicability: when a hypothesis (such as
@@ -271,11 +272,11 @@ def _zagreb_index_columns(stats: GraphStats, k: int) -> Columns:
 _RHO = (Row("rho_sandwich", _LOWER, _MU_1),)
 
 
-def rho_columns(mu_max: list[float], rho: list[float], beta: BetaParam) -> tuple[Columns, list[float]]:
+def _rho_columns(mu_1: list[float], rho: list[float], beta: BetaParam) -> tuple[Columns, list[float]]:
     """From mu_1 and the spectral radius at each point; also gives mu_1 / rho.
     The ratio is taken point by point, since each point's note prints it."""
     c = 0.5 if beta.is_omega() else 1.0 / 3.0
-    ratio = [1.0 if r == 0.0 else mu / r for mu, r in zip(mu_max, rho)]
+    ratio = [1.0 if r == 0.0 else mu / r for mu, r in zip(mu_1, rho)]
     note = [f"c = {c}; ratio mu_1/rho = {x:.17g}" for x in ratio]
     return Columns(_RHO, c * np.array([rho]), note), ratio
 
@@ -287,17 +288,21 @@ def catalog_columns(
     closed_forms: list[tuple[float, float]],
     trace: list[float],
     offdiag: list[float],
-) -> tuple[list[Columns], list[str | None]]:
-    """Every family of the catalog but ``rho_columns``, in catalog order, over
-    a block of points with these closed-form traces (``expected_traces``),
-    matrix traces and largest off-diagonal moduli; with each point's first
-    failure, the spectral variance's before the trace-norm bracket's."""
+    mu_1: list[float],
+    rho: list[float],
+) -> tuple[list[Columns], list[str | None], list[float]]:
+    """Every family of the catalog, in catalog order, over a block of points
+    with these closed-form traces (``expected_traces``), matrix traces,
+    largest off-diagonal moduli, largest eigenvalues and spectral radii;
+    with each point's first failure, the spectral variance's before the
+    trace-norm bracket's, and each point's mu_1 / rho."""
     n = stats.n
     a = np.array(alphas)
     tr, tr2 = np.array(closed_forms).T
     r, s, failures = _moments(tr, tr2, n)
     t = _zagreb_variance_numerator(stats, a)
     trace_norm_columns = _trace_norm_columns(stats, a, tr, tr2)
+    rho_columns, ratio = _rho_columns(mu_1, rho, beta)
     columns = [
         _rayleigh_columns(stats, a, tr, beta),
         _offdiag_columns(np.array(trace), n, np.array(offdiag)),
@@ -309,7 +314,8 @@ def catalog_columns(
         _spread_columns(s, n),
         _spread_zagreb_columns(stats, t),
         _zagreb_index_columns(stats, len(alphas)),
+        rho_columns,
     ]
     for i, failure in enumerate(trace_norm_columns.failures or ()):
         failures[i] = failures[i] or failure
-    return columns, failures
+    return columns, failures, ratio

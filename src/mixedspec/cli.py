@@ -15,11 +15,13 @@ import functools
 import json
 import math
 import sys
+from itertools import chain
 
 from .graphs import parse_graph, random_mixed_graph, serialize_graph
 from .harness import (
     EDGE_PROB_RANGE,
     BoundReport,
+    Status,
     SuiteSummary,
     SweepConfig,
     VerificationError,
@@ -29,10 +31,6 @@ from .harness import (
 from .matrices import BetaParam, omega_constant
 
 GRID_EPS = 1e-12
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def parse_grid(text: str) -> list[float]:
@@ -148,19 +146,10 @@ def csv_header(report: BoundReport) -> str:
 
 
 def csv_row(report: BoundReport, beta_arg: float) -> str:
-    cells = [
-        _fmt(report.alpha),
-        _fmt(beta_arg),
-        _fmt(report.spectrum.mu_max),
-        _fmt(report.spectrum.mu_min),
-        _fmt(report.rho),
-        _fmt(report.spread),
-        _fmt(report.trace_norm),
-    ]
-    for bound, slack in zip(report.bounds, report.slacks):
-        cells.append("" if bound is None else _fmt(bound))
-        cells.append("" if slack is None else _fmt(slack))
-    return ",".join(cells)
+    s = report.spectrum
+    head = (report.alpha, beta_arg, s.mu_max, s.mu_min, report.rho, report.spread, report.trace_norm)
+    cells = chain(head, chain.from_iterable(zip(report.bounds, report.slacks)))
+    return ",".join("" if x is None else f"{x:.17g}" for x in cells)
 
 
 def _read_graph(path: str):
@@ -188,7 +177,7 @@ def cmd_sweep(args) -> int:
         sys.stdout.write(csv_header(reports[0]) + "\n")
         for r in reports:
             sys.stdout.write(csv_row(r, beta_arg) + "\n")
-    return 1 if any(r.violated for r in reports) else 0
+    return 1 if any(Status.VIOLATED in r.statuses for r in reports) else 0
 
 
 def cmd_check(args) -> int:

@@ -147,7 +147,8 @@ def oracle_eigenvalues(m: HermitianStack) -> SpectrumStack:
     LAPACK call. dgeev does not assume symmetry, so it may return complex
     eigenvalues; an imaginary part above 1e-8 * ||M||_F is a matrix's
     failure. The embedding doubles every eigenvalue; adjacent sorted values
-    are paired and averaged, and a pair gap above the same tolerance is a
+    are paired and averaged, each halved before the sum so that finite
+    values stay finite, and a pair gap above the same tolerance is a
     failure too. So is a LAPACK failure or a broken moment identity. As for
     ``eigenvalues``, a failure is raised when its row is read.
     """
@@ -176,20 +177,6 @@ def oracle_eigenvalues(m: HermitianStack) -> SpectrumStack:
             )
         elif worst[i] > pair_tol:
             failures[i] = f"embedding eigenvalues do not pair: worst gap {worst[i]} > {pair_tol}"
-    vals = ((d[:, 0::2] + d[:, 1::2]) / 2.0)[:, ::-1]
+    vals = (d[:, 0::2] / 2.0 + d[:, 1::2] / 2.0)[:, ::-1]
     return SpectrumStack(vals, _check_moments(vals, tr, tr2, "embedding", failures))
 
-
-def spectral_radius(s: Spectrum) -> float:
-    """Largest absolute eigenvalue."""
-    return max(abs(s.mu_max), abs(s.mu_min))
-
-
-def spread(s: Spectrum) -> float:
-    """Largest minus smallest eigenvalue."""
-    return s.mu_max - s.mu_min
-
-
-def trace_norm(s: Spectrum) -> float:
-    """Sum of absolute eigenvalues (the graph energy for adjacency-type matrices)."""
-    return float(sum(abs(v) for v in s.values))

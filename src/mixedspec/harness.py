@@ -3,12 +3,15 @@ independent kernels, sample the numerical range, and evaluate every bound
 in the catalog against the computed spectrum.
 
 A grid of alphas is verified in stacked blocks. Each block is built as one
-stack and solved in one LAPACK call per eigen route, and its catalog is
-scored as columns: every formula family gives its bounds for the whole
-block as arrays (``bounds.catalog_columns``), and ``_score`` compares them
-with the block's spectra in one pass. A BoundReport keeps its point's row
-of those columns; ``BoundReport.checked`` builds CheckedBound views from it.
-The checks still raise point by point in grid order.
+stack and solved in one LAPACK call per eigen route. Its spectral
+quantities (mu_1, mu_n, rho, spread, trace norm) are taken once as columns
+of the primary spectra, and its catalog is scored as columns: one
+``bounds.catalog_columns`` call gives every formula family's bounds for the
+whole block as arrays, rho_sandwich last, and one ``_score`` call compares
+them with the block's spectra. Then one loop over the block's points runs
+the checks, raising in grid order, and builds each BoundReport from its
+point's row of those columns; ``BoundReport.checked`` builds CheckedBound
+views from it.
 
 Three classes of failure are kept apart. Eigen-route failures (see ``eig``),
 kernel/oracle disagreement, trace mismatches, a matrix build that disagrees
@@ -32,15 +35,7 @@ import numpy as np
 
 from . import bounds as _b
 from .bounds import BoundKind, BoundResult, BoundTarget
-from .eig import (
-    Spectrum,
-    VerificationError,
-    eigenvalues,
-    oracle_eigenvalues,
-    spectral_radius,
-    spread,
-    trace_norm,
-)
+from .eig import Spectrum, VerificationError, eigenvalues, oracle_eigenvalues
 from .graphs import MixedGraph, random_mixed_graph, serialize_graph
 from .matrices import (
     BetaParam,
@@ -207,16 +202,10 @@ def _trace2_limit(closed_form: float) -> float:
     return max(TRACE_TOL, 64 * math.ulp(closed_form))
 
 
-def _in_range(lowest: float, highest: float, spec: Spectrum) -> bool:
-    """Whether sampled quadratic forms from lowest to highest lie in the
-    padded interval [mu_n, mu_1]; a NaN never does."""
-    return spec.mu_min - RAYLEIGH_PAD <= lowest and highest <= spec.mu_max + RAYLEIGH_PAD
-
-
 # _score's status codes index this array
 _STATUS = np.array(list(Status), dtype=object)
-# the row of _score's source array that each target reads; mu_j reads row
-# _MU_J_BASE + j
+# the row of _score's head (then the spectra) that each target reads; mu_j
+# reads row _MU_J_BASE + j
 _SOURCE = {
     BoundTarget.MU_1: 0,
     BoundTarget.MU_N: 1,
@@ -240,9 +229,10 @@ def _layout(rows: tuple[_b.Row, ...]) -> tuple[np.ndarray, np.ndarray]:
     return source, lower
 
 
-def _score(columns: list[_b.Columns], spectra: np.ndarray, trace_norms: list[float], zagreb: int):
+def _score(columns: list[_b.Columns], spectra: np.ndarray, head: np.ndarray):
     """Score a block's catalog as columns against its (k, n) spectra, rows
-    non-increasing. Returns the rows, and per point the tuples of bounds,
+    non-increasing, and the (5, k) head of mu_1, mu_n, spread, trace norm
+    and Zagreb index. Returns the rows, and per point the tuples of bounds,
     actuals, slacks, statuses and notes that a BoundReport holds."""
     k = len(spectra)
     rows = tuple(chain.from_iterable(c.rows for c in columns))
@@ -266,8 +256,6 @@ def _score(columns: list[_b.Columns], spectra: np.ndarray, trace_norms: list[flo
     if missing:
         bound[missing] = np.nan
     source_of, lower = _layout(rows)
-    mu_max, mu_min = spectra[:, 0], spectra[:, -1]
-    head = np.array([mu_max, mu_min, mu_max - mu_min, trace_norms, [float(zagreb)] * k])
     actual = np.concatenate((head, spectra.T))[source_of]
     slack = np.where(lower, actual - bound, bound - actual)
     # codes index _STATUS; a row without values is NOT_APPLICABLE, and one
@@ -351,11 +339,24 @@ def sweep_alpha(
         route_gap = np.abs(vals - expansion[start : start + len(block)]).max(axis=1).tolist()
         lowest, highest = vals.min(axis=1).tolist(), vals.max(axis=1).tolist()
         closed_forms = [expected_traces(stats, alpha) for alpha in block]
-        columns, failures = _b.catalog_columns(stats, block, beta, closed_forms, tr, offdiag)
+        values = primary.values
+        moduli = np.abs(values)
+        rho = np.maximum(moduli[:, 0], moduli[:, -1]).tolist()
+        # _score's head (see _SOURCE). The trace norm is a running sum left to
+        # right, which gives the bits of Python 3.11's sum() on every version
+        # (3.12's sum() of floats compensates)
+        head = np.array([
+            values[:, 0], values[:, -1], values[:, 0] - values[:, -1],
+            moduli.cumsum(axis=1)[:, -1], [float(stats.zagreb)] * len(block),
+        ])
+        mu_1, mu_n, spread, trace_norm, _ = head.tolist()
+        columns, failures, ratio = _b.catalog_columns(
+            stats, block, beta, closed_forms, tr, offdiag, mu_1, rho
+        )
+        rows, points = _score(columns, values, head)
 
-        specs = []
-        for i in range(len(block)):
-            spec = primary.spectrum(i)
+        for i, alpha in enumerate(block):
+            spectrum = primary.spectrum(i)
             oracle.check(i)
             limit = ORACLE_RTOL * math.sqrt(tr2[i])
             if oracle_gap[i] > limit:
@@ -377,34 +378,17 @@ def sweep_alpha(
                     f"matrix build disagrees with the graph's arc-sum expansion: "
                     f"quadratic forms differ by {route_gap[i]:.3e} (limit {EXPANSION_TOL:.0e})"
                 )
-            if not _in_range(lowest[i], highest[i], spec):
+            # the padded interval [mu_n, mu_1]; a NaN never lies in it
+            if not (mu_n[i] - RAYLEIGH_PAD <= lowest[i] and highest[i] <= mu_1[i] + RAYLEIGH_PAD):
                 raise VerificationError("a sampled quadratic form escaped [mu_n, mu_1]")
-
             if failures[i] is not None:
                 raise VerificationError(failures[i])
-            specs.append(spec)
-
-        rho = [spectral_radius(spec) for spec in specs]
-        rho_columns, ratio = _b.rho_columns([spec.mu_max for spec in specs], rho, beta)
-        trace_norms = [trace_norm(spec) for spec in specs]
-        rows, points = _score(columns + [rho_columns], primary.values, trace_norms, stats.zagreb)
-        for i, spec in enumerate(specs):
             bounds, actuals, slacks, statuses, notes = points[i]
             reports.append(
                 BoundReport(
-                    graph=g,
-                    alpha=block[i],
-                    beta=(beta.re, beta.im),
-                    spectrum=spec,
-                    rho=rho[i],
-                    spread=spread(spec),
-                    trace_norm=trace_norms[i],
-                    rho_ratio=ratio[i],
-                    rows=rows,
-                    bounds=bounds,
-                    actuals=actuals,
-                    slacks=slacks,
-                    statuses=statuses,
+                    graph=g, alpha=alpha, beta=(beta.re, beta.im), spectrum=spectrum,
+                    rho=rho[i], spread=spread[i], trace_norm=trace_norm[i], rho_ratio=ratio[i],
+                    rows=rows, bounds=bounds, actuals=actuals, slacks=slacks, statuses=statuses,
                     notes=notes,
                 )
             )

@@ -15,11 +15,10 @@ from mixedspec.bounds import (
     BoundTarget,
     _moments,
     _offdiag_columns,
+    _rho_columns,
     _unit_columns,
     _wolkowicz_columns,
-    rho_columns,
 )
-from mixedspec.eig import spectral_radius
 from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph, zagreb_lower_bound
 from mixedspec.harness import Status, sweep_alpha, verify_all
 from mixedspec.matrices import BetaParam, a_alpha_stack, expected_traces, omega_constant
@@ -308,11 +307,11 @@ class TestRhoSandwich:
 
     def test_general_beta_uses_one_third(self):
         # mu_1 = 1 and rho = 3, as for the spectrum (1, -3)
-        cols, _ = rho_columns([1.0], [3.0], BetaParam(1.0, 0.0))
+        cols, _ = _rho_columns([1.0], [3.0], BetaParam(1.0, 0.0))
         assert cols.values[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_spectrum_ratio_defined_as_one(self):
-        cols, ratio = rho_columns([0.0], [0.0], OMEGA)
+        cols, ratio = _rho_columns([0.0], [0.0], OMEGA)
         assert cols.values.tolist() == [[0.0]]
         assert ratio == [1.0]
 
@@ -373,7 +372,7 @@ def _reference_scores(stats, alpha, beta, trace, offdiag, spec):
         bounds += [even if n % 2 == 0 else 2.0 * math.sqrt(t / (n * n - 1.0)), zagreb_lower_bound(stats)]
     else:
         bounds += [None, None]
-    bounds.append((0.5 if beta.is_omega() else 1.0 / 3.0) * spectral_radius(spec))
+    bounds.append((0.5 if beta.is_omega() else 1.0 / 3.0) * max(abs(spec.mu_max), abs(spec.mu_min)))
     return bounds
 
 

@@ -1,6 +1,9 @@
 """Primary LAPACK route, embedding oracle, and derived spectral quantities."""
 
+import functools
 import math
+import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +16,9 @@ from mixedspec.eig import (
     _check_moments,
     eigenvalues,
     oracle_eigenvalues,
-    spectral_radius,
-    spread,
-    trace_norm,
 )
 from mixedspec.graphs import MixedGraph, parse_graph, random_mixed_graph
-from mixedspec.harness import ORACLE_RTOL, sweep_alpha
+from mixedspec.harness import ORACLE_RTOL, sweep_alpha, verify_all
 from mixedspec.matrices import BetaParam, HermitianStack, a_alpha_stack, omega_constant
 
 OMEGA = omega_constant()
@@ -175,6 +175,17 @@ class TestUnconfirmedMoments:
         with pytest.raises(VerificationError, match="does not match"):
             spectra.spectrum(0)
 
+    def test_oracle_keeps_finite_eigenvalues_finite(self):
+        # each embedding pair is halved before it is summed, so eigenvalues
+        # near the top of the float range do not overflow to inf on the way
+        big = np.array([[0.0, 1e308], [1e308, 0.0]], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = HermitianStack(big[None])
+            primary, oracle = eigenvalues(stack), oracle_eigenvalues(stack)
+        assert primary.values.tolist() == [[1e308, -1e308]]
+        assert np.isfinite(oracle.values).all()
+        assert oracle.values == pytest.approx(primary.values, rel=ORACLE_RTOL)
+
     @pytest.mark.parametrize(
         "values, tr, tr2",
         [
@@ -228,20 +239,41 @@ class TestKernelProperties:
 
 
 class TestDerivedQuantities:
-    def test_spectral_radius(self):
-        assert spectral_radius(Spectrum((1.0, -1.0))) == 1.0
-        assert spectral_radius(Spectrum((1.0, 1.0, -2.0))) == 2.0
-        assert spectral_radius(Spectrum((1.5, 1.5, 0.0))) == 1.5
+    """rho, spread and trace norm as a verified report carries them."""
 
-    def test_spread(self):
-        assert spread(Spectrum((1.0, -1.0))) == 2.0
-        assert spread(Spectrum((1.0, 1.0, -2.0))) == 3.0
-        assert spread(Spectrum((2.0, 2.0, 2.0))) == 0.0
+    def test_spectral_radius(self, p2, c3):
+        # spectra (1, -1), (1, 1, -2) and (1.5, 1.5, 0)
+        assert verify_all(p2, 0.0, OMEGA).rho == pytest.approx(1.0, abs=1e-12)
+        assert verify_all(c3, 0.0, OMEGA).rho == pytest.approx(2.0, abs=1e-12)
+        assert verify_all(c3, 0.5, OMEGA).rho == pytest.approx(1.5, abs=1e-12)
 
-    def test_trace_norm(self):
-        assert trace_norm(Spectrum((1.0, -1.0))) == 2.0
-        assert trace_norm(Spectrum((1.0, 1.0, -2.0))) == 4.0
-        assert trace_norm(Spectrum((1.5, 1.5, 0.0))) == 3.0
+    def test_spread(self, p2, c3):
+        # spectra (1, -1), (1, 1, -2) and (2, 2, 2)
+        triangle = parse_graph("3\n1 -- 2\n2 -- 3\n3 -- 1\n")
+        assert verify_all(p2, 0.0, OMEGA).spread == pytest.approx(2.0, abs=1e-12)
+        assert verify_all(c3, 0.0, OMEGA).spread == pytest.approx(3.0, abs=1e-12)
+        assert verify_all(triangle, 1.0, OMEGA).spread == 0.0
+
+    def test_trace_norm(self, p2, c3):
+        # spectra (1, -1), (1, 1, -2) and (1.5, 1.5, 0)
+        assert verify_all(p2, 0.0, OMEGA).trace_norm == pytest.approx(2.0, abs=1e-12)
+        assert verify_all(c3, 0.0, OMEGA).trace_norm == pytest.approx(4.0, abs=1e-12)
+        assert verify_all(c3, 0.5, OMEGA).trace_norm == pytest.approx(3.0, abs=1e-12)
+
+    @given(mixed_graphs, st.floats(0.0, 1.0), betas)
+    def test_read_off_the_reported_spectrum(self, g, alpha, beta):
+        report = verify_all(g, alpha, beta)
+        values = report.spectrum.values
+        assert report.rho == max(abs(values[0]), abs(values[-1]))
+        assert report.spread == values[0] - values[-1]
+        # a running sum left to right, whatever the Python version's sum()
+        assert report.trace_norm == functools.reduce(operator.add, map(abs, values))
+
+    def test_trace_norm_is_not_compensated(self):
+        g = parse_graph((Path(__file__).parent / "data" / "graph_n40.mg").read_text(encoding="utf-8"))
+        report = verify_all(g, 0.35, OMEGA)
+        assert report.trace_norm == 167.29999999999993
+        assert math.fsum(map(abs, report.spectrum.values)) == 167.29999999999998
 
 
 class TestSpectrumSymmetries:
@@ -304,5 +336,6 @@ class TestBlendFamilyStructure:
             n=g.n, undirected=g.undirected | {tuple(sorted(a)) for a in g.arcs}, arcs=frozenset()
         )
         m = a_alpha_stack(g, [alpha], beta)
-        perron = spectral_radius(solve(a_alpha_stack(underlying, [alpha], beta)))
-        assert spectral_radius(solve(m)) <= perron + ORACLE_RTOL * frobenius_norm(m)
+        ref, got = solve(a_alpha_stack(underlying, [alpha], beta)), solve(m)
+        perron = max(abs(ref.mu_max), abs(ref.mu_min))
+        assert max(abs(got.mu_max), abs(got.mu_min)) <= perron + ORACLE_RTOL * frobenius_norm(m)

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 import mixedspec.bounds
 import mixedspec.harness
 from mixedspec.bounds import BoundKind, BoundResult, BoundTarget, Columns, Row, _moments
-from mixedspec.eig import Spectrum, SpectrumStack, trace_norm
+from mixedspec.eig import Spectrum, SpectrumStack
 from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph
 from mixedspec.harness import (
     BLOCK_ENTRIES,
@@ -47,8 +47,9 @@ def _check_bound(result, spec, stats):
     values = None if result.bound_value is None else np.array([[result.bound_value]])
     row = Row(result.name, result.kind, result.target, result.j)
     columns = Columns((row,), values, result.note, result.applicable, result.expected_fail)
-    spectra = np.array([spec.values])
-    rows, [(_, actuals, slacks, statuses, _)] = _score([columns], spectra, [trace_norm(spec)], stats.zagreb)
+    v = spec.values
+    head = np.array([[v[0]], [v[-1]], [v[0] - v[-1]], [sum(map(abs, v))], [stats.zagreb]])
+    rows, [(_, actuals, slacks, statuses, _)] = _score([columns], np.array([v]), head)
     assert rows == (row,)
     return CheckedBound(result, actuals[0], slacks[0], statuses[0])
 
