@@ -1,13 +1,19 @@
 """Full spectra of Hermitian matrices, via two independent routes.
 
-``eigenvalues`` solves the complex matrix itself with LAPACK's Hermitian
-solver (zheevd: tridiagonal reduction, then divide and conquer).
-``oracle_eigenvalues`` solves the 2n x 2n real embedding [[X, -Y], [Y, X]] of
-M = X + iY, where every eigenvalue of M shows up twice, with LAPACK's general
-real solver (dgeev: Hessenberg reduction, then Francis QR). The two routes
-share no eigen solver: a different matrix in different arithmetic, through
-different algorithms. Agreement between them is the library's main internal
-consistency check.
+``eigenvalues`` solves each matrix with LAPACK's Hermitian solver (zheevd:
+tridiagonal reduction, then divide and conquer). ``oracle_eigenvalues``
+trusts no second solver: it checks zheevd's eigenpairs (w, V) against M with
+matrix products. Let R = MV - V diag(w), eta = ||V*V - I||_F < 1 and V = UH
+the polar factorisation, so ||H - I|| <= eta and ||H^-1|| <= 1/sqrt(1 - eta).
+Then U*MU - diag(w) = (H diag(w) - diag(w) H) H^-1 + U*R H^-1 is Hermitian
+with norm at most beta = (||R||_F + 2 eta max|w_i|) / sqrt(1 - eta). U*MU has the
+spectrum of M, so Weyl's inequality gives |lambda_i(M) - w_i| <= beta for
+every sorted i, however (w, V) were computed (Parlett, The Symmetric
+Eigenvalue Problem, residual bounds). The rounding of each product, at most
+gamma |A||B| with gamma = 4(n + 3)u (Higham, Accuracy and Stability of
+Numerical Algorithms, sections 3.5 and 3.6), and that of the norms are added
+to eta and beta. The harness's gap check of the primary values against w
+then bounds them against the true spectrum, trusting neither solver.
 
 Both routes take a HermitianStack, the one matrix type, and solve it with
 one LAPACK call for the whole stack, which gives the same bits per matrix
@@ -27,7 +33,7 @@ import numpy as np
 from .matrices import HermitianStack
 
 MOMENT_RTOL = 1e-8
-PAIR_RTOL = 1e-8
+ENCLOSURE_RTOL = 1e-8
 
 
 class VerificationError(RuntimeError):
@@ -87,23 +93,25 @@ class SpectrumStack:
         return self.values.tolist()
 
 
-def _solve(solver, data: np.ndarray, route: str) -> tuple[np.ndarray, list[str | None]]:
-    """``solver`` on the whole stack in one call. numpy raises for the stack
-    when any matrix fails, so after a LinAlgError each matrix is solved alone
-    and only the failing ones carry the error (their row is NaN)."""
+def _solve(solver, data: np.ndarray, route: str) -> tuple[tuple[np.ndarray, ...], list[str | None]]:
+    """``solver``, which returns a tuple (values, then any vectors), on the
+    whole stack in one call. numpy raises for the stack when any matrix
+    fails, so after a LinAlgError each matrix is solved alone and only the
+    failing ones carry the error, with NaN outputs (NaN vectors too if all fail)."""
     try:
         return solver(data), [None] * len(data)
     except np.linalg.LinAlgError:
         pass
+    blank = (np.full(data.shape[1:-1], np.nan), np.full(data.shape[1:], np.nan))
     rows, failures = [], []
     for a in data:
         try:
             rows.append(solver(a))
             failures.append(None)
         except np.linalg.LinAlgError as exc:
-            rows.append(np.full(a.shape[-1], np.nan))
+            rows.append(blank)
             failures.append(f"{route}: {exc}")
-    return np.array(rows), failures
+    return tuple(map(np.array, zip(*rows))), failures
 
 
 def _check_moments(
@@ -135,48 +143,52 @@ def eigenvalues(m: HermitianStack) -> SpectrumStack:
     when its row is read.
     """
     tr, tr2 = m.traces(), m.traces_of_square()
-    d, failures = _solve(np.linalg.eigvalsh, m.data, "zheevd")
+    (d, *_), failures = _solve(lambda a: (np.linalg.eigvalsh(a),), m.data, "zheevd")
     vals = d[:, ::-1]
     return SpectrumStack(vals, _check_moments(vals, tr, tr2, "zheevd", failures))
 
 
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """||a_i||_F of each complex matrix of a stack."""
+    x = a.reshape(len(a), -1).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
+
+
+def _enclosure(data: np.ndarray, w: np.ndarray, v: np.ndarray, tr2: list[float]):
+    """Per matrix, eta >= ||V*V - I||_F and, if eta < 1, beta >= every
+    |lambda_i(M) - w_i|, rounding included (see the module docstring)."""
+    k, n = data.shape[:2]
+    u = np.finfo(np.float64).eps / 2
+    gamma, grow = 4 * (n + 3) * u, 1 + 4 * (n * n + 1) * u
+    t = v * w[:, None, :]
+    r = np.matmul(data, v)
+    r -= t
+    res, vnorm, wmax = _frobenius(r), _frobenius(v), np.abs(w).max(axis=1)
+    np.matmul(np.conjugate(v, out=t).swapaxes(1, 2), v, out=r)
+    r.reshape(k, -1)[:, :: n + 1] -= 1.0
+    eta = grow * _frobenius(r) + gamma * vnorm * vnorm
+    res = grow * res + gamma * (np.sqrt(tr2) + wmax) * vnorm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return eta.tolist(), ((res + 2 * eta * wmax) / np.sqrt(1 - eta)).tolist()
+
+
 def oracle_eigenvalues(m: HermitianStack) -> SpectrumStack:
-    """Eigenvalues via the real embedding, solved by LAPACK dgeev.
-
-    The stack is solved as one (k, 2n, 2n) stack of embeddings in one
-    LAPACK call. dgeev does not assume symmetry, so it may return complex
-    eigenvalues; an imaginary part above 1e-8 * ||M||_F is a matrix's
-    failure. The embedding doubles every eigenvalue; adjacent sorted values
-    are paired and averaged, each halved before the sum so that finite
-    values stay finite, and a pair gap above the same tolerance is a
-    failure too. So is a LAPACK failure or a broken moment identity. As for
-    ``eigenvalues``, a failure is raised when its row is read.
-    """
-    data, tr, tr2 = m.data, m.traces(), m.traces_of_square()
-    k, n = len(m), m.n
-    x = data.real
-    y = data.imag
-    emb = np.empty((k, 2 * n, 2 * n))
-    emb[:, :n, :n] = x
-    emb[:, :n, n:] = -y
-    emb[:, n:, :n] = y
-    emb[:, n:, n:] = x
-    w, failures = _solve(np.linalg.eigvals, emb, "dgeev")
-    w = w.reshape(k, 2 * n)
-
-    d = np.sort(w.real, axis=1)
-    imag = np.abs(w.imag).max(axis=1, initial=0.0).tolist()
-    worst = np.abs(d[:, 1::2] - d[:, 0::2]).max(axis=1, initial=0.0).tolist()
+    """Eigenvalues by LAPACK zheevd with eigenvectors, certified in one
+    batched pass by the residual enclosure of the module docstring: beta,
+    with its gamma = 4(n + 3)u rounding, bounds |lambda_i(M) - w_i| for every
+    sorted i by Weyl's inequality. A matrix fails unless
+    eta = ||V*V - I||_F < 1 and beta <= ENCLOSURE_RTOL * ||M||_F, or on a
+    LAPACK failure or a broken moment identity; the failure is raised when
+    its row is read, as for ``eigenvalues``."""
+    tr, tr2 = m.traces(), m.traces_of_square()
+    (w, v), failures = _solve(np.linalg.eigh, m.data, "oracle")
+    eta, beta = _enclosure(m.data, w, v, tr2)
     for i, failure in enumerate(failures):
-        if failure is not None:
-            continue
-        pair_tol = PAIR_RTOL * math.sqrt(tr2[i])
-        if imag[i] > pair_tol:
+        limit = ENCLOSURE_RTOL * math.sqrt(tr2[i])
+        if failure is None and not (eta[i] < 1.0 and beta[i] <= limit):
             failures[i] = (
-                f"embedding eigenvalues are not real: largest imaginary part {imag[i]} > {pair_tol}"
+                f"oracle: residual enclosure {beta[i]:.3e} above its limit {limit:.3e}"
+                f" (||V*V - I||_F {eta[i]:.3e})"
             )
-        elif worst[i] > pair_tol:
-            failures[i] = f"embedding eigenvalues do not pair: worst gap {worst[i]} > {pair_tol}"
-    vals = (d[:, 0::2] / 2.0 + d[:, 1::2] / 2.0)[:, ::-1]
-    return SpectrumStack(vals, _check_moments(vals, tr, tr2, "embedding", failures))
-
+    vals = w[:, ::-1]
+    return SpectrumStack(vals, _check_moments(vals, tr, tr2, "oracle", failures))

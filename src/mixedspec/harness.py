@@ -57,8 +57,8 @@ EXPANSION_TOL = 1e-10
 EDGE_PROB_RANGE = (0.05, 0.95)
 # complex entries per block of a grid, counted as the larger of the block's
 # k*n*n matrix entries and its k*RAYLEIGH_SAMPLES*n products z*M (16 MB);
-# with the block's real embeddings a sweep stays within about 64 MB of
-# arrays however long its grid is
+# with the oracle's V, R and V*V - I of the same size a sweep stays within
+# about 64 MB of arrays however long its grid is
 BLOCK_ENTRIES = 2**20
 
 
@@ -289,7 +289,7 @@ def verify_all(
 ) -> BoundReport:
     """Full verification of one (graph, alpha, beta) triple.
 
-    Cross-checks the primary spectrum against the embedding oracle, asserts
+    Cross-checks the primary spectrum against the certified oracle, asserts
     the closed-form traces, then draws RAYLEIGH_SAMPLES unit vectors z from
     ``rayleigh_seed``. Every z*Mz must match the arc-sum expansion computed
     from the graph within EXPANSION_TOL and lie in [mu_n, mu_1]. Then the

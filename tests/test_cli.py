@@ -240,7 +240,7 @@ class TestReport:
         # the stack route's raw spectrum is the verified one, bit for bit
         assert out[-1] == out[0]
 
-    @pytest.mark.parametrize("solver", ["eigvalsh", "eigvals"])
+    @pytest.mark.parametrize("solver", ["eigvalsh", "eigh"])
     def test_solver_failure_gives_exit_one(self, c3_file, capsys, monkeypatch, solver):
         # LinAlgError subclasses ValueError; it must not pass for bad input (exit 2)
         def no_convergence(a):

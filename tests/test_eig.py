@@ -1,4 +1,4 @@
-"""Primary LAPACK route, embedding oracle, and derived spectral quantities."""
+"""Primary LAPACK route, certified oracle, and derived spectral quantities."""
 
 import functools
 import math
@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import hermitian_from_array
 from mixedspec.eig import (
+    ENCLOSURE_RTOL,
     Spectrum,
     VerificationError,
     _check_moments,
+    _enclosure,
     eigenvalues,
     oracle_eigenvalues,
 )
@@ -114,13 +116,34 @@ class TestOracle:
         spec = solve(HermitianStack(np.zeros((1, 4, 4), dtype=complex)), oracle_eigenvalues)
         assert spec.values == (0.0, 0.0, 0.0, 0.0)
 
-    def test_rejects_non_real_embedding_eigenvalues(self, p2, monkeypatch):
-        def complex_pair(a):
-            return np.array([1.0 + 0.1j, 1.0 - 0.1j, -1.0, -1.0])
+    def test_rejects_enclosure_above_its_limit(self, p2, monkeypatch):
+        real = np.linalg.eigh
 
-        monkeypatch.setattr(np.linalg, "eigvals", complex_pair)
-        with pytest.raises(VerificationError, match="not real"):
+        def shifted(a):
+            w, v = real(a)
+            return w + 1e-6, v  # the eigenvectors no longer fit the values
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(VerificationError, match="oracle: residual enclosure .* above its limit"):
             solve(adjacency(p2), oracle_eigenvalues)
+
+    def test_rejects_eigenvectors_far_from_orthonormal(self, p2, monkeypatch):
+        real = np.linalg.eigh
+
+        def doubled(a):
+            w, v = real(a)
+            return w, 2.0 * v  # V*V - I = 3I, so the enclosure has no bound
+
+        monkeypatch.setattr(np.linalg, "eigh", doubled)
+        with pytest.raises(VerificationError, match=r"\(\|\|V\*V - I\|\|_F 4\.243e\+00\)"):
+            solve(adjacency(p2), oracle_eigenvalues)
+
+    @given(hermitians)
+    def test_enclosure_far_below_its_limit(self, m):
+        w, v = np.linalg.eigh(m.data)
+        [eta], [beta] = _enclosure(m.data, w, v, m.traces_of_square())
+        assert eta < 1e-3
+        assert beta <= 1e-3 * ENCLOSURE_RTOL * frobenius_norm(m)
 
     @given(hermitians)
     def test_agrees_with_primary_kernel(self, m):
@@ -160,6 +183,67 @@ class TestStacks:
         with pytest.raises(VerificationError, match="zheevd: eigenvalue sum"):
             spectra.spectrum(1)
 
+    def test_oracle_lapack_failure_fails_only_its_matrix(self, monkeypatch):
+        ms = [random_hermitian(3, seed) for seed in (1, 2, 3)]
+        stack = HermitianStack(np.concatenate([m.data for m in ms]))
+        singles = [solve(m, oracle_eigenvalues) for m in ms]
+        real = np.linalg.eigh
+
+        def failing(a):
+            # numpy fails a whole stack when one matrix does not converge
+            if a.ndim == 3 and len(a) > 1 or np.array_equal(a, ms[1].data[0]):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        spectra = oracle_eigenvalues(stack)
+        assert spectra.spectrum(0) == singles[0]
+        assert spectra.spectrum(2) == singles[2]
+        assert np.isnan(spectra.values[1]).all()
+        with pytest.raises(VerificationError, match="oracle: Eigenvalues did not converge"):
+            spectra.spectrum(1)
+
+
+class TestRouteIndependence:
+    """Each route's LAPACK output is made wrong by a trace-preserving shift
+    of 1e-6 of the spread, its top eigenvalue up and its bottom one down, on
+    a fixed non-regular graph. verify_all must catch the fault on either
+    route, so neither route's answer is taken on trust."""
+
+    G = parse_graph("5\n1 -> 2\n2 -- 3\n3 -> 4\n4 -- 5\n1 -- 3\n")  # degrees 2, 2, 3, 2, 1
+    ALPHA = 0.3
+
+    def shift_pair(self, monkeypatch, solver):
+        real = getattr(np.linalg, solver)
+
+        def shifted(a):
+            out = real(a)
+            w = np.array(out[0] if solver == "eigh" else out)
+            step = 1e-6 * (w[..., -1] - w[..., 0])
+            w[..., -1] += step
+            w[..., 0] -= step
+            return (w, out[1]) if solver == "eigh" else w
+
+        monkeypatch.setattr(np.linalg, solver, shifted)
+
+    def test_unshifted_graph_verifies(self):
+        assert verify_all(self.G, self.ALPHA, OMEGA).spread > 0.0
+
+    def test_primary_fault_is_caught(self, monkeypatch):
+        m = a_alpha_stack(self.G, [self.ALPHA], OMEGA)
+        oracle = oracle_eigenvalues(m).values
+        self.shift_pair(monkeypatch, "eigvalsh")
+        with pytest.raises(VerificationError):
+            verify_all(self.G, self.ALPHA, OMEGA)
+        # the cross-check alone would catch it too
+        gap = np.abs(eigenvalues(m).values - oracle).max()
+        assert gap > ORACLE_RTOL * frobenius_norm(m)
+
+    def test_oracle_fault_is_caught(self, monkeypatch):
+        self.shift_pair(monkeypatch, "eigh")
+        with pytest.raises(VerificationError, match="oracle: residual enclosure"):
+            verify_all(self.G, self.ALPHA, OMEGA)
+
 
 class TestUnconfirmedMoments:
     """A moment identity that cannot be confirmed fails its matrix: a NaN gap
@@ -176,8 +260,9 @@ class TestUnconfirmedMoments:
             spectra.spectrum(0)
 
     def test_oracle_keeps_finite_eigenvalues_finite(self):
-        # each embedding pair is halved before it is summed, so eigenvalues
-        # near the top of the float range do not overflow to inf on the way
+        # the oracle reports zheevd's eigenvalues as they come, so values near
+        # the top of the float range stay finite although ||M||_F overflows
+        # in the enclosure (the moment check then fails the matrix)
         big = np.array([[0.0, 1e308], [1e308, 0.0]], dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             stack = HermitianStack(big[None])

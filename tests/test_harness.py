@@ -364,27 +364,27 @@ class TestStackedFailures:
     MID = 3
 
     @staticmethod
-    def perturb_eigvals(monkeypatch, row):
-        real = np.linalg.eigvals
+    def perturb_eigh(monkeypatch, row):
+        real = np.linalg.eigh
 
         def perturbed(a):
-            w = real(a)
+            w, v = real(a)
             if w.ndim == 2 and len(w) > row:
                 w = w.copy()
-                w[row, 0] += 1e-3  # one copy of one doubled eigenvalue
-            return w
+                w[row, 0] += 1e-3  # one eigenvalue, not its eigenvector
+            return w, v
 
-        monkeypatch.setattr(np.linalg, "eigvals", perturbed)
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
 
     def test_perturbed_eigvals_row_fails_its_point(self, monkeypatch):
-        self.perturb_eigvals(monkeypatch, self.MID)
+        self.perturb_eigh(monkeypatch, self.MID)
         assert len(sweep_alpha(self.G, self.GRID[: self.MID], self.BETA, seed=2)) == self.MID
-        with pytest.raises(VerificationError, match="do not pair") as swept:
+        with pytest.raises(VerificationError, match="residual enclosure") as swept:
             sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
-        self.perturb_eigvals(monkeypatch, 0)
+        self.perturb_eigh(monkeypatch, 0)
         with pytest.raises(VerificationError) as single:
             verify_all(self.G, self.GRID[self.MID], self.BETA, rayleigh_seed=2)
-        # the message carries that point's pairing tolerance
+        # the message carries that point's enclosure and its limit
         assert str(swept.value) == str(single.value)
 
     @staticmethod
@@ -483,14 +483,14 @@ class TestStackedFailures:
 
     def test_earlier_oracle_failure_wins_over_variance_failure(self, monkeypatch):
         self.break_variance_at(monkeypatch, self.MID)
-        self.perturb_eigvals(monkeypatch, self.MID - 1)
-        with pytest.raises(VerificationError, match="do not pair"):
+        self.perturb_eigh(monkeypatch, self.MID - 1)
+        with pytest.raises(VerificationError, match="residual enclosure"):
             sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
 
     def test_point_checks_precede_its_variance_failure(self, monkeypatch):
         self.break_variance_at(monkeypatch, self.MID)
-        self.perturb_eigvals(monkeypatch, self.MID)
-        with pytest.raises(VerificationError, match="do not pair"):
+        self.perturb_eigh(monkeypatch, self.MID)
+        with pytest.raises(VerificationError, match="residual enclosure"):
             sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
 
 
