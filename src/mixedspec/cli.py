@@ -4,8 +4,9 @@ run the randomized suite, or generate random graph files.
 Exit codes form a stable scripting contract: 0 means success with no bound
 violations, 1 means at least one violated bound (or a failed internal
 consistency check), 2 means a usage or I/O error or an input too large for
-memory. All numeric output uses 17 significant digits so files round-trip
-losslessly.
+memory. Numbers round-trip losslessly: CSV cells carry 17 significant digits,
+JSON numbers their shortest repr. Report JSON is written from the report's
+columns, byte for byte as ``json.dumps(doc, indent=2)`` would write it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Iterable
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _str
 
 from .graphs import parse_graph, random_mixed_graph, serialize_graph
 from .harness import (
@@ -63,45 +66,60 @@ def _bound_label(name: str, j: int | None) -> str:
     return name if j is None else f"{name}_j{j}"
 
 
-def report_to_dict(report: BoundReport) -> dict:
-    stats = report.graph.stats
-    bounds = []
-    for row, bound, actual, slack, status, note in zip(
-        report.rows, report.bounds, report.actuals, report.slacks, report.statuses, report.notes
-    ):
-        entry = {
-            "name": row.name,
-            "kind": row.kind.value,
-            "target": row.target.value,
-            "bound": bound,
-            "actual": actual,
-            "slack": slack,
-            "status": status.value,
-        }
-        if row.j is not None:
-            entry["j"] = row.j
-        if note:
-            entry["note"] = note
-        bounds.append(entry)
-    return {
-        "graph": {
-            "n": stats.n,
-            "m": stats.m,
-            "arc_count": stats.arc_count,
-            "undirected_count": stats.undirected_count,
-            "degrees": list(stats.degrees),
-            "max_degree": stats.max_degree,
-            "min_degree": stats.min_degree,
-            "zagreb": stats.zagreb,
-        },
-        "alpha": report.alpha,
-        "beta": [report.beta[0], report.beta[1]],
-        "spectrum": list(report.spectrum.values),
-        "rho": report.rho,
-        "spread": report.spread,
-        "trace_norm": report.trace_norm,
-        "bounds": bounds,
-    }
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_NOTE = ',\n      "note": '
+
+
+def _num(x: float | int | None) -> str:
+    """A number as ``json`` writes it: null, repr, NaN, Infinity or -Infinity."""
+    if x is None:
+        return "null"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _array(items: Iterable[str], indent: str) -> str:
+    """Formatted items as the indented ``json`` array at nesting ``indent``."""
+    inner = "\n" + indent + "  "
+    body = ("," + inner).join(items)
+    return f"[{inner}{body}\n{indent}]" if body else "[]"
+
+
+@functools.lru_cache(maxsize=64)
+def _row_text(rows: tuple) -> tuple[tuple[str, str], ...]:
+    """Per catalog row, the static text of its JSON entry: the lines up to
+    ``"bound": ``, and the ``"j"`` line, empty when the row has no j."""
+    return tuple((
+        f'{{\n      "name": {_str(r.name)},\n      "kind": {_str(r.kind.value)},\n'
+        f'      "target": {_str(r.target.value)},\n      "bound": ',
+        "" if r.j is None else f',\n      "j": {_num(r.j)}',
+    ) for r in rows)
+
+
+def report_json(report: BoundReport) -> str:
+    """The report's JSON object (README, "Output schemas"), byte for byte as
+    ``json.dumps(doc, indent=2)`` writes it, built straight from its columns:
+    ``json`` falls back to its pure-Python encoder whenever it indents."""
+    s = report.graph.stats
+    columns = report.bounds, report.actuals, report.slacks, report.statuses, report.notes
+    entries = [
+        f'{head}{_num(b)},\n      "actual": {_num(a)},\n      "slack": {_num(sl)},\n'
+        f'      "status": {_str(st.value)}{j}{note and _NOTE + _str(note)}\n    }}'
+        for (head, j), b, a, sl, st, note in zip(_row_text(report.rows), *columns)
+    ]
+    return (
+        f'{{\n  "graph": {{\n    "n": {_num(s.n)},\n    "m": {_num(s.m)},\n'
+        f'    "arc_count": {_num(s.arc_count)},\n    "undirected_count": {_num(s.undirected_count)},\n'
+        f'    "degrees": {_array(map(_num, s.degrees), "    ")},\n'
+        f'    "max_degree": {_num(s.max_degree)},\n    "min_degree": {_num(s.min_degree)},\n'
+        f'    "zagreb": {_num(s.zagreb)}\n  }},\n  "alpha": {_num(report.alpha)},\n'
+        f'  "beta": {_array(map(_num, report.beta), "  ")},\n'
+        f'  "spectrum": {_array(map(_num, report.spectrum.values), "  ")},\n'
+        f'  "rho": {_num(report.rho)},\n  "spread": {_num(report.spread)},\n'
+        f'  "trace_norm": {_num(report.trace_norm)},\n  "bounds": {_array(entries, "  ")}\n}}'
+    )
 
 
 def summary_to_dict(summary: SuiteSummary) -> dict:
@@ -171,8 +189,10 @@ def cmd_sweep(args) -> int:
         beta, beta_arg = BetaParam.from_angle(args.beta_arg), args.beta_arg
     reports = sweep_alpha(graph, alphas, beta, seed=args.seed)
     if args.format == "json":
-        docs = [report_to_dict(r) for r in reports]
-        sys.stdout.write(dump_json(docs[0] if one_point else docs))
+        # ASCII-escaped JSON has no raw newline in a string: indenting nests it
+        docs = [report_json(r) for r in reports]
+        text = docs[0] if one_point else _array((d.replace("\n", "\n  ") for d in docs), "")
+        sys.stdout.write(text + "\n")
     else:
         sys.stdout.write(csv_header(reports[0]) + "\n")
         for r in reports:

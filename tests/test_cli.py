@@ -1,19 +1,25 @@
 """Command-line interface: grids, formats, exit codes, determinism."""
 
+import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import mixedspec.bounds
 import mixedspec.cli
 import mixedspec.harness
 import mixedspec.matrices
 from mixedspec.bounds import Columns
-from mixedspec.cli import main, parse_grid
-from mixedspec.matrices import BetaParam
+from mixedspec.cli import main, parse_grid, report_json
+from mixedspec.eig import Spectrum
+from mixedspec.graphs import parse_graph, random_mixed_graph
+from mixedspec.harness import BoundReport, Status, sweep_alpha, verify_all
+from mixedspec.matrices import BetaParam, omega_constant
 
 
 def _broken_rayleigh(stats, a, tr, beta):
@@ -361,6 +367,141 @@ class TestSweep:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("verification failure: variance ")
+
+
+def reference_dict(report: BoundReport) -> dict:
+    """The report's JSON document as plain containers, for ``json.dumps``:
+    the reference that the CLI's direct writer must reproduce byte for byte."""
+    stats = report.graph.stats
+    bounds = []
+    for row, bound, actual, slack, status, note in zip(
+        report.rows, report.bounds, report.actuals, report.slacks, report.statuses, report.notes
+    ):
+        entry = {
+            "name": row.name,
+            "kind": row.kind.value,
+            "target": row.target.value,
+            "bound": bound,
+            "actual": actual,
+            "slack": slack,
+            "status": status.value,
+        }
+        if row.j is not None:
+            entry["j"] = row.j
+        if note:
+            entry["note"] = note
+        bounds.append(entry)
+    return {
+        "graph": {
+            "n": stats.n,
+            "m": stats.m,
+            "arc_count": stats.arc_count,
+            "undirected_count": stats.undirected_count,
+            "degrees": list(stats.degrees),
+            "max_degree": stats.max_degree,
+            "min_degree": stats.min_degree,
+            "zagreb": stats.zagreb,
+        },
+        "alpha": report.alpha,
+        "beta": [report.beta[0], report.beta[1]],
+        "spectrum": list(report.spectrum.values),
+        "rho": report.rho,
+        "spread": report.spread,
+        "trace_norm": report.trace_norm,
+        "bounds": bounds,
+    }
+
+
+def reference_text(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# every float json spells its own way, and the extremes of repr
+ODD_FLOATS = (None, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1)
+ODD_NOTES = ('say "x"', "back\\slash", "two\nlines", "\u03b1 \u2264 1, caf\u00e9 \U0001d6fd", "")
+
+
+def crafted_reports() -> list[BoundReport]:
+    """A real report, and a copy with odd values put in every slot the
+    writer formats: missing and non-finite numbers, -0.0, the smallest
+    subnormal, a row with j = 0, and notes that json must escape."""
+    report = verify_all(parse_graph(C3_TEXT), 0.5, omega_constant())
+
+    def cycle(values):
+        return tuple(values[i % len(values)] for i in range(len(report.rows)))
+
+    rows = list(report.rows)
+    rows[0] = rows[0]._replace(j=0)
+    odd = dataclasses.replace(
+        report,
+        alpha=-0.0,
+        beta=(5e-324, -0.0),
+        spectrum=Spectrum((math.inf, 1e300, 5e-324, 0.0, -0.0, -math.inf)),
+        rho=math.nan,
+        spread=math.inf,
+        trace_norm=-math.inf,
+        rows=tuple(rows),
+        bounds=cycle(ODD_FLOATS),
+        actuals=cycle(ODD_FLOATS[1:]),
+        slacks=cycle(ODD_FLOATS[2:]),
+        statuses=cycle(list(Status)),
+        notes=cycle(ODD_NOTES),
+    )
+    return [report, odd]
+
+
+class TestJsonWriter:
+    """``report_json`` against ``json.dumps`` of the reference document."""
+
+    @given(
+        st.builds(
+            random_mixed_graph,
+            st.integers(1, 12),
+            st.floats(0.0, 1.0),
+            st.floats(0.0, 1.0),
+            st.integers(0, 2**32 - 1),
+        ),
+        st.floats(0.0, 1.0),
+        st.floats(-math.pi / 2, math.pi / 2),
+        st.integers(0, 2**32 - 1),
+        st.text(),
+    )
+    def test_matches_json_dumps(self, g, alpha, beta_arg, seed, note):
+        # the catalog's own notes are plain ASCII, so the first row carries a
+        # drawn note that json has to escape
+        report = verify_all(g, alpha, BetaParam.from_angle(beta_arg), rayleigh_seed=seed)
+        report = dataclasses.replace(report, notes=(note, *report.notes[1:]))
+        assert report_json(report) + "\n" == reference_text(reference_dict(report))
+
+    @pytest.mark.parametrize("index", range(2))
+    def test_crafted_values_match_json_dumps(self, index):
+        report = crafted_reports()[index]
+        assert report_json(report) + "\n" == reference_text(reference_dict(report))
+
+    def test_crafted_values_reach_every_odd_case(self):
+        text = report_json(crafted_reports()[1])
+        for piece in ("null", "NaN", "Infinity", "-Infinity", "-0.0", "5e-324", '"j": 0',
+                      r'\"x\"', r"\\slash", r"two\nlines", r"\u03b1", r"\ud835\udefd"):
+            assert piece in text
+        assert text.isascii()
+
+    @pytest.mark.parametrize("format_args", [[], ["--beta-arg", "-0.4", "--seed", "5"]])
+    def test_sweep_list_matches_json_dumps(self, capsys, format_args):
+        g = parse_graph(GRAPH_N16.read_text(encoding="utf-8"))
+        argv = ["sweep", "--graph", str(GRAPH_N16), "--alpha", "0:1:0.25", "--format", "json"]
+        assert main(argv + format_args) == 0
+        beta = BetaParam.from_angle(-0.4) if format_args else omega_constant()
+        reports = sweep_alpha(g, parse_grid("0:1:0.25"), beta, seed=5 if format_args else 0)
+        assert capsys.readouterr().out == reference_text([reference_dict(r) for r in reports])
+
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    def test_crafted_sweep_matches_json_dumps(self, c3_file, capsys, monkeypatch, command):
+        # a note with a newline nests inside the sweep's list unchanged
+        reports = crafted_reports() if command == "sweep" else crafted_reports()[1:]
+        monkeypatch.setattr(mixedspec.cli, "sweep_alpha", lambda *args, **kwargs: reports)
+        main([command, "--graph", c3_file, "--alpha", "0.5", "--format", "json"])
+        docs = [reference_dict(r) for r in reports]
+        assert capsys.readouterr().out == reference_text(docs if command == "sweep" else docs[0])
 
 
 class TestCheck:

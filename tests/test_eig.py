@@ -69,6 +69,24 @@ def blend_spectrum(g, alpha, beta):
     return solve(a_alpha_stack(g, [alpha], beta)).values
 
 
+def _underlying(g):
+    """G with every arc replaced by an undirected edge."""
+    return MixedGraph(
+        n=g.n, undirected=g.undirected | {tuple(sorted(a)) for a in g.arcs}, arcs=frozenset()
+    )
+
+
+def _orient_cut(g, side):
+    """Undirected G with every edge between side True (V1) and side False
+    (V2) turned into an arc from V1 to V2."""
+    cut = {(i, j) for i, j in g.undirected if side[i] != side[j]}
+    return MixedGraph(
+        n=g.n,
+        undirected=g.undirected - cut,
+        arcs=frozenset((i, j) if side[i] else (j, i) for i, j in cut),
+    )
+
+
 class TestSpectrumType:
     def test_requires_non_increasing_order(self):
         with pytest.raises(ValueError, match="non-increasing"):
@@ -384,6 +402,29 @@ class TestSpectrumSymmetries:
         conj = BetaParam(beta.re, -beta.im)
         assert blend_spectrum(reversed_arcs, alpha, conj) == blend_spectrum(g, alpha, beta)
 
+    @given(st.data(), mixed_graphs, st.floats(0.0, 1.0), st.one_of(st.just(OMEGA), betas))
+    def test_switching_across_a_cut(self, data, g, alpha, beta):
+        # with S = diag(1 on V1, conj(beta) on V2), S A_alpha(G) S* is A_alpha
+        # of G with every cut edge oriented from V1 to V2 (Guo-Mohar 2017)
+        underlying = _underlying(g)
+        side = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+        oriented = _orient_cut(underlying, side)
+        m = a_alpha_stack(oriented, [alpha], beta)
+        base = np.asarray(solve(a_alpha_stack(underlying, [alpha], beta)).values)
+        got = np.asarray(solve(m).values)
+        assert np.max(np.abs(got - base)) <= ORACLE_RTOL * frobenius_norm(m)
+
+    def test_switching_needs_every_cut_arc_one_way(self):
+        # reversing one arc of the triangle's cut leaves the cycle 0 -> 2 --
+        # 1 -> 0 with gain beta^2 != 1 at a non-real beta
+        triangle = parse_graph("3\n1 -- 2\n1 -- 3\n2 -- 3\n")
+        oriented = _orient_cut(triangle, [True, False, False])
+        broken = MixedGraph(n=3, undirected=oriented.undirected, arcs=frozenset({(1, 0), (0, 2)}))
+        assert oriented.arcs == {(0, 1), (0, 2)}
+        base = np.asarray(blend_spectrum(triangle, 0.5, OMEGA))
+        assert np.max(np.abs(np.asarray(blend_spectrum(oriented, 0.5, OMEGA)) - base)) < 1e-12
+        assert np.max(np.abs(np.asarray(blend_spectrum(broken, 0.5, OMEGA)) - base)) > 0.1
+
     @given(mixed_graphs, betas)
     def test_alpha_one_is_degree_sequence(self, g, beta):
         degrees = tuple(float(d) for d in sorted(g.stats.degrees, reverse=True))
@@ -417,10 +458,7 @@ class TestBlendFamilyStructure:
     def test_radius_at_most_that_of_underlying_graph(self, g, alpha, beta):
         # |A_alpha(H)| is entrywise the non-negative A_alpha of the underlying
         # graph, whose Perron root bounds its spectral radius
-        underlying = MixedGraph(
-            n=g.n, undirected=g.undirected | {tuple(sorted(a)) for a in g.arcs}, arcs=frozenset()
-        )
         m = a_alpha_stack(g, [alpha], beta)
-        ref, got = solve(a_alpha_stack(underlying, [alpha], beta)), solve(m)
+        ref, got = solve(a_alpha_stack(_underlying(g), [alpha], beta)), solve(m)
         perron = max(abs(ref.mu_max), abs(ref.mu_min))
         assert max(abs(got.mu_max), abs(got.mu_min)) <= perron + ORACLE_RTOL * frobenius_norm(m)

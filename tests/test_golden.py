@@ -47,14 +47,21 @@ alpha 0 against alpha > 0). Three-point sweeps on the same graphs pin that:
 
 ``tests/data/random_graphs.json`` pins ``random_mixed_graph`` itself (see
 ``test_graphs.TestRandomGraph.test_pinned_graphs``).
+
+Two cases also run as ``python -m mixedspec.cli`` in a fresh interpreter,
+since the in-process cases share whatever one process has warmed up.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from mixedspec.cli import main
 
+ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
 N40 = str(DATA / "graph_n40.mg")
 N16 = str(DATA / "graph_n16.mg")
@@ -91,3 +98,17 @@ def test_stdout_matches_golden_file(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (DATA / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["report_n40.json", "sweep_n16_beta-0.4_seed5.json"])
+def test_cold_start_stdout_matches_golden_file(name):
+    # a fresh interpreter sees none of the state that warms up inside this
+    # process (caches, imported modules), as a user's first run does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mixedspec.cli", *CASES[name]],
+        cwd=ROOT, env=env, capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert proc.stdout == (DATA / name).read_bytes()
