@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
 from collections.abc import Iterable
 from itertools import chain
@@ -163,11 +164,24 @@ def csv_header(report: BoundReport) -> str:
     return ",".join(cols)
 
 
+_IS_NONE = functools.partial(operator.is_, None)
+_IS_NUMBER = functools.partial(operator.is_not, None)
+
+
+@functools.lru_cache(maxsize=64)
+def _csv_format(missing: tuple[bool, ...]) -> str:
+    """The %-format of a CSV row: ``%.17g`` per number, an empty cell for
+    each missing one. Every point of one graph shares its pattern."""
+    return ",".join(["" if m else "%.17g" for m in missing])
+
+
 def csv_row(report: BoundReport, beta_arg: float) -> str:
     s = report.spectrum
-    head = (report.alpha, beta_arg, s.mu_max, s.mu_min, report.rho, report.spread, report.trace_norm)
-    cells = chain(head, chain.from_iterable(zip(report.bounds, report.slacks)))
-    return ",".join("" if x is None else f"{x:.17g}" for x in cells)
+    cells = (
+        report.alpha, beta_arg, s.mu_max, s.mu_min, report.rho, report.spread, report.trace_norm,
+        *chain.from_iterable(zip(report.bounds, report.slacks)),
+    )
+    return _csv_format(tuple(map(_IS_NONE, cells))) % tuple(filter(_IS_NUMBER, cells))
 
 
 def _read_graph(path: str):
