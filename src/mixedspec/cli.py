@@ -165,13 +165,14 @@ def csv_header(report: BoundReport) -> str:
 
 
 _IS_NONE = functools.partial(operator.is_, None)
-_IS_NUMBER = functools.partial(operator.is_not, None)
+_NOT_NONE = functools.partial(operator.is_not, None)
 
 
 @functools.lru_cache(maxsize=64)
 def _csv_format(missing: tuple[bool, ...]) -> str:
     """The %-format of a CSV row: ``%.17g`` per number, an empty cell for
-    each missing one. Every point of one graph shares its pattern."""
+    each missing one. Cached, since a grid's points rarely differ in which
+    cells are missing."""
     return ",".join(["" if m else "%.17g" for m in missing])
 
 
@@ -181,7 +182,7 @@ def csv_row(report: BoundReport, beta_arg: float) -> str:
         report.alpha, beta_arg, s.mu_max, s.mu_min, report.rho, report.spread, report.trace_norm,
         *chain.from_iterable(zip(report.bounds, report.slacks)),
     )
-    return _csv_format(tuple(map(_IS_NONE, cells))) % tuple(filter(_IS_NUMBER, cells))
+    return _csv_format(tuple(map(_IS_NONE, cells))) % tuple(filter(_NOT_NONE, cells))
 
 
 def _read_graph(path: str):

@@ -188,9 +188,10 @@ def _unit_vectors(n: int, seed: int) -> np.ndarray:
 def _quadratic_forms(z: np.ndarray, data: np.ndarray) -> np.ndarray:
     """z*Mz for each row of z and each matrix of the (k, n, n) stack
     ``data``, as a (k, RAYLEIGH_SAMPLES) array. The products p = z*M are
-    dotted with z as a stack of (1, n) @ (n, 1) matmuls: at k = 21, n = 16
-    that is about 3x faster than ``(p * z).sum(axis=-1)``, which makes a
-    temporary array and reduces it along a short last axis."""
+    dotted with z as a stack of (1, n) @ (n, 1) matmuls, not as
+    ``(p * z).sum(axis=-1)``, which makes a (k, RAYLEIGH_SAMPLES, n)
+    temporary and reduces it along its short last axis: about 3x slower at
+    k = 21, n = 16 (BENCH_19.json)."""
     p = z.conj() @ data
     return np.matmul(p[:, :, None, :], z[:, :, None])[..., 0, 0]
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import mixedspec.cli
 import mixedspec.harness
 import mixedspec.matrices
 from mixedspec.bounds import Columns
-from mixedspec.cli import main, parse_grid, report_json
+from mixedspec.cli import csv_row, main, parse_grid, report_json
 from mixedspec.eig import Spectrum
 from mixedspec.graphs import parse_graph, random_mixed_graph
 from mixedspec.harness import BoundReport, Status, sweep_alpha, verify_all
@@ -31,6 +32,14 @@ C3_TEXT = "3\n1 -> 2\n2 -> 3\n3 -> 1\n"
 P2_TEXT = "2\n1 -> 2\n"
 README = Path(__file__).parent.parent / "README.md"
 GRAPH_N16 = Path(__file__).parent / "data" / "graph_n16.mg"
+
+mixed_graphs = st.builds(
+    random_mixed_graph,
+    st.integers(1, 12),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
 
 
 def _readme_schema_keys(label):
@@ -454,13 +463,7 @@ class TestJsonWriter:
     """``report_json`` against ``json.dumps`` of the reference document."""
 
     @given(
-        st.builds(
-            random_mixed_graph,
-            st.integers(1, 12),
-            st.floats(0.0, 1.0),
-            st.floats(0.0, 1.0),
-            st.integers(0, 2**32 - 1),
-        ),
+        mixed_graphs,
         st.floats(0.0, 1.0),
         st.floats(-math.pi / 2, math.pi / 2),
         st.integers(0, 2**32 - 1),
@@ -502,6 +505,53 @@ class TestJsonWriter:
         main([command, "--graph", c3_file, "--alpha", "0.5", "--format", "json"])
         docs = [reference_dict(r) for r in reports]
         assert capsys.readouterr().out == reference_text(docs if command == "sweep" else docs[0])
+
+
+def reference_csv_row(report: BoundReport, beta_arg: float) -> str:
+    """The report's CSV row as one f-string per cell, joined: the reference
+    that ``csv_row``'s one-format writer must reproduce byte for byte."""
+    s = report.spectrum
+    head = (report.alpha, beta_arg, s.mu_max, s.mu_min, report.rho, report.spread, report.trace_norm)
+    cells = chain(head, chain.from_iterable(zip(report.bounds, report.slacks)))
+    return ",".join("" if x is None else f"{x:.17g}" for x in cells)
+
+
+def crafted_csv_reports() -> list[BoundReport]:
+    """``crafted_reports``, plus a copy with int cells and a missing head
+    cell, so three different patterns of empty cells meet one writer."""
+    report, odd = crafted_reports()
+    ints = dataclasses.replace(
+        odd, alpha=0, rho=7, trace_norm=None, bounds=(12, *odd.bounds[1:]), slacks=odd.bounds
+    )
+    return [report, odd, ints]
+
+
+class TestCsvWriter:
+    """``csv_row`` against the per-cell reference."""
+
+    @given(
+        mixed_graphs,
+        st.floats(0.0, 1.0),
+        st.floats(-math.pi / 2, math.pi / 2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_cell_format(self, g, alpha, beta_arg, seed):
+        report = verify_all(g, alpha, BetaParam.from_angle(beta_arg), rayleigh_seed=seed)
+        assert csv_row(report, beta_arg) == reference_csv_row(report, beta_arg)
+
+    def test_crafted_values_match_per_cell_format(self):
+        # alternate the reports so each row's pattern follows a different one
+        reports = crafted_csv_reports()
+        for report in reports + reports[::-1]:
+            assert csv_row(report, -0.0) == reference_csv_row(report, -0.0)
+
+    def test_crafted_values_reach_every_odd_case(self):
+        report, odd, ints = crafted_csv_reports()
+        cells = csv_row(odd, 1e300).split(",") + csv_row(ints, 5e-324).split(",")
+        for piece in ("", "nan", "inf", "-inf", "-0", "4.9406564584124654e-324",
+                      "1.0000000000000001e+300", "12", "7", "0"):
+            assert piece in cells
+        assert len(cells) == 2 * (7 + 2 * len(report.rows))
 
 
 class TestCheck:

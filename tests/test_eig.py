@@ -87,6 +87,28 @@ def _orient_cut(g, side):
     )
 
 
+def _switch_by_potential(g, phi):
+    """Undirected G with each edge uv recast by phi(v) - phi(u) mod 6: 1 makes
+    it the arc u -> v, 5 the arc v -> u, 0 keeps the edge, and any other
+    value drops it."""
+    undirected, arcs = set(), set()
+    for u, v in g.undirected:
+        step = (phi[v] - phi[u]) % 6
+        if step == 0:
+            undirected.add((u, v))
+        elif step in (1, 5):
+            arcs.add((u, v) if step == 1 else (v, u))
+    return MixedGraph(n=g.n, undirected=frozenset(undirected), arcs=frozenset(arcs))
+
+
+def _gap_to_underlying(g, alpha):
+    """Largest eigenvalue gap between A_alpha(G) at omega and A_alpha of G's
+    underlying graph, and the oracle limit ORACLE_RTOL * ||M||_F."""
+    m = a_alpha_stack(g, [alpha], OMEGA)
+    base = np.asarray(blend_spectrum(_underlying(g), alpha, OMEGA))
+    return np.max(np.abs(np.asarray(solve(m).values) - base)), ORACLE_RTOL * frobenius_norm(m)
+
+
 class TestSpectrumType:
     def test_requires_non_increasing_order(self):
         with pytest.raises(ValueError, match="non-increasing"):
@@ -424,6 +446,28 @@ class TestSpectrumSymmetries:
         base = np.asarray(blend_spectrum(triangle, 0.5, OMEGA))
         assert np.max(np.abs(np.asarray(blend_spectrum(oriented, 0.5, OMEGA)) - base)) < 1e-12
         assert np.max(np.abs(np.asarray(blend_spectrum(broken, 0.5, OMEGA)) - base)) > 0.1
+
+    @given(st.data(), mixed_graphs, st.floats(0.0, 1.0))
+    def test_switching_by_a_z6_potential(self, data, g, alpha):
+        # at a sixth root of unity, S = diag(omega^-phi) takes A_alpha of the
+        # underlying graph to A_alpha of the graph phi orients
+        phi = data.draw(st.lists(st.integers(0, 5), min_size=g.n, max_size=g.n))
+        gap, limit = _gap_to_underlying(_switch_by_potential(_underlying(g), phi), alpha)
+        assert gap <= limit
+
+    def test_directed_six_cycle_has_a_potential(self):
+        cycle = parse_graph("6\n1 -> 2\n2 -> 3\n3 -> 4\n4 -> 5\n5 -> 6\n6 -> 1\n")
+        assert _switch_by_potential(_underlying(cycle), range(6)) == cycle
+        for alpha in (0.0, 0.3, 1.0):
+            gap, limit = _gap_to_underlying(cycle, alpha)
+            assert gap <= limit
+
+    def test_directed_triangle_has_no_potential(self):
+        # its arcs would need phi to step by 1 three times round a cycle,
+        # and 3 is not 0 mod 6: {1, 1, -2} against the triangle's {2, -1, -1}
+        gap, limit = _gap_to_underlying(parse_graph("3\n1 -> 2\n2 -> 3\n3 -> 1\n"), 0.0)
+        assert gap == pytest.approx(2.0, abs=1e-12)
+        assert gap > limit
 
     @given(mixed_graphs, betas)
     def test_alpha_one_is_degree_sequence(self, g, beta):

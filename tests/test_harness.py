@@ -4,6 +4,7 @@ sweeps, and the randomized suite with its reproduction data."""
 import dataclasses
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from mixedspec.harness import (
     SweepConfig,
     VerificationError,
     _block_len,
+    _quadratic_forms,
     _score,
     _trace2_limit,
+    _unit_vectors,
     randomized_suite,
     run_trial,
     sweep_alpha,
@@ -39,6 +42,7 @@ from mixedspec.matrices import (
 )
 
 OMEGA = omega_constant()
+GRAPH_N16 = Path(__file__).parent / "data" / "graph_n16.mg"
 
 
 def _check_bound(result, spec, stats):
@@ -191,6 +195,36 @@ class TestRayleighRangeCheck:
         monkeypatch.setattr(mixedspec.harness, "oracle_eigenvalues", lambda stack: fake)
         with pytest.raises(VerificationError, match=r"escaped \[mu_n, mu_1\]"):
             verify_all(c3, 0.0, OMEGA, rayleigh_seed=11)
+
+
+class TestQuadraticForms:
+    """_quadratic_forms against one np.vdot per sample and matrix. Each form
+    is within 8 n eps ||M||_F ||z||^2 of the reference: two complex dot
+    products of length n, in any summation order, err by at most about
+    1.5 (n + 1) eps |z|^T |M| |z| each, and |z|^T |M| |z| <= ||M||_F ||z||^2."""
+
+    @staticmethod
+    def assert_matches_vdot(z, data):
+        forms = _quadratic_forms(z, data)
+        assert forms.shape == (len(data), RAYLEIGH_SAMPLES)
+        eps = np.finfo(data.dtype).eps
+        for m, row in zip(data, forms):
+            scale = 8 * len(z[0]) * eps * np.linalg.norm(m)
+            for zr, got in zip(z, row):
+                assert abs(got - np.vdot(zr, m @ zr)) <= scale * np.vdot(zr, zr).real
+
+    @given(st.integers(1, 5), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_random_stacks(self, k, n, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        a = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        stack = HermitianStack(a + a.conj().transpose(0, 2, 1))
+        self.assert_matches_vdot(_unit_vectors(n, seed), stack.data)
+
+    def test_sweep_block(self):
+        g = parse_graph(GRAPH_N16.read_text(encoding="utf-8"))
+        stack = a_alpha_stack(g, [i * 0.05 for i in range(21)], OMEGA)
+        assert stack.data.shape == (21, 16, 16)
+        self.assert_matches_vdot(_unit_vectors(16, 0), stack.data)
 
 
 class TestExpansionCrossCheck:
@@ -427,6 +461,36 @@ class TestStackedFailures:
     def test_earlier_point_fails_first(self, monkeypatch):
         self.fail_zheevd_at(monkeypatch, self.GRID[self.MID])
         self.shift_expansion_cell(monkeypatch, self.MID - 1, 0)
+        with pytest.raises(VerificationError, match="arc-sum expansion"):
+            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
+
+    @staticmethod
+    def rotate_pair_at(monkeypatch, point):
+        """Turn the phase of one off-diagonal Hermitian pair of the matrix at
+        ``point`` by a quarter: exact in floating point, so the moduli, tr
+        and tr(M^2) keep their bits, and only the quadratic forms see it."""
+        real = mixedspec.harness.a_alpha_stack
+
+        def rotated(g, alphas, beta):
+            stack = real(g, alphas, beta)
+            if len(stack) <= point:
+                return stack
+            data = stack.data.copy()
+            i, j = np.argwhere(np.triu(data[point], 1))[0]
+            data[point, i, j] *= 1j
+            data[point, j, i] = data[point, i, j].conjugate()
+            out = HermitianStack(data)
+            assert out.traces() == stack.traces()
+            assert out.traces_of_square() == stack.traces_of_square()
+            return out
+
+        monkeypatch.setattr(mixedspec.harness, "a_alpha_stack", rotated)
+
+    def test_rotated_pair_fails_its_point(self, monkeypatch):
+        # a reduction that mixed a block's matrices would let the rotation
+        # through, or charge it to another point
+        self.rotate_pair_at(monkeypatch, self.MID)
+        assert len(sweep_alpha(self.G, self.GRID[: self.MID], self.BETA, seed=2)) == self.MID
         with pytest.raises(VerificationError, match="arc-sum expansion"):
             sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
 
