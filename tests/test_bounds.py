@@ -316,6 +316,27 @@ class TestRhoSandwich:
         assert ratio == [1.0]
 
 
+class TestEqualityWitnesses:
+    """Points where a bound is attained, so a constant that weakens the bound
+    shows as positive slack. Each row is read by name from the report's
+    columns; the slack must be zero to within a few ulps of max(1, rho)."""
+
+    @pytest.mark.parametrize(
+        "name, text, alpha",
+        [
+            ("wolkowicz_mu1_upper", "3\n1 -- 2\n2 -- 3\n1 -- 3\n", 0.25),
+            ("spread_upper", "4\n1 -- 2\n1 -- 3\n1 -- 4\n", 0.0),
+        ],
+        ids=["wolkowicz_mu1_upper-K3", "spread_upper-K13"],
+    )
+    def test_slack_is_zero(self, name, text, alpha):
+        report = verify_all(parse_graph(text), alpha, OMEGA)
+        [i] = [k for k, row in enumerate(report.rows) if row.name == name and row.j is None]
+        assert report.spread > 0.0
+        assert report.statuses[i] is Status.HOLDS
+        assert abs(report.slacks[i]) <= 4 * math.ulp(max(1.0, report.rho))
+
+
 class TestPurity:
     @given(graph_and_alpha(min_n=2))
     def test_repeat_calls_identical(self, ga):

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import mixedspec
+from mixedspec.cli import main as cli_main
 from mixedspec.graphs import (
     GraphFormatError,
     GraphStats,
@@ -42,11 +43,11 @@ class TestMixedGraph:
             MixedGraph(n=2, undirected=frozenset({(0, 1)}), arcs=frozenset({(1, 0)}))
 
     def test_rejects_out_of_range_vertex(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^arc \(0, 5\) out of range for n=2$"):
             MixedGraph(n=2, undirected=frozenset(), arcs=frozenset({(0, 5)}))
 
     def test_rejects_non_canonical_undirected_pair(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^undirected edge \(2, 0\) not canonical for n=3$"):
             MixedGraph(n=3, undirected=frozenset({(2, 0)}), arcs=frozenset())
 
     def test_rejects_zero_vertices(self):
@@ -92,6 +93,174 @@ class TestParse:
     def test_vertex_count_not_integer(self):
         with pytest.raises(GraphFormatError, match="line 1"):
             parse_graph("two\n")
+
+    # Pinned messages: each case below was captured from the line-by-line
+    # parser that the reference in this module keeps.
+
+    @pytest.mark.parametrize(
+        "text, undirected",
+        [("3\n+1 -- 02\n", {(0, 1)}), ("3\n\u0663 -- 1\n", {(0, 2)})],
+        ids=["sign-and-zero", "arabic-indic-digit"],
+    )
+    def test_labels_are_what_int_reads(self, text, undirected):
+        assert parse_graph(text).undirected == frozenset(undirected)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3\n1_0 -- 2\n", "line 2: vertex label out of range 1..3 in '1_0 -- 2'"),
+            ("2\n99999999999999999999999 -- 1\n",
+             "line 2: vertex label out of range 1..2 in '99999999999999999999999 -- 1'"),
+            ("3\n1 -- 2 3\n", "line 2: expected 'i -- j' or 'i -> j', got '1 -- 2 3'"),
+            ("3\n1 => 2\n", "line 2: expected 'i -- j' or 'i -> j', got '1 => 2'"),
+            ("3\n2 -- 2\n", "line 2: self-loop at vertex 2"),
+            ("3\n1 -- 2\n2 -> 1\n", "line 3: duplicate underlying pair {1, 2} (first seen on line 2)"),
+            ("3\n1 -> 2\n1 -- 2\n", "line 3: duplicate underlying pair {1, 2} (first seen on line 2)"),
+            ("3\n1 -- 2.0\n", "line 2: vertex labels must be integers, got '1 -- 2.0'"),
+            ("x\n", "line 1: expected vertex count, got 'x'"),
+            ("-3\n", "line 1: vertex count must be positive, got -3"),
+            ("\n \n# c\n", "empty input: no vertex count found"),
+        ],
+        ids=["underscore", "beyond-int64", "four-tokens", "fat-arrow", "self-loop",
+             "edge-then-arc", "arc-then-edge", "float-label", "header", "header-negative", "empty"],
+    )
+    def test_pinned_message(self, text, message):
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\x0c", "\u2028", "\x85", "\x1e"])
+    def test_every_splitlines_break_ends_a_line(self, brk):
+        text = brk.join(["3", "1\t--\t2", "  2 ->  3 ", "3 => 1"])
+        with pytest.raises(GraphFormatError, match=r"^line 4: expected"):
+            parse_graph(text)
+        g = parse_graph(text.rpartition(brk)[0])
+        assert (g.undirected, g.arcs) == ({(0, 1)}, {(1, 2)})
+
+    def test_label_beyond_int64_exits_two_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "big.mg"
+        path.write_text("2\n99999999999999999999999 -- 1\n", encoding="utf-8")
+        assert cli_main(["report", "--graph", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 2: vertex label out of range 1..2 in '99999999999999999999999 -- 1'\n"
+
+
+def _reference_parse_graph(text: str) -> MixedGraph:
+    """The parser as first written, one line at a time: the reference for
+    every graph and every message that ``parse_graph`` gives."""
+    n = None
+    undirected, arcs = [], []
+    seen = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if n is None:
+            try:
+                n = int(line)
+            except ValueError:
+                raise GraphFormatError(f"expected vertex count, got {line!r}", lineno) from None
+            if n < 1:
+                raise GraphFormatError(f"vertex count must be positive, got {n}", lineno)
+            continue
+        tokens = line.split()
+        if len(tokens) != 3 or tokens[1] not in ("--", "->"):
+            raise GraphFormatError(f"expected 'i -- j' or 'i -> j', got {line!r}", lineno)
+        try:
+            i, j = int(tokens[0]), int(tokens[2])
+        except ValueError:
+            raise GraphFormatError(f"vertex labels must be integers, got {line!r}", lineno) from None
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise GraphFormatError(f"vertex label out of range 1..{n} in {line!r}", lineno)
+        if i == j:
+            raise GraphFormatError(f"self-loop at vertex {i}", lineno)
+        i -= 1
+        j -= 1
+        pair = (i, j) if i < j else (j, i)
+        if pair in seen:
+            raise GraphFormatError(
+                f"duplicate underlying pair {{{pair[0] + 1}, {pair[1] + 1}}}"
+                f" (first seen on line {seen[pair]})",
+                lineno,
+            )
+        seen[pair] = lineno
+        if tokens[1] == "--":
+            undirected.append(pair)
+        else:
+            arcs.append((i, j))
+    if n is None:
+        raise GraphFormatError("empty input: no vertex count found")
+    return MixedGraph(n=n, undirected=frozenset(undirected), arcs=frozenset(arcs))
+
+
+BREAKS = ("\n", "\r\n", "\r", "\x0c", "\u2028", "\x85", "\x1d")
+BLANKS = ("", " ", "\t", " \x0b ")
+ODD_LABELS = ("0", "-1", "x", "1.0", "1_0", "\u0663", "+2", "007", "1e1", "",
+              "9223372036854775807", "9223372036854775808", "99999999999999999999999",
+              "-99999999999999999999999", "1" * 5000)
+label_texts = st.one_of(st.integers(-2, 14).map(str), st.sampled_from(ODD_LABELS))
+bad_lines = st.one_of(
+    st.sampled_from(["1 -- 2 3", "1 => 2", "1 ->2", "--", "1 --", "-- 1 2", "1 - 2", "1 <- 2",
+                     "1 -- 2 # note", "# 1 -- 2", "1 -> # 2", "3", "  ", "1 2 3"]),
+    st.builds("{} {} {}".format, label_texts, st.sampled_from(["--", "->"]), label_texts),
+)
+
+
+@st.composite
+def graph_texts(draw):
+    """Edge-list text for a random graph, in a random line order and
+    spelling, and, half the time, one line inserted or replaced by a line
+    drawn from ``bad_lines``."""
+    g = draw(graphs())
+    edges = [("--", i, j) for i, j in g.undirected] + [("->", t, h) for t, h in g.arcs]
+    edges = draw(st.permutations(edges))
+    lines = draw(st.lists(st.sampled_from(["", "# c", " # x -- y"]), max_size=2))
+    lines.append(draw(st.sampled_from(BLANKS)) + str(g.n) + draw(st.sampled_from(BLANKS)))
+    for op, a, b in edges:
+        if op == "--" and draw(st.booleans()):
+            a, b = b, a
+        sep = draw(st.sampled_from([" ", "\t", "  "]))
+        spell = draw(st.sampled_from(["{}", "+{}", "0{}"]))
+        tail = draw(st.sampled_from(["", " ", "# c", " #x"]))
+        lines.append(sep.join([spell.format(a + 1), op, spell.format(b + 1)]) + tail)
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(BLANKS)))
+    if draw(st.booleans()):
+        near = st.integers(-1, g.n + 1).map(str)
+        choices = [bad_lines, st.builds("{} {} {}".format, near, st.sampled_from(["--", "->"]), near)]
+        if edges:
+            # the underlying pair of an edge already given, either way round
+            pair = st.sampled_from(edges).flatmap(lambda e: st.permutations(e[1:]))
+            choices.append(st.builds("{0[0]} {1} {0[1]}".format, pair.map(lambda p: (p[0] + 1, p[1] + 1)),
+                                     st.sampled_from(["--", "->"])))
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at + draw(st.integers(0, 1))] = [draw(st.one_of(choices))]
+    breaks = draw(st.lists(st.sampled_from(BREAKS), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + brk for line, brk in zip(lines, breaks))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+class TestParseMatchesReference:
+    @given(graph_texts())
+    @settings(max_examples=300)
+    def test_same_graph_or_same_message(self, text):
+        got, want = _outcome(parse_graph, text), _outcome(_reference_parse_graph, text)
+        assert got == want
+        if isinstance(want, MixedGraph):
+            assert got.stats == graph_stats(want)
+            assert np.array_equal(got.edge_index, np.array(sorted(want.undirected), int).reshape(-1, 2).T)
+            assert np.array_equal(got.arc_index, np.array(sorted(want.arcs), int).reshape(-1, 2).T)
+
+    @given(graphs())
+    def test_canonical_text(self, g):
+        text = serialize_graph(g)
+        assert parse_graph(text) == _reference_parse_graph(text) == g
 
 
 class TestStats:
