@@ -17,7 +17,6 @@ import json
 import math
 import operator
 import sys
-from collections.abc import Iterable
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 
@@ -67,59 +66,66 @@ def _bound_label(name: str, j: int | None) -> str:
     return name if j is None else f"{name}_j{j}"
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+def _numbers(values) -> list[str]:
+    """Each number as ``json`` spells it (null, repr, NaN, Infinity or
+    -Infinity), from one call into json's C encoder."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def _array(items: list[str], indent: str) -> str:
+    """Formatted items as the indented ``json`` array at nesting ``indent``."""
+    inner = "\n" + indent + "  "
+    return f"[{inner}{(',' + inner).join(items)}\n{indent}]" if items else "[]"
+
+
+_STATUS_TEXT = {status: _str(status.value) for status in Status}
 _NOTE = ',\n      "note": '
 
 
-def _num(x: float | int | None) -> str:
-    """A number as ``json`` writes it: null, repr, NaN, Infinity or -Infinity."""
-    if x is None:
-        return "null"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    text = float.__repr__(x)
-    return _NON_FINITE.get(text, text)
-
-
-def _array(items: Iterable[str], indent: str) -> str:
-    """Formatted items as the indented ``json`` array at nesting ``indent``."""
-    inner = "\n" + indent + "  "
-    body = ("," + inner).join(items)
-    return f"[{inner}{body}\n{indent}]" if body else "[]"
-
-
 @functools.lru_cache(maxsize=64)
-def _row_text(rows: tuple) -> tuple[tuple[str, str], ...]:
-    """Per catalog row, the static text of its JSON entry: the lines up to
-    ``"bound": ``, and the ``"j"`` line, empty when the row has no j."""
-    return tuple((
-        f'{{\n      "name": {_str(r.name)},\n      "kind": {_str(r.kind.value)},\n'
-        f'      "target": {_str(r.target.value)},\n      "bound": ',
-        "" if r.j is None else f',\n      "j": {_num(r.j)}',
-    ) for r in rows)
+def _bounds_format(rows: tuple) -> str:
+    """The %-format of a report's ``"bounds"`` array: each row's static text
+    (name, kind, target, and j when set), with a %s for its bound, actual,
+    slack, status and optional note line."""
+    entries = []
+    for r in rows:
+        static = (
+            f'{{\n      "name": {_str(r.name)},\n      "kind": {_str(r.kind.value)},\n'
+            f'      "target": {_str(r.target.value)},\n      "bound": '
+        ).replace("%", "%%")
+        j = "" if r.j is None else f',\n      "j": {_numbers([r.j])[0]}'
+        entries.append(
+            f'{static}%s,\n      "actual": %s,\n      "slack": %s,\n      "status": %s{j}%s\n    }}'
+        )
+    return _array(entries, "  ")
 
 
 def report_json(report: BoundReport) -> str:
     """The report's JSON object (README, "Output schemas"), byte for byte as
-    ``json.dumps(doc, indent=2)`` writes it, built straight from its columns:
-    ``json`` falls back to its pure-Python encoder whenever it indents."""
-    s = report.graph.stats
-    columns = report.bounds, report.actuals, report.slacks, report.statuses, report.notes
-    entries = [
-        f'{head}{_num(b)},\n      "actual": {_num(a)},\n      "slack": {_num(sl)},\n'
-        f'      "status": {_str(st.value)}{j}{note and _NOTE + _str(note)}\n    }}'
-        for (head, j), b, a, sl, st, note in zip(_row_text(report.rows), *columns)
-    ]
+    ``json.dumps(doc, indent=2)`` writes it, built straight from its columns.
+    ``json`` falls back to its pure-Python encoder whenever it indents, so the
+    numbers go through its C encoder as flat lists and the layout is added here."""
+    s, k = report.graph.stats, len(report.rows)
+    cells = _numbers((
+        s.n, s.m, s.arc_count, s.undirected_count, s.max_degree, s.min_degree, s.zagreb,
+        report.alpha, report.rho, report.spread, report.trace_norm,
+        *report.bounds, *report.actuals, *report.slacks,
+    ))
+    n, m, arc_count, undirected_count, max_degree, min_degree, zagreb = cells[:7]
+    alpha, rho, spread, trace_norm = cells[7:11]
+    notes = [note and _NOTE + _str(note) for note in report.notes]
+    statuses = map(_STATUS_TEXT.__getitem__, report.statuses)
+    bounds = zip(cells[11:11 + k], cells[11 + k:11 + 2 * k], cells[11 + 2 * k:], statuses, notes)
     return (
-        f'{{\n  "graph": {{\n    "n": {_num(s.n)},\n    "m": {_num(s.m)},\n'
-        f'    "arc_count": {_num(s.arc_count)},\n    "undirected_count": {_num(s.undirected_count)},\n'
-        f'    "degrees": {_array(map(_num, s.degrees), "    ")},\n'
-        f'    "max_degree": {_num(s.max_degree)},\n    "min_degree": {_num(s.min_degree)},\n'
-        f'    "zagreb": {_num(s.zagreb)}\n  }},\n  "alpha": {_num(report.alpha)},\n'
-        f'  "beta": {_array(map(_num, report.beta), "  ")},\n'
-        f'  "spectrum": {_array(map(_num, report.spectrum.values), "  ")},\n'
-        f'  "rho": {_num(report.rho)},\n  "spread": {_num(report.spread)},\n'
-        f'  "trace_norm": {_num(report.trace_norm)},\n  "bounds": {_array(entries, "  ")}\n}}'
+        f'{{\n  "graph": {{\n    "n": {n},\n    "m": {m},\n    "arc_count": {arc_count},\n'
+        f'    "undirected_count": {undirected_count},\n'
+        f'    "degrees": {_array(_numbers(s.degrees), "    ")},\n'
+        f'    "max_degree": {max_degree},\n    "min_degree": {min_degree},\n'
+        f'    "zagreb": {zagreb}\n  }},\n  "alpha": {alpha},\n'
+        f'  "beta": {_array(_numbers(report.beta), "  ")},\n'
+        f'  "spectrum": {_array(_numbers(report.spectrum.values), "  ")},\n'
+        f'  "rho": {rho},\n  "spread": {spread},\n  "trace_norm": {trace_norm},\n'
+        f'  "bounds": {_bounds_format(report.rows) % tuple(chain.from_iterable(bounds))}\n}}'
     )
 
 
@@ -206,7 +212,7 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         # ASCII-escaped JSON has no raw newline in a string: indenting nests it
         docs = [report_json(r) for r in reports]
-        text = docs[0] if one_point else _array((d.replace("\n", "\n  ") for d in docs), "")
+        text = docs[0] if one_point else _array([d.replace("\n", "\n  ") for d in docs], "")
         sys.stdout.write(text + "\n")
     else:
         sys.stdout.write(csv_header(reports[0]) + "\n")

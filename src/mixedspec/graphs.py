@@ -7,8 +7,10 @@ Vertices are 0-based internally; the text format is 1-based.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -82,9 +84,33 @@ class MixedGraph:
         """Arcs as a read-only 2 x k int array: rows tail and head, sorted."""
         return _index_array(self.arcs)
 
+    @classmethod
+    def _from_index(cls, n: int, edge_index: np.ndarray, arc_index: np.ndarray) -> MixedGraph:
+        """The graph with these index arrays, which the caller has built with
+        ``_sorted_index_array`` and checked for range, loops and duplicate
+        pairs: ``__post_init__`` does not check them a second time."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "undirected", frozenset(zip(*edge_index.tolist())))
+        object.__setattr__(g, "arcs", frozenset(zip(*arc_index.tolist())))
+        g.__dict__.update(edge_index=edge_index, arc_index=arc_index)
+        return g
+
 
 def _index_array(pairs: frozenset[tuple[int, int]]) -> np.ndarray:
-    a = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2).T
+    """A set of pairs as a read-only 2 x k array of columns, sorted."""
+    return _read_only(
+        np.fromiter(chain.from_iterable(sorted(pairs)), np.intp, 2 * len(pairs)).reshape(-1, 2).T
+    )
+
+
+def _sorted_index_array(pairs: np.ndarray) -> np.ndarray:
+    """The rows of a (k, 2) integer array as a read-only 2 x k array of
+    columns, sorted as ``_index_array`` sorts a set of pairs."""
+    return _read_only(pairs[np.lexsort(pairs.T[::-1])].T)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
@@ -119,13 +145,8 @@ class GraphStats:
 
 def graph_stats(g: MixedGraph) -> GraphStats:
     """Compute degrees, extremes and the first Zagreb index of ``g``."""
-    degrees = [0] * g.n
-    for i, j in g.undirected:
-        degrees[i] += 1
-        degrees[j] += 1
-    for t, h in g.arcs:
-        degrees[t] += 1
-        degrees[h] += 1
+    ends = np.concatenate((g.edge_index, g.arc_index), axis=1)
+    degrees = np.bincount(ends.ravel(), minlength=g.n).tolist()
     return GraphStats(
         n=g.n,
         m=g.edge_count,
@@ -195,52 +216,91 @@ def _uniforms(rng: np.random.Generator):
 def parse_graph(text: str) -> MixedGraph:
     """Parse the edge-list format: first line n, then ``i -- j`` / ``i -> j`` lines.
 
-    Labels are 1-based; ``#`` starts a comment; blank lines are skipped.
+    Labels are 1-based and read by ``int``; ``#`` starts a comment; blank
+    lines are skipped; lines are numbered as ``str.splitlines`` splits them.
+    The edge lines are split, converted and checked as whole columns; only
+    when a check fails are they walked one by one, to report the first bad
+    line.
     """
-    n: int | None = None
-    undirected: list[tuple[int, int]] = []
-    arcs: list[tuple[int, int]] = []
+    lines = text.splitlines()
+    bodies = [line.split("#", 1)[0] for line in lines] if "#" in text else lines
+    rows = list(map(str.split, bodies))
+    start = next((k for k, row in enumerate(rows) if row), None)
+    if start is None:
+        raise GraphFormatError("empty input: no vertex count found")
+    n = _vertex_count(bodies[start].strip(), start + 1)
+    columns = _edge_columns(list(filter(None, rows[start + 1:])), n)
+    if columns is None:
+        raise GraphFormatError(*_first_bad_line(bodies, start, n))
+    pairs, is_arc = columns
+    edges = np.sort(pairs[~is_arc], axis=1)
+    return MixedGraph._from_index(n, _sorted_index_array(edges), _sorted_index_array(pairs[is_arc]))
+
+
+_OPS = frozenset({"--", "->"})
+
+
+def _edge_columns(rows: list[list[str]], n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The edge lines' tokens as a (k, 2) array of 0-based (i, j) pairs and
+    a mask of the arcs among them; None when a line fails one of the checks
+    that ``_first_bad_line`` makes line by line."""
+    if not rows:
+        return np.empty((0, 2), np.intp), np.empty(0, bool)
+    try:
+        # zip fails unless every row has one length, and unpacking unless it is 3
+        firsts, ops, seconds = zip(*rows, strict=True)
+        tokens = firsts + seconds
+        value = {token: int(token) for token in set(tokens)}
+        labels = np.fromiter(map(value.__getitem__, tokens), np.intp, len(tokens))
+    except (ValueError, OverflowError):
+        return None
+    if not _OPS.issuperset(ops) or labels.min() < 1 or labels.max() > n:
+        return None
+    pairs = labels.reshape(2, -1).T - 1
+    lo, hi = _sorted_index_array(np.sort(pairs, axis=1))
+    if (lo == hi).any() or ((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])).any():
+        return None
+    # every op is "--" or "->", so its second character marks an arc
+    return pairs, np.frombuffer("".join(ops).encode(), np.uint8)[1::2] == ord(">")
+
+
+def _vertex_count(line: str, lineno: int) -> int:
+    try:
+        n = int(line)
+    except ValueError:
+        raise GraphFormatError(f"expected vertex count, got {line!r}", lineno) from None
+    if n < 1:
+        raise GraphFormatError(f"vertex count must be positive, got {n}", lineno)
+    if n > sys.maxsize:
+        raise GraphFormatError(f"vertex count must be at most {sys.maxsize}, got {n}", lineno)
+    return n
+
+
+def _first_bad_line(bodies: list[str], start: int, n: int) -> tuple[str, int | None]:
+    """The message and line number for the first bad edge line after the
+    vertex count on line ``start + 1``."""
     seen: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, body in enumerate(bodies[start + 1:], start=start + 2):
+        line = body.strip()
         if not line:
             continue
-        if n is None:
-            try:
-                n = int(line)
-            except ValueError:
-                raise GraphFormatError(f"expected vertex count, got {line!r}", lineno) from None
-            if n < 1:
-                raise GraphFormatError(f"vertex count must be positive, got {n}", lineno)
-            continue
         tokens = line.split()
-        if len(tokens) != 3 or tokens[1] not in ("--", "->"):
-            raise GraphFormatError(f"expected 'i -- j' or 'i -> j', got {line!r}", lineno)
+        if len(tokens) != 3 or tokens[1] not in _OPS:
+            return f"expected 'i -- j' or 'i -> j', got {line!r}", lineno
         try:
             i, j = int(tokens[0]), int(tokens[2])
         except ValueError:
-            raise GraphFormatError(f"vertex labels must be integers, got {line!r}", lineno) from None
+            return f"vertex labels must be integers, got {line!r}", lineno
         if not (1 <= i <= n and 1 <= j <= n):
-            raise GraphFormatError(f"vertex label out of range 1..{n} in {line!r}", lineno)
+            return f"vertex label out of range 1..{n} in {line!r}", lineno
         if i == j:
-            raise GraphFormatError(f"self-loop at vertex {i}", lineno)
-        i -= 1
-        j -= 1
-        pair = (i, j) if i < j else (j, i)
-        if pair in seen:
-            raise GraphFormatError(
-                f"duplicate underlying pair {{{pair[0] + 1}, {pair[1] + 1}}}"
-                f" (first seen on line {seen[pair]})",
-                lineno,
-            )
-        seen[pair] = lineno
-        if tokens[1] == "--":
-            undirected.append(pair)
-        else:
-            arcs.append((i, j))
-    if n is None:
-        raise GraphFormatError("empty input: no vertex count found")
-    return MixedGraph(n=n, undirected=frozenset(undirected), arcs=frozenset(arcs))
+            return f"self-loop at vertex {i}", lineno
+        lo, hi = min(i, j), max(i, j)
+        if (lo, hi) in seen:
+            return f"duplicate underlying pair {{{lo}, {hi}}} (first seen on line {seen[lo, hi]})", lineno
+        seen[lo, hi] = lineno
+    # not reached: _edge_columns fails exactly when some line does
+    return "the edge lines fail a check that no single line fails", None
 
 
 def serialize_graph(g: MixedGraph) -> str:

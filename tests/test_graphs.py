@@ -137,12 +137,23 @@ class TestParse:
         g = parse_graph(text.rpartition(brk)[0])
         assert (g.undirected, g.arcs) == ({(0, 1)}, {(1, 2)})
 
-    def test_label_beyond_int64_exits_two_without_traceback(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2\n99999999999999999999999 -- 1\n",
+             "line 2: vertex label out of range 1..2 in '99999999999999999999999 -- 1'"),
+            # the line-by-line parser accepted this count, and the report then
+            # failed with an OverflowError traceback
+            ("99999999999999999999999\n1 -- 2\n",
+             "line 1: vertex count must be at most 9223372036854775807, got 99999999999999999999999"),
+        ],
+        ids=["label", "vertex-count"],
+    )
+    def test_beyond_int64_exits_two_without_traceback(self, tmp_path, capsys, text, message):
         path = tmp_path / "big.mg"
-        path.write_text("2\n99999999999999999999999 -- 1\n", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         assert cli_main(["report", "--graph", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: line 2: vertex label out of range 1..2 in '99999999999999999999999 -- 1'\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _reference_parse_graph(text: str) -> MixedGraph:
@@ -201,7 +212,8 @@ ODD_LABELS = ("0", "-1", "x", "1.0", "1_0", "\u0663", "+2", "007", "1e1", "",
 label_texts = st.one_of(st.integers(-2, 14).map(str), st.sampled_from(ODD_LABELS))
 bad_lines = st.one_of(
     st.sampled_from(["1 -- 2 3", "1 => 2", "1 ->2", "--", "1 --", "-- 1 2", "1 - 2", "1 <- 2",
-                     "1 -- 2 # note", "# 1 -- 2", "1 -> # 2", "3", "  ", "1 2 3"]),
+                     "1 -- 2 # note", "# 1 -- 2", "1 -> # 2", "3", "  ", "1 2 3",
+                     str(sys.maxsize), str(sys.maxsize + 1), "+099999999999999999999999"]),
     st.builds("{} {} {}".format, label_texts, st.sampled_from(["--", "->"]), label_texts),
 )
 
@@ -246,11 +258,25 @@ def _outcome(parse, text):
         return str(exc)
 
 
+def _expected_outcome(text):
+    """The reference's outcome, except that a vertex count beyond
+    ``sys.maxsize``, which no array can index, is rejected on its line."""
+    header = next(((k, line) for k, raw in enumerate(text.splitlines(), start=1)
+                   if (line := raw.split("#", 1)[0].strip())), None)
+    try:
+        n = int(header[1])
+    except (TypeError, ValueError):
+        n = 0
+    if n > sys.maxsize:
+        return f"line {header[0]}: vertex count must be at most {sys.maxsize}, got {n}"
+    return _outcome(_reference_parse_graph, text)
+
+
 class TestParseMatchesReference:
     @given(graph_texts())
     @settings(max_examples=300)
     def test_same_graph_or_same_message(self, text):
-        got, want = _outcome(parse_graph, text), _outcome(_reference_parse_graph, text)
+        got, want = _outcome(parse_graph, text), _expected_outcome(text)
         assert got == want
         if isinstance(want, MixedGraph):
             assert got.stats == graph_stats(want)
