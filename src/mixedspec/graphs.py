@@ -228,7 +228,15 @@ def parse_graph(text: str) -> MixedGraph:
     start = next((k for k, row in enumerate(rows) if row), None)
     if start is None:
         raise GraphFormatError("empty input: no vertex count found")
-    n = _vertex_count(bodies[start].strip(), start + 1)
+    line = bodies[start].strip()
+    try:
+        n = int(line)
+    except ValueError:
+        raise GraphFormatError(f"expected vertex count, got {line!r}", start + 1) from None
+    if n < 1:
+        raise GraphFormatError(f"vertex count must be positive, got {n}", start + 1)
+    if n > sys.maxsize:
+        raise GraphFormatError(f"vertex count must be at most {sys.maxsize}, got {n}", start + 1)
     columns = _edge_columns(list(filter(None, rows[start + 1:])), n)
     if columns is None:
         raise GraphFormatError(*_first_bad_line(bodies, start, n))
@@ -262,18 +270,6 @@ def _edge_columns(rows: list[list[str]], n: int) -> tuple[np.ndarray, np.ndarray
         return None
     # every op is "--" or "->", so its second character marks an arc
     return pairs, np.frombuffer("".join(ops).encode(), np.uint8)[1::2] == ord(">")
-
-
-def _vertex_count(line: str, lineno: int) -> int:
-    try:
-        n = int(line)
-    except ValueError:
-        raise GraphFormatError(f"expected vertex count, got {line!r}", lineno) from None
-    if n < 1:
-        raise GraphFormatError(f"vertex count must be positive, got {n}", lineno)
-    if n > sys.maxsize:
-        raise GraphFormatError(f"vertex count must be at most {sys.maxsize}, got {n}", lineno)
-    return n
 
 
 def _first_bad_line(bodies: list[str], start: int, n: int) -> tuple[str, int | None]:
