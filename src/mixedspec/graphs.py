@@ -104,10 +104,11 @@ def _index_array(pairs: frozenset[tuple[int, int]]) -> np.ndarray:
     )
 
 
-def _sorted_index_array(pairs: np.ndarray) -> np.ndarray:
-    """The rows of a (k, 2) integer array as a read-only 2 x k array of
-    columns, sorted as ``_index_array`` sorts a set of pairs."""
-    return _read_only(pairs[np.lexsort(pairs.T[::-1])].T)
+def _sorted_index_array(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The pairs (first[k], second[k]) as a read-only 2 x k array of columns,
+    sorted as ``_index_array`` sorts a set of pairs."""
+    order = np.lexsort((second, first))
+    return _read_only(np.stack((first[order], second[order])))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -240,20 +241,23 @@ def parse_graph(text: str) -> MixedGraph:
     columns = _edge_columns(list(filter(None, rows[start + 1:])), n)
     if columns is None:
         raise GraphFormatError(*_first_bad_line(bodies, start, n))
-    pairs, is_arc = columns
-    edges = np.sort(pairs[~is_arc], axis=1)
-    return MixedGraph._from_index(n, _sorted_index_array(edges), _sorted_index_array(pairs[is_arc]))
+    i, j, is_arc = columns
+    ei, ej = i[~is_arc], j[~is_arc]
+    edge_index = _sorted_index_array(np.minimum(ei, ej), np.maximum(ei, ej))
+    return MixedGraph._from_index(n, edge_index, _sorted_index_array(i[is_arc], j[is_arc]))
 
 
 _OPS = frozenset({"--", "->"})
 
 
-def _edge_columns(rows: list[list[str]], n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The edge lines' tokens as a (k, 2) array of 0-based (i, j) pairs and
-    a mask of the arcs among them; None when a line fails one of the checks
-    that ``_first_bad_line`` makes line by line."""
+def _edge_columns(
+    rows: list[list[str]], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The edge lines' 0-based labels i and j as two arrays, and a mask of
+    the arcs among them; None when a line fails one of the checks that
+    ``_first_bad_line`` makes line by line."""
     if not rows:
-        return np.empty((0, 2), np.intp), np.empty(0, bool)
+        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, bool)
     try:
         # zip fails unless every row has one length, and unpacking unless it is 3
         firsts, ops, seconds = zip(*rows, strict=True)
@@ -264,12 +268,12 @@ def _edge_columns(rows: list[list[str]], n: int) -> tuple[np.ndarray, np.ndarray
         return None
     if not _OPS.issuperset(ops) or labels.min() < 1 or labels.max() > n:
         return None
-    pairs = labels.reshape(2, -1).T - 1
-    lo, hi = _sorted_index_array(np.sort(pairs, axis=1))
+    i, j = labels.reshape(2, -1) - 1
+    lo, hi = _sorted_index_array(np.minimum(i, j), np.maximum(i, j))
     if (lo == hi).any() or ((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])).any():
         return None
     # every op is "--" or "->", so its second character marks an arc
-    return pairs, np.frombuffer("".join(ops).encode(), np.uint8)[1::2] == ord(">")
+    return i, j, np.frombuffer("".join(ops).encode(), np.uint8)[1::2] == ord(">")
 
 
 def _first_bad_line(bodies: list[str], start: int, n: int) -> tuple[str, int | None]:
@@ -293,7 +297,8 @@ def _first_bad_line(bodies: list[str], start: int, n: int) -> tuple[str, int | N
             return f"self-loop at vertex {i}", lineno
         lo, hi = min(i, j), max(i, j)
         if (lo, hi) in seen:
-            return f"duplicate underlying pair {{{lo}, {hi}}} (first seen on line {seen[lo, hi]})", lineno
+            first = seen[lo, hi]
+            return f"duplicate underlying pair {{{lo}, {hi}}} (first seen on line {first})", lineno
         seen[lo, hi] = lineno
     # not reached: _edge_columns fails exactly when some line does
     return "the edge lines fail a check that no single line fails", None
