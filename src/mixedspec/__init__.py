@@ -11,7 +11,6 @@ trace-norm bounds against the results.
 
 from .bounds import (
     BoundKind,
-    BoundResult,
     BoundTarget,
 )
 from .eig import (
@@ -57,7 +56,6 @@ __all__ = [
     "BetaParam",
     "BoundKind",
     "BoundReport",
-    "BoundResult",
     "BoundTarget",
     "CheckedBound",
     "GraphFormatError",

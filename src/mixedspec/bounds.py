@@ -13,9 +13,9 @@ grid) is the only way to evaluate and score them, with one
 as Python's do, so each point gets the bits of a scalar evaluation. ``(1 - alpha)**2`` stays in
 Python: ``**`` calls C ``pow``, which need not round as NumPy's ``x*x`` does.
 
-Each family decides its own applicability: when a hypothesis (such as
-n >= 2 or beta = omega) fails, its rows carry ``applicable=False`` and the
-reason in ``note`` instead of raising.
+A row's applicability shows only in its status. ``catalog_columns`` alone
+decides the order premise (n >= 2 or n >= 3); the premises that vary by point
+or by beta stay in their families, with the reason in ``note``.
 
 The ``unit_offdiag_*`` pair is special: it assumes every nonzero entry of the
 blend matrix has modulus one, which is true only at alpha = 0 (off-diagonal
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -55,23 +54,6 @@ class BoundTarget(str, Enum):
     ZAGREB = "zagreb"
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    """One evaluated bound: ``bound_value`` bounds ``target`` from the
-    ``kind`` side. ``applicable=False`` records a failed hypothesis in
-    ``note``; the value is None when the formula cannot be evaluated.
-    ``expected_fail=True`` marks one whose premise is known to fail."""
-
-    name: str
-    kind: BoundKind
-    target: BoundTarget
-    bound_value: float | None
-    applicable: bool = True
-    note: str = ""
-    j: int | None = None
-    expected_fail: bool = False
-
-
 class Row(NamedTuple):
     """The static part of a catalog row, the same at every point."""
 
@@ -88,7 +70,7 @@ _MU_1, _MU_N = BoundTarget.MU_1, BoundTarget.MU_N
 class Columns(NamedTuple):
     """One formula family over a block of k points: row r of ``rows`` has its
     bound at each point in row r of the (len(rows), k) array ``values``,
-    which is None when a hypothesis on the graph fails. ``note``,
+    which is None when the family's order premise fails. ``note``,
     ``applicable`` and ``expected_fail`` hold at every point or come one per
     point; rows without values are never applicable. ``failures`` holds each
     point's VerificationError message, or None."""
@@ -138,8 +120,6 @@ _OFFDIAG = (Row("offdiag_mu1_lower", _LOWER, _MU_1), Row("offdiag_mun_upper", _U
 
 
 def _offdiag_columns(trace: np.ndarray, n: int, offdiag_modulus: np.ndarray) -> Columns:
-    if n < 2:
-        return Columns(_OFFDIAG, None, "needs n >= 2")
     mean, shift = trace / n, 2.0 * offdiag_modulus / n
     return Columns(_OFFDIAG, np.array([mean + shift, mean - shift]))
 
@@ -152,7 +132,7 @@ def _unit_columns(stats: GraphStats, a: np.ndarray) -> Columns:
     n, m = stats.n, stats.m
     am = a * m
     values = np.array([2.0 * (am + 1.0) / n, 2.0 * (am - 1.0) / n])
-    if n < 2 or m < 1:
+    if m < 1:
         return Columns(_UNIT, values, "no off-diagonal entry to instantiate", False)
     positive = a > 0.0
     note = [_PREMISE_FAILS if p else "" for p in positive.tolist()]
@@ -166,19 +146,15 @@ _WOLKOWICZ = (
 
 
 def _wolkowicz_columns(r: np.ndarray, s: np.ndarray, n: int) -> Columns:
-    if n < 2:
-        return Columns(_WOLKOWICZ, None, "needs n >= 2")
     root = math.sqrt(n - 1.0)
     times, over = s * root, s / root
     return Columns(_WOLKOWICZ, np.array([r + times, r + over, r - over, r - times]))
 
 
-def _zagreb_variance_numerator(stats: GraphStats, a: np.ndarray) -> np.ndarray | None:
+def _zagreb_variance_numerator(stats: GraphStats, a: np.ndarray) -> np.ndarray:
     """The degree-extremes replacement for n^2 * s^2: substituting the Zagreb
-    lower bound for the exact Zagreb index. None below n = 3."""
+    lower bound for the exact Zagreb index. Divides by n - 2."""
     n, m = stats.n, stats.m
-    if n < 3:
-        return None
     dmax, dmin = stats.max_degree, stats.min_degree
     # Python's (1 - alpha)**2, point by point: see the module docstring
     square = np.array([(1.0 - x) ** 2 for x in a.tolist()])
@@ -192,12 +168,9 @@ def _zagreb_variance_numerator(stats: GraphStats, a: np.ndarray) -> np.ndarray |
 _ZAGREB = (Row("zagreb_mu1_lower", _LOWER, _MU_1), Row("zagreb_mun_upper", _UPPER, _MU_N))
 
 
-def _zagreb_columns(stats: GraphStats, r: np.ndarray, t: np.ndarray | None) -> Columns:
+def _zagreb_columns(r: np.ndarray, t: np.ndarray, n: int) -> Columns:
     """From the spectral mean ``r`` = 2*alpha*m/n and the variance numerator
     ``t`` at each point."""
-    n = stats.n
-    if n < 3:
-        return Columns(_ZAGREB, None, "needs n >= 3")
     shift = np.sqrt(t / (n * n * (n - 1.0)))
     return Columns(_ZAGREB, np.array([r + shift, r - shift]))
 
@@ -226,8 +199,6 @@ _TRACE_NORM = (Row("trace_norm_upper", _UPPER, BoundTarget.TRACE_NORM),)
 def _trace_norm_columns(stats: GraphStats, a: np.ndarray, tr: np.ndarray, tr2: np.ndarray) -> Columns:
     """From the closed-form traces ``tr`` and ``tr2`` at each point."""
     n, m = stats.n, stats.m
-    if n < 2:
-        return Columns(_TRACE_NORM, None, "needs n >= 2")
     bracket, failures = _clamped(
         n * tr2 - tr * tr, np.maximum(n * tr2, tr * tr), "variance bracket {} negative beyond rounding"
     )
@@ -241,8 +212,6 @@ _SPREAD = (
 
 
 def _spread_columns(s: np.ndarray, n: int) -> Columns:
-    if n < 2:
-        return Columns(_SPREAD, None, "needs n >= 2")
     upper = math.sqrt(2.0 * n) * s
     lower = 2.0 * s if n % 2 == 0 else 2.0 * n * s / math.sqrt(n * n - 1.0)
     return Columns(_SPREAD, np.array([upper, lower]))
@@ -251,11 +220,8 @@ def _spread_columns(s: np.ndarray, n: int) -> Columns:
 _SPREAD_ZAGREB = (Row("spread_lower_zagreb", _LOWER, BoundTarget.SPREAD),)
 
 
-def _spread_zagreb_columns(stats: GraphStats, t: np.ndarray | None) -> Columns:
+def _spread_zagreb_columns(t: np.ndarray, n: int) -> Columns:
     """From the variance numerator ``t`` at each point."""
-    n = stats.n
-    if n < 3:
-        return Columns(_SPREAD_ZAGREB, None, "needs n >= 3")
     value = (2.0 / n) * np.sqrt(t) if n % 2 == 0 else 2.0 * np.sqrt(t / (n * n - 1.0))
     return Columns(_SPREAD_ZAGREB, value[None])
 
@@ -264,8 +230,6 @@ _ZAGREB_INDEX = (Row("zagreb_index_lower", _LOWER, BoundTarget.ZAGREB),)
 
 
 def _zagreb_index_columns(stats: GraphStats, k: int) -> Columns:
-    if stats.n < 3:
-        return Columns(_ZAGREB_INDEX, None, "needs n >= 3")
     return Columns(_ZAGREB_INDEX, np.array([[zagreb_lower_bound(stats)] * k]))
 
 
@@ -300,22 +264,28 @@ def catalog_columns(
     a = np.array(alphas)
     tr, tr2 = np.array(closed_forms).T
     r, s, failures = _moments(tr, tr2, n)
-    t = _zagreb_variance_numerator(stats, a)
-    trace_norm_columns = _trace_norm_columns(stats, a, tr, tr2)
     rho_columns, ratio = _rho_columns(mu_1, rho, beta)
+
+    # the order premise: a family whose formula needs k vertices runs only if n >= k
+    def order(k: int, rows: tuple[Row, ...], family) -> Columns:
+        return family() if n >= k else Columns(rows, None, f"needs n >= {k}")
+
+    # the two Zagreb-refined families share t, whose formula divides by n - 2
+    t = _zagreb_variance_numerator(stats, a) if n >= 3 else None
     columns = [
         _rayleigh_columns(stats, a, tr, beta),
-        _offdiag_columns(np.array(trace), n, np.array(offdiag)),
+        order(2, _OFFDIAG, lambda: _offdiag_columns(np.array(trace), n, np.array(offdiag))),
         _unit_columns(stats, a),
-        _wolkowicz_columns(r, s, n),
-        _zagreb_columns(stats, r, t),
+        order(2, _WOLKOWICZ, lambda: _wolkowicz_columns(r, s, n)),
+        order(3, _ZAGREB, lambda: _zagreb_columns(r, t, n)),
         _jth_columns(r, s, n),
-        trace_norm_columns,
-        _spread_columns(s, n),
-        _spread_zagreb_columns(stats, t),
-        _zagreb_index_columns(stats, len(alphas)),
+        order(2, _TRACE_NORM, lambda: _trace_norm_columns(stats, a, tr, tr2)),
+        order(2, _SPREAD, lambda: _spread_columns(s, n)),
+        order(3, _SPREAD_ZAGREB, lambda: _spread_zagreb_columns(t, n)),
+        order(3, _ZAGREB_INDEX, lambda: _zagreb_index_columns(stats, len(alphas))),
         rho_columns,
     ]
-    for i, failure in enumerate(trace_norm_columns.failures or ()):
-        failures[i] = failures[i] or failure
+    for c in columns:
+        for i, failure in enumerate(c.failures or ()):
+            failures[i] = failures[i] or failure
     return columns, failures, ratio

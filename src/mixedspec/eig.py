@@ -150,7 +150,7 @@ def eigenvalues(m: HermitianStack) -> SpectrumStack:
 
 def _frobenius(a: np.ndarray) -> np.ndarray:
     """||a_i||_F of each complex matrix of a stack."""
-    x = a.reshape(len(a), -1).view(np.float64)
+    x = a.reshape(len(a), a.shape[1] * a.shape[2]).view(np.float64)
     return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
@@ -165,7 +165,7 @@ def _enclosure(data: np.ndarray, w: np.ndarray, v: np.ndarray, tr2: list[float])
     r -= t
     res, vnorm, wmax = _frobenius(r), _frobenius(v), np.abs(w).max(axis=1)
     np.matmul(np.conjugate(v, out=t).swapaxes(1, 2), v, out=r)
-    r.reshape(k, -1)[:, :: n + 1] -= 1.0
+    r.reshape(k, n * n)[:, :: n + 1] -= 1.0
     eta = grow * _frobenius(r) + gamma * vnorm * vnorm
     res = grow * res + gamma * (np.sqrt(tr2) + wmax) * vnorm
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -10,8 +10,7 @@ of the primary spectra, and its catalog is scored as columns: one
 whole block as arrays, rho_sandwich last, and one ``_score`` call compares
 them with the block's spectra. Then one loop over the block's points runs
 the checks, raising in grid order, and builds each BoundReport from its
-point's row of those columns; ``BoundReport.checked`` builds CheckedBound
-views from it.
+point's row of those columns.
 
 Three classes of failure are kept apart. Eigen-route failures (see ``eig``),
 kernel/oracle disagreement, trace mismatches, a matrix build that disagrees
@@ -19,7 +18,8 @@ with the graph's arc-sum expansion and numerical-range escapes all raise the
 one type VerificationError: they mean the library is wrong. A bound whose
 premises hold but whose inequality fails gets status VIOLATED: the report
 carries it, and the CLI exits 1 on any. A bound whose premise is known-false
-(``BoundResult.expected_fail``) gets EXPECTED_FAIL: tracked, never asserted.
+(its family's ``Columns.expected_fail``) gets EXPECTED_FAIL: tracked, never
+asserted. A row's status is the only place its applicability shows.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bounds as _b
-from .bounds import BoundKind, BoundResult, BoundTarget
+from .bounds import BoundKind, BoundTarget
 from .eig import Spectrum, VerificationError, eigenvalues, oracle_eigenvalues
 from .graphs import MixedGraph, random_mixed_graph, serialize_graph
 from .matrices import (
@@ -69,19 +70,21 @@ class Status(str, Enum):
     EXPECTED_FAIL = "EXPECTED_FAIL"
 
 
-@dataclass(frozen=True)
-class CheckedBound:
-    """A catalog bound together with the value it bounds and the verdict.
+class CheckedBound(NamedTuple):
+    """One scored catalog row at one point: the row (``result``), its bound,
+    the value it bounds, the slack, the status and the note.
 
     slack is the signed margin in the bound's favorable direction: actual
     minus bound for lower bounds, bound minus actual for upper bounds.
     Non-negative (within tolerance) means the inequality holds.
     """
 
-    result: BoundResult
+    result: _b.Row
+    bound: float | None
     actual: float | None
     slack: float | None
     status: Status
+    note: str
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,8 @@ class BoundReport:
     """One point of a verification. The catalog is held as columns, one entry
     per row of ``rows`` (static metadata shared by every report of one
     shape): ``bounds``, ``actuals``, ``slacks``, ``statuses`` and ``notes``.
-    ``checked`` views them as CheckedBound records, built on demand."""
+    ``checked`` zips them into CheckedBound records, built on demand, and
+    ``violated`` keeps the VIOLATED ones."""
 
     graph: MixedGraph
     alpha: float
@@ -108,21 +112,12 @@ class BoundReport:
 
     @property
     def checked(self) -> tuple[CheckedBound, ...]:
-        return tuple(map(self._checked, range(len(self.rows))))
+        columns = (self.rows, self.bounds, self.actuals, self.slacks, self.statuses, self.notes)
+        return tuple(map(CheckedBound, *columns))
 
     @property
     def violated(self) -> tuple[CheckedBound, ...]:
-        return tuple(self._checked(i) for i, s in enumerate(self.statuses) if s is Status.VIOLATED)
-
-    def _checked(self, i: int) -> CheckedBound:
-        # a row is applicable exactly when it is scored HOLDS or VIOLATED
-        row, status = self.rows[i], self.statuses[i]
-        applicable = status is Status.HOLDS or status is Status.VIOLATED
-        result = BoundResult(
-            row.name, row.kind, row.target, self.bounds[i], applicable, self.notes[i], row.j,
-            status is Status.EXPECTED_FAIL,
-        )
-        return CheckedBound(result, self.actuals[i], self.slacks[i], status)
+        return tuple(c for c in self.checked if c.status is Status.VIOLATED)
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,8 @@ class HermitianStack:
         a = np.array(self.data, dtype=np.complex128)
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+        if a.shape[1] == 0:
+            raise ValueError("matrices must have at least one row and column")
         if not np.isfinite(a).all():
             raise ValueError("matrix has a non-finite entry")
         if not np.array_equal(a, a.conj().transpose(0, 2, 1)):

@@ -1,5 +1,6 @@
-"""Shared fixtures: anchor graphs, omega, an eigensolver warm-up, and a
-symmetrizer that wraps an arbitrary array as a one-matrix HermitianStack.
+"""Shared fixtures: anchor graphs, omega, an eigensolver warm-up, a
+symmetrizer that wraps an arbitrary array as a one-matrix HermitianStack,
+and the one reader of a report's catalog rows by name.
 
 The warm-up fixture solves one small matrix on both eigen routes before any
 test runs, so first-call set-up cost (loading LAPACK, allocating workspaces)
@@ -25,6 +26,13 @@ def hermitian_from_array(a: np.ndarray) -> HermitianStack:
     h = (a + a.conj().T) / 2.0
     np.fill_diagonal(h, h.diagonal().real)
     return HermitianStack(h[None])
+
+
+def catalog_row(report, name, j=None):
+    """The CheckedBound of the catalog row ``name`` of ``report``; the
+    per-j rows also need their ``j``."""
+    [row] = [c for c in report.checked if c.result.name == name and c.result.j == j]
+    return row
 
 
 P2_TEXT = "2\n1 -> 2\n"

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 import mixedspec.harness
-from conftest import hermitian_from_array
+from conftest import catalog_row, hermitian_from_array
 from mixedspec.cli import main
 from mixedspec.eig import SpectrumStack, VerificationError, eigenvalues, oracle_eigenvalues
 from mixedspec.graphs import graph_stats, random_mixed_graph
@@ -41,13 +41,6 @@ def _trace_population():
         orient_prob = float(rng.uniform())
         graphs.append(random_mixed_graph(n, edge_prob, orient_prob, int(rng.integers(2**63))))
     return graphs
-
-
-def _checked(report, name, j=None):
-    for c in report.checked:
-        if c.result.name == name and (j is None or c.result.j == j):
-            return c
-    raise AssertionError(f"bound {name} (j={j}) missing from report")
 
 
 def test_criterion_1_closed_form_spectra(p2, c3):
@@ -133,9 +126,9 @@ def test_criterion_3_bound_suite():
 
 def test_criterion_4_literal_bound_expected_fail(p2):
     report = verify_all(p2, 0.5, OMEGA)
-    lit = _checked(report, "unit_offdiag_mu1_lower")
+    lit = catalog_row(report, "unit_offdiag_mu1_lower")
     ok = (
-        lit.result.bound_value == 1.5
+        lit.bound == 1.5
         and abs(lit.actual - 1.0) <= 1e-9
         and lit.status is Status.EXPECTED_FAIL
         and not report.violated
@@ -143,7 +136,7 @@ def test_criterion_4_literal_bound_expected_fail(p2):
     _criterion(
         4,
         ok,
-        f"unit-modulus form on arc pair at alpha=0.5: bound {lit.result.bound_value} > "
+        f"unit-modulus form on arc pair at alpha=0.5: bound {lit.bound} > "
         f"mu_1 {lit.actual}, status {lit.status.value}, no fatal violation",
     )
 
@@ -154,27 +147,27 @@ def test_criterion_5_tightness_regressions(p2, c3, k13):
     r = verify_all(c3, 0.0, OMEGA)
     if abs(r.rho_ratio - 0.5) > 1e-9:
         failures.append(f"mu_1/rho on triangle = {r.rho_ratio}")
-    jn = _checked(r, "wolkowicz_mu_j_lower", j=3)
-    if abs(jn.result.bound_value - (-2.0)) > 1e-9 or abs(jn.actual - (-2.0)) > 1e-9:
-        failures.append(f"j=n lower: bound {jn.result.bound_value} actual {jn.actual}")
-    sm = _checked(r, "spread_lower_moment")
-    if abs(sm.result.bound_value - 3.0) > 1e-9 or abs(r.spread - 3.0) > 1e-9:
-        failures.append(f"odd-case spread lower: bound {sm.result.bound_value} spread {r.spread}")
+    jn = catalog_row(r, "wolkowicz_mu_j_lower", j=3)
+    if abs(jn.bound - (-2.0)) > 1e-9 or abs(jn.actual - (-2.0)) > 1e-9:
+        failures.append(f"j=n lower: bound {jn.bound} actual {jn.actual}")
+    sm = catalog_row(r, "spread_lower_moment")
+    if abs(sm.bound - 3.0) > 1e-9 or abs(r.spread - 3.0) > 1e-9:
+        failures.append(f"odd-case spread lower: bound {sm.bound} spread {r.spread}")
 
     r2 = verify_all(c3, 0.5, OMEGA)
-    z1 = _checked(r2, "zagreb_mu1_lower")
-    if abs(z1.result.bound_value - 1.5) > 1e-9 or abs(z1.actual - 1.5) > 1e-9:
-        failures.append(f"refined mu_1 lower: bound {z1.result.bound_value} actual {z1.actual}")
+    z1 = catalog_row(r2, "zagreb_mu1_lower")
+    if abs(z1.bound - 1.5) > 1e-9 or abs(z1.actual - 1.5) > 1e-9:
+        failures.append(f"refined mu_1 lower: bound {z1.bound} actual {z1.actual}")
 
     rk = verify_all(k13, 0.5, OMEGA)
-    zi = _checked(rk, "zagreb_index_lower")
-    if abs(zi.result.bound_value - 12.0) > 1e-9 or zi.actual != 12.0:
-        failures.append(f"zagreb equality: bound {zi.result.bound_value} actual {zi.actual}")
+    zi = catalog_row(rk, "zagreb_index_lower")
+    if abs(zi.bound - 12.0) > 1e-9 or zi.actual != 12.0:
+        failures.append(f"zagreb equality: bound {zi.bound} actual {zi.actual}")
 
     rp = verify_all(p2, 0.0, OMEGA)
-    su = _checked(rp, "spread_upper")
-    if abs(su.result.bound_value - 2.0) > 1e-9 or abs(rp.spread - 2.0) > 1e-9:
-        failures.append(f"spread upper: bound {su.result.bound_value} spread {rp.spread}")
+    su = catalog_row(rp, "spread_upper")
+    if abs(su.bound - 2.0) > 1e-9 or abs(rp.spread - 2.0) > 1e-9:
+        failures.append(f"spread upper: bound {su.bound} spread {rp.spread}")
 
     _criterion(5, not failures, f"six equality cases within 1e-9 {failures or ''}")
 

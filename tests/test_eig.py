@@ -205,6 +205,12 @@ class TestStacks:
             assert primary.spectrum(i) == solve(m)
             assert oracle.spectrum(i) == solve(m, oracle_eigenvalues)
 
+    @pytest.mark.parametrize("route", [eigenvalues, oracle_eigenvalues])
+    def test_empty_stack_gives_no_rows(self, p2, route):
+        spectra = route(a_alpha_stack(p2, [], OMEGA))
+        assert spectra.values.shape == (0, 2)
+        assert spectra.failures == ()
+
     def test_failure_raised_when_its_row_is_read(self, monkeypatch):
         ms = [random_hermitian(3, seed) for seed in (1, 2, 3)]
         stack = HermitianStack(np.concatenate([m.data for m in ms]))

@@ -7,7 +7,13 @@ exactly: same spectra to the last bit, same bound values, same statuses,
 same formatting. Criterion 8 only compares two runs of one tree; this file
 compares the tree with a recorded past.
 
-The spectra come from LAPACK, so the files hold for one NumPy/LAPACK build.
+The spectra come from LAPACK, so the files hold for one NumPy/LAPACK build,
+and the n = 40 and n = 16 cases for one BLAS kernel path too: NumPy's bundled
+OpenBLAS picks its kernels for the CPU (or as ``OPENBLAS_CORETYPE`` says),
+and zheevd's last bits follow them. Those cases first compare the running
+kernel path, read through ``ctypes``, with ``CAPTURED_CORE``, the one the
+files were captured on, and on a mismatch fail with one line naming both.
+Where the path cannot be read, they compare bytes as the others do.
 Regenerate them only for a deliberate change of output, from the repository
 root with ``PYTHONPATH=src``:
 
@@ -52,11 +58,13 @@ Two cases also run as ``python -m mixedspec.cli`` in a fresh interpreter,
 since the in-process cases share whatever one process has warmed up.
 """
 
+import ctypes
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mixedspec.cli import main
@@ -82,6 +90,37 @@ CASES = {
         "check", "--trials", "300", "--seed", "11", "--min-n", "1", "--max-n", "4",
     ],
 }
+CAPTURED_CORE = "SkylakeX"
+KERNEL_BOUND = {
+    "report_n40.json", "report_n40.csv", "sweep_n16.csv", "sweep_n40_fine.csv",
+    "sweep_n16_beta-0.4_seed5.json",
+}
+
+
+def _openblas_core():
+    """The kernel path NumPy's bundled OpenBLAS runs, or None where it
+    cannot be read."""
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            return None
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+CORE = _openblas_core()
+
+
+def _require_captured_core(name):
+    if name in KERNEL_BOUND and CORE not in (None, CAPTURED_CORE):
+        pytest.fail(
+            f"{name} was captured on OpenBLAS kernel path {CAPTURED_CORE}, this run uses {CORE}",
+            pytrace=False,
+        )
+
+
 for _g in ("n1", "n2_empty", "n2_arc"):
     for _a in ("0", "0.5"):
         _report = ["report", "--graph", str(DATA / f"graph_{_g}.mg"), "--alpha", _a]
@@ -94,6 +133,7 @@ for _g in ("n1", "n2_empty", "n2_arc"):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden_file(name, capsys):
+    _require_captured_core(name)
     code = main(CASES[name])
     out = capsys.readouterr().out
     assert code == 0
@@ -102,6 +142,7 @@ def test_stdout_matches_golden_file(name, capsys):
 
 @pytest.mark.parametrize("name", ["report_n40.json", "sweep_n16_beta-0.4_seed5.json"])
 def test_cold_start_stdout_matches_golden_file(name):
+    _require_captured_core(name)
     # a fresh interpreter sees none of the state that warms up inside this
     # process (caches, imported modules), as a user's first run does
     env = dict(os.environ)

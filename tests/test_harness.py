@@ -12,7 +12,8 @@ from hypothesis import given, strategies as st
 
 import mixedspec.bounds
 import mixedspec.harness
-from mixedspec.bounds import BoundKind, BoundResult, BoundTarget, Columns, Row, _moments
+from conftest import catalog_row
+from mixedspec.bounds import BoundKind, BoundTarget, Columns, Row, _moments
 from mixedspec.eig import Spectrum, SpectrumStack
 from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph
 from mixedspec.harness import (
@@ -45,17 +46,20 @@ OMEGA = omega_constant()
 GRAPH_N16 = Path(__file__).parent / "data" / "graph_n16.mg"
 
 
-def _check_bound(result, spec, stats):
-    """Score one BoundResult at one point through the columnar ``_score``,
-    as a one-row family over a one-point block."""
-    values = None if result.bound_value is None else np.array([[result.bound_value]])
-    row = Row(result.name, result.kind, result.target, result.j)
-    columns = Columns((row,), values, result.note, result.applicable, result.expected_fail)
+def _check_bound(columns, spec, stats):
+    """Score a one-row family at one point through the columnar ``_score``."""
     v = spec.values
     head = np.array([[v[0]], [v[-1]], [v[0] - v[-1]], [sum(map(abs, v))], [stats.zagreb]])
-    rows, [(_, actuals, slacks, statuses, _)] = _score([columns], np.array([v]), head)
-    assert rows == (row,)
-    return CheckedBound(result, actuals[0], slacks[0], statuses[0])
+    rows, [point] = _score([columns], np.array([v]), head)
+    assert rows == columns.rows
+    [checked] = map(CheckedBound, rows, *point)
+    return checked
+
+
+def _one(kind, target, bound, *flags):
+    """A one-row family named x with this bound (None for no value) at one
+    point, and Columns' note, applicable and expected_fail as given."""
+    return Columns((Row("x", kind, target),), None if bound is None else np.array([[bound]]), *flags)
 
 
 def _broken_rayleigh(stats, a, tr, beta):
@@ -74,12 +78,11 @@ class TestVerifyAll:
 
     def test_single_arc_midpoint_expected_fail(self, p2):
         report = verify_all(p2, 0.5, OMEGA)
-        by_name = {c.result.name: c for c in report.checked}
-        lit = by_name["unit_offdiag_mu1_lower"]
+        lit = catalog_row(report, "unit_offdiag_mu1_lower")
         assert lit.status is Status.EXPECTED_FAIL
-        assert lit.result.bound_value == 1.5
+        assert lit.bound == 1.5
         assert lit.actual == pytest.approx(1.0, abs=1e-9)
-        cor = by_name["offdiag_mu1_lower"]
+        cor = catalog_row(report, "offdiag_mu1_lower")
         assert cor.status is Status.HOLDS
         assert abs(cor.slack) <= 1e-9
         assert not report.violated
@@ -122,8 +125,9 @@ class TestVerifyAll:
 
     def test_rayleigh_gating_for_general_beta(self, c3):
         report = verify_all(c3, 0.2, BetaParam(1.0, 0.0))
-        ray = [c for c in report.checked if c.result.name == "rayleigh_mu1_lower"][0]
+        ray = catalog_row(report, "rayleigh_mu1_lower")
         assert ray.status is Status.NOT_APPLICABLE
+        assert ray.note == "stated for beta = omega only"
         assert not report.violated
 
 
@@ -131,50 +135,39 @@ class TestStatusAssignment:
     def test_lower_bound_slack_sign(self):
         spec = Spectrum((2.0, 0.0))
         stats = graph_stats(parse_graph("2\n1 -> 2\n"))
-        ok = _check_bound(
-            BoundResult("x", BoundKind.LOWER, BoundTarget.MU_1, 1.5), spec, stats
-        )
+        ok = _check_bound(_one(BoundKind.LOWER, BoundTarget.MU_1, 1.5), spec, stats)
         assert ok.status is Status.HOLDS and ok.slack == 0.5
-        bad = _check_bound(
-            BoundResult("x", BoundKind.LOWER, BoundTarget.MU_1, 2.5), spec, stats
-        )
+        bad = _check_bound(_one(BoundKind.LOWER, BoundTarget.MU_1, 2.5), spec, stats)
         assert bad.status is Status.VIOLATED and bad.slack == -0.5
 
     def test_upper_bound_slack_sign(self):
         spec = Spectrum((2.0, 0.0))
         stats = graph_stats(parse_graph("2\n1 -> 2\n"))
-        ok = _check_bound(
-            BoundResult("x", BoundKind.UPPER, BoundTarget.MU_N, 0.25), spec, stats
-        )
+        ok = _check_bound(_one(BoundKind.UPPER, BoundTarget.MU_N, 0.25), spec, stats)
         assert ok.status is Status.HOLDS and ok.slack == 0.25
 
     def test_tolerance_absorbs_rounding(self):
         spec = Spectrum((1.0,))
         stats = graph_stats(parse_graph("1\n"))
-        near = _check_bound(
-            BoundResult("x", BoundKind.LOWER, BoundTarget.MU_1, 1.0 + 5e-10), spec, stats
-        )
+        near = _check_bound(_one(BoundKind.LOWER, BoundTarget.MU_1, 1.0 + 5e-10), spec, stats)
         assert near.status is Status.HOLDS
 
     def test_inapplicable_without_value(self):
         spec = Spectrum((1.0,))
         stats = graph_stats(parse_graph("1\n"))
-        na = _check_bound(
-            BoundResult("x", BoundKind.LOWER, BoundTarget.MU_1, None, False, "no"), spec, stats
-        )
+        na = _check_bound(_one(BoundKind.LOWER, BoundTarget.MU_1, None, "no"), spec, stats)
         assert na.status is Status.NOT_APPLICABLE
         assert na.slack is None
+        assert na.note == "no"
 
     def test_literal_name_maps_to_expected_fail_only_with_positive_alpha(self):
         spec = Spectrum((1.0, -1.0))
         stats = graph_stats(parse_graph("2\n1 -> 2\n"))
-        res = BoundResult(
-            "unit_offdiag_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1, 1.5, False, "premise",
-            expected_fail=True,
-        )
-        assert _check_bound(res, spec, stats).status is Status.EXPECTED_FAIL
+        row = Row("unit_offdiag_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1)
+        flagged = Columns((row,), np.array([[1.5]]), "premise", False, True)
+        assert _check_bound(flagged, spec, stats).status is Status.EXPECTED_FAIL
         # the flag decides, not the name
-        unflagged = dataclasses.replace(res, expected_fail=False)
+        unflagged = flagged._replace(expected_fail=False)
         assert _check_bound(unflagged, spec, stats).status is Status.NOT_APPLICABLE
 
 
@@ -638,6 +631,16 @@ class TestReportShape:
         assert first.rows is last.rows
         assert [c.result.name for c in first.checked] == [r.name for r in first.rows]
         assert first.statuses != last.statuses  # unit_offdiag_* is EXPECTED_FAIL only at alpha > 0
+
+    def test_violated_and_checked_views(self, p2, monkeypatch):
+        # the benchmark's workloads read c.status from checked and
+        # c.result.name from violated
+        monkeypatch.setattr(mixedspec.bounds, "_rayleigh_columns", _broken_rayleigh)
+        report = verify_all(p2, 0.5, OMEGA)
+        assert [c.result.name for c in report.violated] == ["rayleigh_mu1_lower"]
+        columns = (report.rows, report.bounds, report.actuals, report.slacks, report.statuses, report.notes)
+        assert [tuple(c) for c in report.checked] == list(zip(*columns))
+        assert [c.status for c in report.checked] == list(report.statuses)
 
     def test_report_is_frozen(self, p2):
         report = verify_all(p2, 0.5, OMEGA)

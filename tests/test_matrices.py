@@ -287,6 +287,11 @@ class TestBuilders:
         with pytest.raises(ValueError, match="square"):
             HermitianStack(np.zeros((2, 3), dtype=complex))
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_stack_rejects_empty_matrices(self, k):
+        with pytest.raises(ValueError, match="at least one row and column"):
+            HermitianStack(np.zeros((k, 0, 0), dtype=complex))
+
     def test_stack_rejects_a_bare_matrix(self):
         with pytest.raises(ValueError, match="stack of square matrices"):
             HermitianStack(np.eye(2, dtype=complex))
