@@ -65,6 +65,10 @@ class Row(NamedTuple):
 
 _LOWER, _UPPER = BoundKind.LOWER, BoundKind.UPPER
 _MU_1, _MU_N = BoundTarget.MU_1, BoundTarget.MU_N
+# x + y * _SIGNS is the rows x + y and x - y, bit for bit: y * -1.0 is -y,
+# and x + (-y) rounds as x - y does
+_SIGNS = np.array([[1.0], [-1.0]])
+_SIGNS.setflags(write=False)
 
 
 class Columns(NamedTuple):
@@ -120,8 +124,7 @@ _OFFDIAG = (Row("offdiag_mu1_lower", _LOWER, _MU_1), Row("offdiag_mun_upper", _U
 
 
 def _offdiag_columns(trace: np.ndarray, n: int, offdiag_modulus: np.ndarray) -> Columns:
-    mean, shift = trace / n, 2.0 * offdiag_modulus / n
-    return Columns(_OFFDIAG, np.array([mean + shift, mean - shift]))
+    return Columns(_OFFDIAG, trace / n + 2.0 * offdiag_modulus / n * _SIGNS)
 
 
 _UNIT = (Row("unit_offdiag_mu1_lower", _LOWER, _MU_1), Row("unit_offdiag_mun_upper", _UPPER, _MU_N))
@@ -130,8 +133,7 @@ _PREMISE_FAILS = "premise |a_rs| = 1 fails: entries have modulus 1 - alpha"
 
 def _unit_columns(stats: GraphStats, a: np.ndarray) -> Columns:
     n, m = stats.n, stats.m
-    am = a * m
-    values = np.array([2.0 * (am + 1.0) / n, 2.0 * (am - 1.0) / n])
+    values = 2.0 * (a * m + _SIGNS) / n
     if m < 1:
         return Columns(_UNIT, values, "no off-diagonal entry to instantiate", False)
     positive = a > 0.0
@@ -148,7 +150,7 @@ _WOLKOWICZ = (
 def _wolkowicz_columns(r: np.ndarray, s: np.ndarray, n: int) -> Columns:
     root = math.sqrt(n - 1.0)
     times, over = s * root, s / root
-    return Columns(_WOLKOWICZ, np.array([r + times, r + over, r - over, r - times]))
+    return Columns(_WOLKOWICZ, r + np.array((times, over, -over, -times)))
 
 
 def _zagreb_variance_numerator(stats: GraphStats, a: np.ndarray) -> np.ndarray:
@@ -171,26 +173,25 @@ _ZAGREB = (Row("zagreb_mu1_lower", _LOWER, _MU_1), Row("zagreb_mun_upper", _UPPE
 def _zagreb_columns(r: np.ndarray, t: np.ndarray, n: int) -> Columns:
     """From the spectral mean ``r`` = 2*alpha*m/n and the variance numerator
     ``t`` at each point."""
-    shift = np.sqrt(t / (n * n * (n - 1.0)))
-    return Columns(_ZAGREB, np.array([r + shift, r - shift]))
+    return Columns(_ZAGREB, r + np.sqrt(t / (n * n * (n - 1.0))) * _SIGNS)
 
 
 @functools.lru_cache(maxsize=64)
-def _jth_static(n: int) -> tuple[tuple[Row, ...], np.ndarray, np.ndarray]:
+def _jth_static(n: int) -> tuple[tuple[Row, ...], np.ndarray]:
     """The rows of order n, lower then upper for each j, and the read-only
-    (n, 1) factors sqrt((j-1)/(n-j+1)) and sqrt((n-j)/j) of s."""
+    (2n, 1) factors of s in the same order: -sqrt((j-1)/(n-j+1)) for the
+    lower bound r - s*sqrt(...) (see _SIGNS), sqrt((n-j)/j) for the upper."""
     pairs = ((j, kind) for j in range(1, n + 1) for kind in (_LOWER, _UPPER))
     rows = tuple(Row(f"wolkowicz_mu_j_{kind.value}", kind, BoundTarget.MU_J, j) for j, kind in pairs)
-    j = np.arange(1, n + 1)[:, None]
-    lower, upper = np.sqrt((j - 1.0) / (n - j + 1.0)), np.sqrt((n - j) / j)
-    lower.setflags(write=False)
-    upper.setflags(write=False)
-    return rows, lower, upper
+    j = np.arange(1, n + 1)
+    factors = np.array([-np.sqrt((j - 1.0) / (n - j + 1.0)), np.sqrt((n - j) / j)]).T.reshape(2 * n, 1)
+    factors.setflags(write=False)
+    return rows, factors
 
 
 def _jth_columns(r: np.ndarray, s: np.ndarray, n: int) -> Columns:
-    rows, lower, upper = _jth_static(n)
-    return Columns(rows, np.array([r - s * lower, r + s * upper]).transpose(1, 0, 2).reshape(2 * n, len(r)))
+    rows, factors = _jth_static(n)
+    return Columns(rows, r + s * factors)
 
 
 _TRACE_NORM = (Row("trace_norm_upper", _UPPER, BoundTarget.TRACE_NORM),)
@@ -199,8 +200,9 @@ _TRACE_NORM = (Row("trace_norm_upper", _UPPER, BoundTarget.TRACE_NORM),)
 def _trace_norm_columns(stats: GraphStats, a: np.ndarray, tr: np.ndarray, tr2: np.ndarray) -> Columns:
     """From the closed-form traces ``tr`` and ``tr2`` at each point."""
     n, m = stats.n, stats.m
+    ntr2, tr_sq = n * tr2, tr * tr
     bracket, failures = _clamped(
-        n * tr2 - tr * tr, np.maximum(n * tr2, tr * tr), "variance bracket {} negative beyond rounding"
+        ntr2 - tr_sq, np.maximum(ntr2, tr_sq), "variance bracket {} negative beyond rounding"
     )
     value = 4.0 * a * m + 2.0 * np.sqrt((n - 1.0) * bracket)
     return Columns(_TRACE_NORM, value[None], failures=failures)

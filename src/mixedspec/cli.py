@@ -238,6 +238,14 @@ def cmd_random(args) -> int:
     return 0
 
 
+def non_negative_int(text: str) -> int:
+    """The ``--seed`` type; argparse reports its ValueError as the flag's."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixedspec",
@@ -257,21 +265,21 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--alpha", default="0:1:0.25", help="alpha value or start:stop:step grid")
     sw.add_argument("--beta-arg", type=float, default=None, help="angle of beta (default pi/3)")
     sw.add_argument("--format", choices=("csv", "json"), default="csv")
-    sw.add_argument("--seed", type=int, default=0, help="numerical-range sampling seed")
+    sw.add_argument("--seed", type=non_negative_int, default=0, help="numerical-range sampling seed")
     sw.set_defaults(func=cmd_sweep)
 
     chk = sub.add_parser("check", help="run the randomized verification suite")
     chk.add_argument("--trials", type=int, default=1000)
     chk.add_argument("--min-n", type=int, default=2)
     chk.add_argument("--max-n", type=int, default=12)
-    chk.add_argument("--seed", type=int, default=0)
+    chk.add_argument("--seed", type=non_negative_int, default=0)
     chk.set_defaults(func=cmd_check)
 
     rnd = sub.add_parser("random", help="emit a random graph file")
     rnd.add_argument("--n", type=int, required=True)
     rnd.add_argument("--edge-prob", type=float, default=0.3)
     rnd.add_argument("--orient-prob", type=float, default=0.5)
-    rnd.add_argument("--seed", type=int, default=0)
+    rnd.add_argument("--seed", type=non_negative_int, default=0)
     rnd.set_defaults(func=cmd_random)
 
     return parser

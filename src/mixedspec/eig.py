@@ -25,6 +25,7 @@ resulting SpectrumStack is read.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,15 +43,17 @@ class VerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Real eigenvalues sorted non-increasing."""
+    """Real eigenvalues sorted non-increasing; +-inf is allowed, NaN is not."""
 
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.values) == 0:
+        v = self.values
+        if len(v) == 0:
             raise ValueError("spectrum must contain at least one eigenvalue")
-        if any(self.values[i] < self.values[i + 1] for i in range(len(self.values) - 1)):
-            raise ValueError("eigenvalues must be sorted non-increasing")
+        # a comparison with NaN is false, so only a lone value needs its own test
+        if math.isnan(v[0]) or not all(map(operator.ge, v, v[1:])):
+            raise ValueError("eigenvalues must be sorted non-increasing, with no NaN")
 
     @property
     def n(self) -> int:
@@ -120,8 +123,7 @@ def _check_moments(
     """Record a broken moment identity (sum of eigenvalues = tr, sum of their
     squares = tr(M^2)) for each matrix that has not failed yet. An identity
     that cannot be confirmed, because a side is NaN, counts as broken."""
-    sum1 = values.sum(axis=1).tolist()
-    sum2 = (values * values).sum(axis=1).tolist()
+    sum1, sum2 = np.array((values, values * values)).sum(axis=2).tolist()
     for i, failure in enumerate(failures):
         if failure is not None:
             continue
@@ -148,25 +150,24 @@ def eigenvalues(m: HermitianStack) -> SpectrumStack:
     return SpectrumStack(vals, _check_moments(vals, tr, tr2, "zheevd", failures))
 
 
-def _frobenius(a: np.ndarray) -> np.ndarray:
-    """||a_i||_F of each complex matrix of a stack."""
-    x = a.reshape(len(a), a.shape[1] * a.shape[2]).view(np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", x, x))
-
-
 def _enclosure(data: np.ndarray, w: np.ndarray, v: np.ndarray, tr2: list[float]):
     """Per matrix, eta >= ||V*V - I||_F and, if eta < 1, beta >= every
     |lambda_i(M) - w_i|, rounding included (see the module docstring)."""
     k, n = data.shape[:2]
     u = np.finfo(np.float64).eps / 2
     gamma, grow = 4 * (n + 3) * u, 1 + 4 * (n * n + 1) * u
-    t = v * w[:, None, :]
-    r = np.matmul(data, v)
-    r -= t
-    res, vnorm, wmax = _frobenius(r), _frobenius(v), np.abs(w).max(axis=1)
-    np.matmul(np.conjugate(v, out=t).swapaxes(1, 2), v, out=r)
-    r.reshape(k, n * n)[:, :: n + 1] -= 1.0
-    eta = grow * _frobenius(r) + gamma * vnorm * vnorm
+    # R = MV - V diag(w), V*V - I and V in one buffer: one einsum takes their norms
+    buf = np.empty((3, k, n, n), dtype=np.complex128)
+    r, gram, vv = buf
+    vv[...] = v
+    np.matmul(data, vv, out=r)
+    r -= np.multiply(vv, w[:, None, :], out=gram)
+    np.matmul(vv.conj().swapaxes(1, 2), vv, out=gram)
+    gram.reshape(k, n * n)[:, :: n + 1] -= 1.0
+    x = buf.reshape(3, k, n * n).view(np.float64)
+    res, eta, vnorm = np.sqrt(np.einsum("tij,tij->ti", x, x))
+    wmax = np.abs(w).max(axis=1)
+    eta = grow * eta + gamma * vnorm * vnorm
     res = grow * res + gamma * (np.sqrt(tr2) + wmax) * vnorm
     with np.errstate(divide="ignore", invalid="ignore"):
         return eta.tolist(), ((res + 2 * eta * wmax) / np.sqrt(1 - eta)).tolist()

@@ -130,6 +130,8 @@ class SweepConfig:
     n_range: tuple[int, int] = (2, 12)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         lo, hi = self.n_range
@@ -171,13 +173,14 @@ class SuiteSummary:
 
 def _unit_vectors(n: int, seed: int) -> np.ndarray:
     """The (RAYLEIGH_SAMPLES, n) block of random unit vectors z: standard-normal
-    real and imaginary parts, then normalized."""
-    shape = (RAYLEIGH_SAMPLES, n)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    norms = np.linalg.norm(z, axis=1)
+    real and imaginary parts, drawn in one call (all real parts, then all
+    imaginary parts), then normalized in place."""
+    x, y = np.random.Generator(np.random.PCG64(seed)).standard_normal((2, RAYLEIGH_SAMPLES, n))
+    z = x + 1j * y
+    norms = np.sqrt((z.conj() * z).real.sum(axis=1))
     norms[norms == 0.0] = 1.0
-    return z / norms[:, None]
+    z /= norms[:, None]
+    return z
 
 
 def _quadratic_forms(z: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -206,13 +209,10 @@ def _trace2_limit(closed_form: float) -> float:
 _STATUS = np.array(list(Status), dtype=object)
 # the row of _score's head (then the spectra) that each target reads; mu_j
 # reads row _MU_J_BASE + j
-_SOURCE = {
-    BoundTarget.MU_1: 0,
-    BoundTarget.MU_N: 1,
-    BoundTarget.SPREAD: 2,
-    BoundTarget.TRACE_NORM: 3,
-    BoundTarget.ZAGREB: 4,
-}
+_HEAD = (
+    BoundTarget.MU_1, BoundTarget.MU_N, BoundTarget.SPREAD, BoundTarget.TRACE_NORM, BoundTarget.ZAGREB
+)
+_SOURCE = {target: row for row, target in enumerate(_HEAD)}
 _MU_J_BASE = 4
 
 
@@ -332,28 +332,29 @@ def sweep_alpha(
         oracle = oracle_eigenvalues(stack)
         tr, tr2 = stack.traces(), stack.traces_of_square()
         offdiag = stack.max_offdiag_moduli()
-        oracle_gap = np.abs(primary.values - oracle.values).max(axis=1).tolist()
         forms = _quadratic_forms(z, stack.data)
-        imag = np.abs(forms.imag).max(axis=1).tolist()
         vals = forms.real
-        route_gap = np.abs(vals - expansion[start : start + len(block)]).max(axis=1).tolist()
-        lowest, highest = vals.min(axis=1).tolist(), vals.max(axis=1).tolist()
-        closed_forms = [expected_traces(stats, alpha) for alpha in block]
         values = primary.values
         moduli = np.abs(values)
-        rho = np.maximum(moduli[:, 0], moduli[:, -1]).tolist()
-        # _score's head (see _SOURCE). The trace norm is a running sum left to
-        # right, which gives the bits of Python 3.11's sum() on every version
-        # (3.12's sum() of floats compensates)
-        head = np.array([
+        # per point, _score's head (see _SOURCE), the spectral radius and the
+        # five check columns, in one array. The trace norm is a running sum
+        # left to right, which gives the bits of Python 3.11's sum() on every
+        # version (3.12's sum() of floats compensates)
+        per_point = np.array((
             values[:, 0], values[:, -1], values[:, 0] - values[:, -1],
-            moduli.cumsum(axis=1)[:, -1], [float(stats.zagreb)] * len(block),
-        ])
-        mu_1, mu_n, spread, trace_norm, _ = head.tolist()
+            moduli.cumsum(axis=1)[:, -1], [float(stats.zagreb)] * len(block), moduli.max(axis=1),
+            np.abs(values - oracle.values).max(axis=1), np.abs(forms.imag).max(axis=1),
+            np.abs(vals - expansion[start : start + len(block)]).max(axis=1),
+            vals.min(axis=1), vals.max(axis=1),
+        ))
+        mu_1, mu_n, spread, trace_norm, _, rho, oracle_gap, imag, route_gap, lowest, highest = (
+            per_point.tolist()
+        )
+        closed_forms = [expected_traces(stats, alpha) for alpha in block]
         columns, failures, ratio = _b.catalog_columns(
             stats, block, beta, closed_forms, tr, offdiag, mu_1, rho
         )
-        rows, points = _score(columns, values, head)
+        rows, points = _score(columns, values, per_point[:5])
 
         for i, alpha in enumerate(block):
             spectrum = primary.spectrum(i)

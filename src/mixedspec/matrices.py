@@ -101,7 +101,7 @@ class HermitianStack:
             raise ValueError("matrices must have at least one row and column")
         if not np.isfinite(a).all():
             raise ValueError("matrix has a non-finite entry")
-        if not np.array_equal(a, a.conj().transpose(0, 2, 1)):
+        if not (a == a.conj().transpose(0, 2, 1)).all():
             raise ValueError("matrix is not exactly Hermitian")
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
@@ -125,40 +125,30 @@ class HermitianStack:
     @cached_property
     def _per_matrix(self) -> tuple[list[float], list[float], list[float]]:
         k, n = self.data.shape[:2]
-        tr = np.trace(self.data, axis1=1, axis2=2).real.tolist()
+        tr = np.trace(self.data, axis1=1, axis2=2).real
         moduli = np.abs(self.data).reshape(k, n * n)
-        tr2 = (moduli**2).sum(axis=1).tolist()
-        if n < 2:
-            return tr, tr2, [0.0] * k
+        tr2 = (moduli**2).sum(axis=1)
+        # with the diagonal zeroed, a 1 x 1 matrix's largest off-diagonal modulus is 0
         moduli[:, :: n + 1] = 0.0
-        return tr, tr2, moduli.max(axis=1).tolist()
-
-
-def _degree_array(g: MixedGraph) -> np.ndarray:
-    d = np.zeros((g.n, g.n), dtype=np.complex128)
-    np.fill_diagonal(d, np.asarray(g.stats.degrees, dtype=np.float64))
-    return d
+        return tuple(np.array((tr, tr2, moduli.max(axis=1))).tolist())
 
 
 def _adjacency_array(g: MixedGraph, beta: BetaParam) -> np.ndarray:
-    b = beta.value
     h = np.zeros((g.n, g.n), dtype=np.complex128)
-    i, j = g.edge_index
-    h[i, j] = 1.0
-    h[j, i] = 1.0
-    t, hd = g.arc_index
-    h[t, hd] = b
-    h[hd, t] = b.conjugate()
+    (i, j), (t, hd) = g.edge_index, g.arc_index
+    h[i, j] = h[j, i] = 1.0
+    h[t, hd], h[hd, t] = beta.value, beta.value.conjugate()
     return h
 
 
 def _blend(g: MixedGraph, alphas: list[float], beta: BetaParam) -> np.ndarray:
-    """The (k, n, n) array of alpha*D + (1-alpha)*H, one matrix per alpha;
-    D and H are filled once as plain arrays."""
-    a = np.array(alphas, dtype=np.float64)[:, None, None]
-    s = a * _degree_array(g) + (1.0 - a) * _adjacency_array(g, beta)
-    # re-zero the diagonal imag parts that scaling might have left as -0.0
-    s.reshape(len(alphas), g.n * g.n)[:, :: g.n + 1].imag = 0.0
+    """The (k, n, n) array of alpha*D + (1-alpha)*H, one matrix per alpha: H
+    is filled once as a plain array and scaled, then the diagonal, where H is
+    zero, is set to the real alpha*d."""
+    a = np.array(alphas, dtype=np.float64)
+    s = (1.0 - a[:, None, None]) * _adjacency_array(g, beta)
+    degrees = np.array(g.stats.degrees, dtype=np.float64)
+    s.reshape(len(alphas), g.n * g.n)[:, :: g.n + 1] = a[:, None] * degrees
     return s
 
 
@@ -184,24 +174,22 @@ def _expansion_quadratic_form(
 
     Per arc v->u the contribution is 2a(x_v x_u + y_v y_u) - 2b x_v y_u
     + 2b y_v x_u with beta = a + ib; undirected edges contribute
-    2(x_v x_u + y_v y_u) since their entry is 1. The sums run over real 0/1
-    arc and edge patterns filled from the graph's index arrays, never over
-    the built matrix, so agreement with the direct form checks the build.
-    The degree, arc and edge sums do not depend on alpha, so they are taken
-    once and blended for every alpha.
+    2(x_v x_u + y_v y_u) since their entry is 1. On a row's real coordinates
+    w = (x_0, y_0, x_1, ...) that sum is w^T P w, where P's 2 x 2 block (v, u)
+    is 2[[a, -b], [b, a]] per arc v->u and 2I per edge v < u. P is filled
+    from the graph's index arrays, never from the built matrix, so agreement
+    with the direct form checks the build; one product with P serves every
+    row, and the sums, free of alpha, are blended for every alpha.
     """
-    a, b = beta.re, beta.im
-    x, y = z.real, z.imag
-    arcs = np.zeros((g.n, g.n))
-    arcs[tuple(g.arc_index)] = 1.0
-    edges = np.zeros((g.n, g.n))
-    edges[tuple(g.edge_index)] = 1.0
-    deg = np.asarray(g.stats.degrees, dtype=np.float64)
-    degree_part = (x * x + y * y) @ deg
-    # (x @ arcs)[:, u] sums x_v over the arcs v->u
-    xa, ya = x @ arcs, y @ arcs
-    arc_part = 2.0 * a * (xa * x + ya * y).sum(axis=1) - 2.0 * b * (xa * y - ya * x).sum(axis=1)
-    xe, ye = x @ edges, y @ edges
-    edge_part = 2.0 * (xe * x + ye * y).sum(axis=1)
-    w = np.array(alphas, dtype=np.float64)[:, None]
-    return w * degree_part + (1.0 - w) * (arc_part + edge_part)
+    n = z.shape[1]
+    w = np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
+    pattern = np.zeros((n, 2, n, 2))
+    i, j = g.edge_index
+    pattern[i, :, j, :] = ((2.0, 0.0), (0.0, 2.0))
+    v, u = g.arc_index
+    a, b = 2.0 * beta.re, 2.0 * beta.im
+    pattern[v, :, u, :] = ((a, -b), (b, a))
+    off = np.einsum("rj,rj->r", w @ pattern.reshape(2 * n, 2 * n), w)
+    degree = (w * w) @ np.repeat(np.array(g.stats.degrees, dtype=np.float64), 2)
+    alpha = np.array(alphas, dtype=np.float64)[:, None]
+    return alpha * degree + (1.0 - alpha) * off

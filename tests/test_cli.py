@@ -75,6 +75,18 @@ class TestParser:
         assert main(["report", "--graph", c3_file]) == 0
         assert mixedspec.cli._parser() is parser
 
+    @pytest.mark.parametrize(
+        "argv", [["sweep", "--graph", "GRAPH"], ["check", "--trials", "1"], ["random", "--n", "3"]]
+    )
+    def test_negative_seed_is_usage_error_naming_the_flag(self, c3_file, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([c3_file if a == "GRAPH" else a for a in argv] + ["--seed", "-1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "argument --seed: invalid non_negative_int value: '-1'" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_usage_error_repeats_byte_for_byte(self, capsys):
         errs = []
         for _ in range(2):
@@ -199,10 +211,10 @@ class TestReport:
         assert "Traceback" not in captured.err
 
     def test_graph_too_large_for_memory_is_usage_error(self, c3_file, capsys, monkeypatch):
-        def out_of_memory(g):
+        def out_of_memory(g, beta):
             raise MemoryError()
 
-        monkeypatch.setattr(mixedspec.matrices, "_degree_array", out_of_memory)
+        monkeypatch.setattr(mixedspec.matrices, "_adjacency_array", out_of_memory)
         code = main(["report", "--graph", c3_file])
         captured = capsys.readouterr()
         assert code == 2

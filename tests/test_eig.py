@@ -24,6 +24,7 @@ from mixedspec.harness import ORACLE_RTOL, sweep_alpha, verify_all
 from mixedspec.matrices import BetaParam, HermitianStack, a_alpha_stack, omega_constant
 
 OMEGA = omega_constant()
+GRAPH_N40 = Path(__file__).parent / "data" / "graph_n40.mg"
 
 
 def random_hermitian(n, seed, scale=1.0):
@@ -118,6 +119,17 @@ class TestSpectrumType:
         with pytest.raises(ValueError):
             Spectrum(())
 
+    @pytest.mark.parametrize(
+        "values", [(math.nan,), (math.nan, 1.0), (1.0, math.nan), (2.0, math.nan, 1.0)]
+    )
+    def test_rejects_nan(self, values):
+        with pytest.raises(ValueError, match="no NaN"):
+            Spectrum(values)
+
+    @pytest.mark.parametrize("values", [(math.inf,), (-math.inf,), (math.inf, 0.0, -math.inf)])
+    def test_accepts_infinities(self, values):
+        assert Spectrum(values).values == values
+
     def test_extremes(self):
         s = Spectrum((3.0, 1.0, -2.0))
         assert s.mu_max == 3.0
@@ -191,6 +203,50 @@ class TestOracle:
         b = solve(m, oracle_eigenvalues)
         tol = 1e-8 * frobenius_norm(m)
         assert np.max(np.abs(np.array(a.values) - np.array(b.values))) <= tol
+
+
+def reference_enclosure(data, w, v, tr2):
+    """``_enclosure`` as it was first written: R and V*V - I in two arrays,
+    one Frobenius norm per array."""
+
+    def frobenius(a):
+        x = a.reshape(len(a), a.shape[1] * a.shape[2]).view(np.float64)
+        return np.sqrt(np.einsum("ij,ij->i", x, x))
+
+    k, n = data.shape[:2]
+    u = np.finfo(np.float64).eps / 2
+    gamma, grow = 4 * (n + 3) * u, 1 + 4 * (n * n + 1) * u
+    t = v * w[:, None, :]
+    r = np.matmul(data, v)
+    r -= t
+    res, vnorm, wmax = frobenius(r), frobenius(v), np.abs(w).max(axis=1)
+    np.matmul(np.conjugate(v, out=t).swapaxes(1, 2), v, out=r)
+    r.reshape(k, n * n)[:, :: n + 1] -= 1.0
+    eta = grow * frobenius(r) + gamma * vnorm * vnorm
+    res = grow * res + gamma * (np.sqrt(tr2) + wmax) * vnorm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return eta.tolist(), ((res + 2 * eta * wmax) / np.sqrt(1 - eta)).tolist()
+
+
+class TestEnclosureMatchesReference:
+    @staticmethod
+    def assert_bit_identical(m):
+        w, v = np.linalg.eigh(m.data)
+        got = _enclosure(m.data, w, v, m.traces_of_square())
+        want = reference_enclosure(m.data, w, v, m.traces_of_square())
+        assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+    @given(
+        mixed_graphs | st.just(parse_graph(GRAPH_N40.read_text(encoding="utf-8"))),
+        st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=4),
+        st.just(OMEGA) | betas,
+    )
+    def test_blend_stacks(self, g, grid, beta):
+        self.assert_bit_identical(a_alpha_stack(g, grid, beta))
+
+    @given(st.integers(1, 12), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    def test_random_stacks(self, n, seeds):
+        self.assert_bit_identical(HermitianStack(np.concatenate([random_hermitian(n, s).data for s in seeds])))
 
 
 class TestStacks:

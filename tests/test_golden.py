@@ -56,12 +56,18 @@ alpha 0 against alpha > 0). Three-point sweeps on the same graphs pin that:
 
 Two cases also run as ``python -m mixedspec.cli`` in a fresh interpreter,
 since the in-process cases share whatever one process has warmed up.
+
+A guard runs this file again in a child process under each other kernel
+path the CPU supports (``OPENBLAS_CORETYPE`` set for the child only): there
+the kernel-bound cases must fail with the one-line message and all others
+must pass.
 """
 
 import ctypes
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +146,10 @@ def test_stdout_matches_golden_file(name, capsys):
     assert out == (DATA / name).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", ["report_n40.json", "sweep_n16_beta-0.4_seed5.json"])
+COLD_START = ["report_n40.json", "sweep_n16_beta-0.4_seed5.json"]
+
+
+@pytest.mark.parametrize("name", COLD_START)
 def test_cold_start_stdout_matches_golden_file(name):
     _require_captured_core(name)
     # a fresh interpreter sees none of the state that warms up inside this
@@ -153,3 +162,47 @@ def test_cold_start_stdout_matches_golden_file(name):
     )
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     assert proc.stdout == (DATA / name).read_bytes()
+
+
+# the other kernel paths the guard tries, each with the CPU flag it needs
+OTHER_CORES = {"Haswell": "avx2", "Sandybridge": "avx"}
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        lines = Path("/proc/cpuinfo").read_text(encoding="utf-8").splitlines()
+    except OSError:
+        return set()
+    return {f for line in lines if line.startswith("flags") for f in line.partition(":")[2].split()}
+
+
+@pytest.mark.parametrize("core", sorted(OTHER_CORES))
+def test_other_kernel_path_fails_only_kernel_bound_cases(core, tmp_path):
+    if CORE is None:
+        pytest.skip("the OpenBLAS kernel path cannot be read")
+    if core == CORE or OTHER_CORES[core] not in _cpu_flags():
+        pytest.skip(f"{core} is the running path or this CPU lacks {OTHER_CORES[core]}")
+    env = dict(os.environ, OPENBLAS_CORETYPE=core)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    junit = tmp_path / "golden.xml"
+    this = Path(__file__).relative_to(ROOT).as_posix()
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", this, "-q", "-p", "no:cacheprovider",
+            "--deselect", f"{this}::{test_other_kernel_path_fails_only_kernel_bound_cases.__name__}",
+            f"--junitxml={junit}",
+        ],
+        cwd=ROOT, env=env, capture_output=True, timeout=300,
+    )
+    cases = ET.parse(junit).getroot().iter("testcase")
+    outcomes = {c.get("name"): [(e.tag, e.get("message")) for e in c] for c in cases}
+    bound = {f"test_stdout_matches_golden_file[{n}]": n for n in KERNEL_BOUND}
+    bound.update({f"test_cold_start_stdout_matches_golden_file[{n}]": n for n in COLD_START})
+    assert proc.returncode == 1, proc.stdout.decode(errors="replace")
+    assert len(outcomes) == len(CASES) + len(COLD_START)
+    for name, result in outcomes.items():
+        if name in bound:
+            message = f"{bound[name]} was captured on OpenBLAS kernel path {CAPTURED_CORE}, this run uses {core}"
+            assert result == [("failure", f"Failed: {message}")], name
+        else:
+            assert result == [], name

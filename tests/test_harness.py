@@ -220,6 +220,31 @@ class TestQuadraticForms:
         self.assert_matches_vdot(_unit_vectors(16, 0), stack.data)
 
 
+def reference_unit_vectors(n, seed):
+    """``_unit_vectors`` as it was first written: the real and the imaginary
+    parts in two draws, joined, then divided by ``np.linalg.norm``."""
+    shape = (RAYLEIGH_SAMPLES, n)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    norms = np.linalg.norm(z, axis=1)
+    norms[norms == 0.0] = 1.0
+    return z / norms[:, None]
+
+
+class TestUnitVectorsMatchReference:
+    @given(st.integers(1, 12) | st.just(40), st.integers(0, 2**63 - 1))
+    def test_shape_norms_and_entries(self, n, seed):
+        z, want = _unit_vectors(n, seed), reference_unit_vectors(n, seed)
+        assert z.shape == want.shape == (RAYLEIGH_SAMPLES, n)
+        assert z.dtype == np.complex128
+        eps = np.finfo(np.float64).eps
+        assert np.all(np.abs(np.linalg.norm(z, axis=1) - 1.0) <= 4 * eps)
+        # within 2 ulps entry by entry, which pins the stream order: all real
+        # parts first, then all imaginary parts
+        got, ref = z.view(np.float64), want.view(np.float64)
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+
+
 class TestExpansionCrossCheck:
     """verify_all compares every sampled z*Mz with the graph's arc-sum expansion."""
 
@@ -379,6 +404,10 @@ class TestSweep:
             SweepConfig(trials=0)
         with pytest.raises(ValueError):
             SweepConfig(n_range=(5, 2))
+
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SweepConfig(seed=-1)
 
 
 class TestStackedFailures:

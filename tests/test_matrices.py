@@ -3,6 +3,7 @@ closed forms, quadratic-form expansion."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 from conftest import hermitian_from_array
 from mixedspec.eig import eigenvalues
 from mixedspec.graphs import MixedGraph, graph_stats, parse_graph, random_mixed_graph
-from mixedspec.harness import sweep_alpha, verify_all
+from mixedspec.harness import EXPANSION_TOL, _unit_vectors, sweep_alpha, verify_all
 from mixedspec.matrices import (
     BetaParam,
     HermitianStack,
@@ -22,6 +23,7 @@ from mixedspec.matrices import (
 )
 
 OMEGA = omega_constant()
+GRAPH_N40 = parse_graph((Path(__file__).parent / "data" / "graph_n40.mg").read_text(encoding="utf-8"))
 
 # every public function that takes alpha, called on a graph with that alpha
 ALPHA_ENTRY_POINTS = {
@@ -405,6 +407,44 @@ class TestArrayExpansion:
         z = rng.standard_normal((5, g.n)) + 1j * rng.standard_normal((5, g.n))
         self.assert_matches_reference(g, alpha, BetaParam.from_angle(0.9), z)
         self.assert_matches_reference(g, alpha, OMEGA, z)
+
+
+def reference_expansion(g: MixedGraph, alphas: list[float], beta: BetaParam, z: np.ndarray) -> np.ndarray:
+    """``_expansion_quadratic_form`` as it was first written on arrays: the
+    real and imaginary parts of z apart, one product per 0/1 pattern and per
+    part. The reference for the one-product form."""
+    a, b = beta.re, beta.im
+    x, y = z.real, z.imag
+    arcs = np.zeros((g.n, g.n))
+    arcs[tuple(g.arc_index)] = 1.0
+    edges = np.zeros((g.n, g.n))
+    edges[tuple(g.edge_index)] = 1.0
+    deg = np.asarray(g.stats.degrees, dtype=np.float64)
+    degree_part = (x * x + y * y) @ deg
+    xa, ya = x @ arcs, y @ arcs
+    arc_part = 2.0 * a * (xa * x + ya * y).sum(axis=1) - 2.0 * b * (xa * y - ya * x).sum(axis=1)
+    xe, ye = x @ edges, y @ edges
+    edge_part = 2.0 * (xe * x + ye * y).sum(axis=1)
+    w = np.array(alphas, dtype=np.float64)[:, None]
+    return w * degree_part + (1.0 - w) * (arc_part + edge_part)
+
+
+class TestExpansionMatchesReference:
+    """The one-product expansion against the two-part reference, on the
+    harness's own Rayleigh block, over graphs up to n = 12 and graph_n40.mg."""
+
+    @given(
+        graphs(max_n=12) | st.just(GRAPH_N40),
+        st.lists(st.sampled_from([0.0, 1.0]) | alphas, min_size=1, max_size=4),
+        st.just(OMEGA) | beta_angles.map(BetaParam.from_angle),
+        st.integers(0, 2**63 - 1),
+    )
+    def test_within_a_hundredth_of_the_tolerance(self, g, grid, beta, seed):
+        z = _unit_vectors(g.n, seed)
+        got = _expansion_quadratic_form(g, grid, beta, z)
+        want = reference_expansion(g, grid, beta, z)
+        assert got.shape == want.shape == (len(grid), len(z))
+        assert np.abs(got - want).max() <= EXPANSION_TOL / 100
 
 
 class TestTextFormat:
