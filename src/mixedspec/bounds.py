@@ -159,11 +159,11 @@ def _zagreb_variance_numerator(stats: GraphStats, a: np.ndarray) -> np.ndarray:
     n, m = stats.n, stats.m
     dmax, dmin = stats.max_degree, stats.min_degree
     # Python's (1 - alpha)**2, point by point: see the module docstring
-    square = np.array([(1.0 - x) ** 2 for x in a.tolist()])
+    square = np.array([(1.0 - x) ** 2 * 2.0 * m * n for x in a.tolist()])
     return (
         (n * a * a / 2.0) * (dmax - dmin) ** 2
         + (2.0 * n * n * a * a / (n - 2.0)) * (2.0 * m / n - (dmax + dmin) / 2.0) ** 2
-        + square * 2.0 * m * n
+        + square
     )
 
 

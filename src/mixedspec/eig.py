@@ -156,14 +156,15 @@ def _enclosure(data: np.ndarray, w: np.ndarray, v: np.ndarray, tr2: list[float])
     k, n = data.shape[:2]
     u = np.finfo(np.float64).eps / 2
     gamma, grow = 4 * (n + 3) * u, 1 + 4 * (n * n + 1) * u
-    # R = MV - V diag(w), V*V - I and V in one buffer: one einsum takes their norms
+    # R = MV - V diag(w), V*V - I and conj(V), whose norm is V's, in one
+    # buffer: one einsum takes the three norms
     buf = np.empty((3, k, n, n), dtype=np.complex128)
-    r, gram, vv = buf
-    vv[...] = v
-    np.matmul(data, vv, out=r)
-    r -= np.multiply(vv, w[:, None, :], out=gram)
-    np.matmul(vv.conj().swapaxes(1, 2), vv, out=gram)
-    gram.reshape(k, n * n)[:, :: n + 1] -= 1.0
+    r, gram, vc = buf
+    np.matmul(data, v, out=r)
+    r -= np.multiply(v, w[:, None, :], out=gram)
+    np.matmul(np.conjugate(v, out=vc).swapaxes(1, 2), v, out=gram)
+    diagonal = gram.reshape(k, n * n)[:, :: n + 1]
+    diagonal -= 1.0
     x = buf.reshape(3, k, n * n).view(np.float64)
     res, eta, vnorm = np.sqrt(np.einsum("tij,tij->ti", x, x))
     wmax = np.abs(w).max(axis=1)

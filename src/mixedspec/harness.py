@@ -29,7 +29,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -235,24 +234,23 @@ def _score(columns: list[_b.Columns], spectra: np.ndarray, head: np.ndarray):
     and Zagreb index. Returns the rows, and per point the tuples of bounds,
     actuals, slacks, statuses and notes that a BoundReport holds."""
     k = len(spectra)
-    rows = tuple(chain.from_iterable(c.rows for c in columns))
-    bound = np.concatenate(
-        [np.empty((len(c.rows), k)) if c.values is None else c.values for c in columns]
-    )
-    notes, varying, missing, inapplicable = [], [], [], []
-    start = 0
+    rows, blocks, notes, varying, missing, inapplicable = (), [], [], [], [], []
     for c in columns:
-        part = slice(start, start + len(c.rows))
-        start = part.stop
+        part = slice(len(rows), len(rows) + len(c.rows))
+        rows += c.rows
         if c.values is None:
             missing += range(part.start, part.stop)
-        elif c.applicable is not True:
-            inapplicable.append((part, c))
+            blocks.append(np.empty((len(c.rows), k)))
+        else:
+            blocks.append(c.values)
+            if c.applicable is not True:
+                inapplicable.append((part, c))
         if isinstance(c.note, str):
             notes += [c.note] * len(c.rows)
         else:
             notes += [""] * len(c.rows)
             varying.append((part, c.note))
+    bound = np.concatenate(blocks)
     if missing:
         bound[missing] = np.nan
     source_of, lower = _layout(rows)

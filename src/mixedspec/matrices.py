@@ -189,7 +189,6 @@ def _expansion_quadratic_form(
     v, u = g.arc_index
     a, b = 2.0 * beta.re, 2.0 * beta.im
     pattern[v, :, u, :] = ((a, -b), (b, a))
-    off = np.einsum("rj,rj->r", w @ pattern.reshape(2 * n, 2 * n), w)
-    degree = (w * w) @ np.repeat(np.array(g.stats.degrees, dtype=np.float64), 2)
-    alpha = np.array(alphas, dtype=np.float64)[:, None]
-    return alpha * degree + (1.0 - alpha) * off
+    degrees = np.repeat(np.array(g.stats.degrees, dtype=np.float64), 2)
+    sums = np.einsum("rj,prj->pr", w, np.array((w * degrees, w @ pattern.reshape(2 * n, 2 * n))))
+    return np.array([(x, 1.0 - x) for x in alphas]).reshape(-1, 2) @ sums

@@ -338,6 +338,9 @@ class TestSweep:
         reports = sweep_alpha(p2, (1.0, 0.0, 0.5), OMEGA)
         assert [r.alpha for r in reports] == [1.0, 0.0, 0.5]
 
+    def test_empty_grid_gives_no_reports(self, c3):
+        assert sweep_alpha(c3, [], OMEGA) == []
+
     def test_grid_validated_before_any_solve(self, c3, monkeypatch):
         calls = []
         real = mixedspec.harness.eigenvalues
