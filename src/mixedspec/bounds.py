@@ -158,12 +158,13 @@ def _zagreb_variance_numerator(stats: GraphStats, a: np.ndarray) -> np.ndarray:
     lower bound for the exact Zagreb index. Divides by n - 2."""
     n, m = stats.n, stats.m
     dmax, dmin = stats.max_degree, stats.min_degree
-    # Python's (1 - alpha)**2, point by point: see the module docstring
-    square = np.array([(1.0 - x) ** 2 * 2.0 * m * n for x in a.tolist()])
+    # the last term point by point in Python, for its (1 - alpha)**2: see the
+    # module docstring
+    last = np.array([(1.0 - x) ** 2 * 2.0 * m * n for x in a.tolist()])
     return (
         (n * a * a / 2.0) * (dmax - dmin) ** 2
         + (2.0 * n * n * a * a / (n - 2.0)) * (2.0 * m / n - (dmax + dmin) / 2.0) ** 2
-        + square
+        + last
     )
 
 
