@@ -48,11 +48,10 @@ class Spectrum:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        v = self.values
-        if len(v) == 0:
+        if len(self.values) == 0:
             raise ValueError("spectrum must contain at least one eigenvalue")
         # a comparison with NaN is false, so only a lone value needs its own test
-        if math.isnan(v[0]) or not all(map(operator.ge, v, v[1:])):
+        if math.isnan(self.values[0]) or not all(map(operator.ge, self.values, self.values[1:])):
             raise ValueError("eigenvalues must be sorted non-increasing, with no NaN")
 
     @property
@@ -156,8 +155,7 @@ def _enclosure(data: np.ndarray, w: np.ndarray, v: np.ndarray, tr2: list[float])
     k, n = data.shape[:2]
     u = np.finfo(np.float64).eps / 2
     gamma, grow = 4 * (n + 3) * u, 1 + 4 * (n * n + 1) * u
-    # R = MV - V diag(w), V*V - I and conj(V), whose norm is V's, in one
-    # buffer: one einsum takes the three norms
+    # R = MV - V diag(w), V*V - I and conj(V) (V's norm) in one buffer, for one einsum
     buf = np.empty((3, k, n, n), dtype=np.complex128)
     r, gram, vc = buf
     np.matmul(data, v, out=r)

@@ -171,14 +171,16 @@ class SuiteSummary:
 
 
 def _unit_vectors(n: int, seed: int) -> np.ndarray:
-    """The (RAYLEIGH_SAMPLES, n) block of random unit vectors z: standard-normal
-    real and imaginary parts, drawn in one call (all real parts, then all
-    imaginary parts), then normalized in place."""
-    x, y = np.random.Generator(np.random.PCG64(seed)).standard_normal((2, RAYLEIGH_SAMPLES, n))
-    z = x + 1j * y
+    """The (RAYLEIGH_SAMPLES, n) block of random unit vectors z: standard normals
+    drawn in one call, all real parts and then all imaginary parts, each row
+    then scaled in place by 1/norm, as complex division by the norm does."""
+    parts = np.random.Generator(np.random.PCG64(seed)).standard_normal((2, RAYLEIGH_SAMPLES, n))
+    z = np.empty((RAYLEIGH_SAMPLES, n), dtype=np.complex128)
+    z.real, z.imag = parts
     norms = np.sqrt((z.conj() * z).real.sum(axis=1))
     norms[norms == 0.0] = 1.0
-    z /= norms[:, None]
+    scaled = z.view(np.float64)
+    scaled *= (1.0 / norms)[:, None]
     return z
 
 
@@ -340,8 +342,9 @@ def sweep_alpha(
         # version (3.12's sum() of floats compensates)
         per_point = np.array((
             values[:, 0], values[:, -1], values[:, 0] - values[:, -1],
-            moduli.cumsum(axis=1)[:, -1], [float(stats.zagreb)] * len(block), moduli.max(axis=1),
-            np.abs(values - oracle.values).max(axis=1), np.abs(forms.imag).max(axis=1),
+            moduli.cumsum(axis=1)[:, -1], [float(stats.zagreb)] * len(block),
+            np.maximum(moduli[:, 0], moduli[:, -1]), np.abs(values - oracle.values).max(axis=1),
+            np.abs(forms.imag).max(axis=1),
             np.abs(vals - expansion[start : start + len(block)]).max(axis=1),
             vals.min(axis=1), vals.max(axis=1),
         ))
