@@ -125,12 +125,12 @@ class HermitianStack:
     @cached_property
     def _per_matrix(self) -> tuple[list[float], list[float], list[float]]:
         k, n = self.data.shape[:2]
-        tr = np.trace(self.data, axis1=1, axis2=2).real
+        tr = np.trace(self.data, axis1=1, axis2=2).real.tolist()
         moduli = np.abs(self.data).reshape(k, n * n)
-        tr2 = (moduli**2).sum(axis=1)
+        tr2 = (moduli**2).sum(axis=1).tolist()
         # with the diagonal zeroed, a 1 x 1 matrix's largest off-diagonal modulus is 0
         moduli[:, :: n + 1] = 0.0
-        return tuple(np.array((tr, tr2, moduli.max(axis=1))).tolist())
+        return tr, tr2, moduli.max(axis=1).tolist()
 
 
 def _adjacency_array(g: MixedGraph, beta: BetaParam) -> np.ndarray:
