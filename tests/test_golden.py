@@ -194,11 +194,11 @@ def test_other_kernel_path_fails_only_kernel_bound_cases(core, tmp_path):
         ],
         cwd=ROOT, env=env, capture_output=True, timeout=300,
     )
+    assert proc.returncode == 1, proc.stdout.decode(errors="replace")
     cases = ET.parse(junit).getroot().iter("testcase")
     outcomes = {c.get("name"): [(e.tag, e.get("message")) for e in c] for c in cases}
     bound = {f"test_stdout_matches_golden_file[{n}]": n for n in KERNEL_BOUND}
     bound.update({f"test_cold_start_stdout_matches_golden_file[{n}]": n for n in COLD_START})
-    assert proc.returncode == 1, proc.stdout.decode(errors="replace")
     assert len(outcomes) == len(CASES) + len(COLD_START)
     for name, result in outcomes.items():
         if name in bound:
