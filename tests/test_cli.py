@@ -31,7 +31,8 @@ def _broken_rayleigh(stats, a, tr, beta):
 C3_TEXT = "3\n1 -> 2\n2 -> 3\n3 -> 1\n"
 P2_TEXT = "2\n1 -> 2\n"
 README = Path(__file__).parent.parent / "README.md"
-GRAPH_N16 = Path(__file__).parent / "data" / "graph_n16.mg"
+DATA = Path(__file__).parent / "data"
+GRAPH_N16 = DATA / "graph_n16.mg"
 
 mixed_graphs = st.builds(
     random_mixed_graph,
@@ -596,6 +597,15 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         assert doc["status_counts"]["VIOLATED"] > 0
         assert doc["violations"]
+
+    def test_violations_document_pinned(self, capsys, monkeypatch):
+        # the golden check files hold no violation record; this one pins the
+        # record's keys, their order and the values of 8 records
+        monkeypatch.setattr(mixedspec.bounds, "_rayleigh_columns", _broken_rayleigh)
+        code = main(["check", "--trials", "8", "--seed", "11", "--min-n", "1", "--max-n", "4"])
+        expected = (DATA / "check_8_seed11_n1_4_violations.json").read_text(encoding="utf-8")
+        assert code == 1
+        assert capsys.readouterr().out == expected
 
     def test_reference_pair_violations_exit_one(self, capsys, monkeypatch):
         # the README's rule: every subcommand exits 1 on any VIOLATED status
