@@ -6,12 +6,15 @@ violations, 1 means at least one violated bound (or a failed internal
 consistency check), 2 means a usage or I/O error or an input too large for
 memory. Numbers round-trip losslessly: CSV cells carry 17 significant digits,
 JSON numbers their shortest repr. Report JSON is written from the report's
-columns, byte for byte as ``json.dumps(doc, indent=2)`` would write it.
+columns, byte for byte as ``json.dumps(doc, indent=2)`` would write it. The
+``check`` summary is ``json.dumps(dataclasses.asdict(summary), indent=2)``:
+SuiteSummary's fields are the document's keys, so nothing is renamed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -22,10 +25,8 @@ from json.encoder import encode_basestring_ascii as _str
 
 from .graphs import parse_graph, random_mixed_graph, serialize_graph
 from .harness import (
-    EDGE_PROB_RANGE,
     BoundReport,
     Status,
-    SuiteSummary,
     SweepConfig,
     VerificationError,
     randomized_suite,
@@ -39,8 +40,9 @@ GRID_EPS = 1e-12
 def parse_grid(text: str) -> list[float]:
     """A bare float, or "start:stop:step" inclusive of stop (within rounding).
 
-    A step larger than the range yields the single point at start. NaN and
-    infinities are rejected, and so is a point count that overflows a float.
+    A step larger than the range yields the single point at start; a point
+    rounded past stop is clamped to it. NaN, infinities and a point count
+    that overflows a float are rejected.
     """
     parts = text.split(":")
     if len(parts) not in (1, 3):
@@ -59,7 +61,7 @@ def parse_grid(text: str) -> list[float]:
     if not math.isfinite(steps):
         raise ValueError(f"grid point count must be finite, got {text!r}")
     count = int(math.floor(steps + GRID_EPS)) + 1
-    return [start + i * step for i in range(count)]
+    return [min(start + i * step, stop) for i in range(count)]
 
 
 def _bound_label(name: str, j: int | None) -> str:
@@ -129,38 +131,6 @@ def report_json(report: BoundReport) -> str:
     )
 
 
-def summary_to_dict(summary: SuiteSummary) -> dict:
-    return {
-        "trials": summary.trials,
-        "seed": summary.seed,
-        "n_range": list(summary.n_range),
-        "edge_prob_range": list(EDGE_PROB_RANGE),
-        "status_counts": {k: v for k, v in summary.status_counts},
-        "worst_slack": {k: v for k, v in summary.worst_slack},
-        "min_rho_ratio_omega": summary.min_rho_ratio_omega,
-        "min_rho_ratio_general": summary.min_rho_ratio_general,
-        "violations": [
-            {
-                "trial": v.trial,
-                "seed": v.seed,
-                "graph": v.graph_text,
-                "alpha": v.alpha,
-                "beta": [v.beta[0], v.beta[1]],
-                "bound_name": v.bound_name,
-                "j": v.j,
-                "bound": v.bound_value,
-                "actual": v.actual,
-                "slack": v.slack,
-            }
-            for v in summary.violations
-        ],
-    }
-
-
-def dump_json(d: dict) -> str:
-    return json.dumps(d, indent=2) + "\n"
-
-
 def csv_header(report: BoundReport) -> str:
     cols = ["alpha", "beta_arg", "mu1", "muN", "rho", "spread", "traceNorm"]
     for row in report.rows:
@@ -228,7 +198,7 @@ def cmd_check(args) -> int:
         n_range=(args.min_n, args.max_n),
     )
     summary = randomized_suite(cfg)
-    sys.stdout.write(dump_json(summary_to_dict(summary)))
+    sys.stdout.write(json.dumps(dataclasses.asdict(summary), indent=2) + "\n")
     return 1 if summary.violated_count else 0
 
 

@@ -188,6 +188,8 @@ def random_mixed_graph(n: int, edge_prob: float, orient_prob: float, seed: int) 
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if n > sys.maxsize:
+        raise ValueError(f"vertex count must be at most {sys.maxsize}, got {n}")
     if not (0.0 <= edge_prob <= 1.0 and 0.0 <= orient_prob <= 1.0):
         raise ValueError(f"probabilities must lie in [0, 1], got {edge_prob}, {orient_prob}")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -140,34 +140,40 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class ViolationRecord:
-    """Everything needed to replay one violated bound in isolation."""
+    """Everything needed to replay one violated bound in isolation; its fields
+    are the keys of a violation record in ``check``'s JSON, in order."""
 
     trial: int
     seed: int
-    graph_text: str
+    graph: str
     alpha: float
     beta: tuple[float, float]
     bound_name: str
     j: int | None
-    bound_value: float
+    bound: float
     actual: float
     slack: float
 
 
 @dataclass(frozen=True)
 class SuiteSummary:
+    """The randomized suite's record, with ``check``'s JSON keys as its fields,
+    in order: ``check`` prints its ``dataclasses.asdict``. status_counts is
+    in Status order, and worst_slack is sorted by bound name."""
+
     trials: int
     seed: int
     n_range: tuple[int, int]
-    status_counts: tuple[tuple[str, int], ...]
-    worst_slack: tuple[tuple[str, float], ...]
+    edge_prob_range: tuple[float, float]
+    status_counts: dict[str, int]
+    worst_slack: dict[str, float]
     min_rho_ratio_omega: float | None
     min_rho_ratio_general: float | None
     violations: tuple[ViolationRecord, ...]
 
     @property
     def violated_count(self) -> int:
-        return dict(self.status_counts).get(Status.VIOLATED.value, 0)
+        return self.status_counts[Status.VIOLATED.value]
 
 
 def _unit_vectors(n: int, seed: int) -> np.ndarray:
@@ -439,18 +445,12 @@ def randomized_suite(cfg: SweepConfig) -> SuiteSummary:
     """
     counts: dict[str, int] = {s.value: 0 for s in Status}
     worst: dict[str, float] = {}
-    min_omega: float | None = None
-    min_general: float | None = None
+    ratios: dict[bool, list[float]] = {True: [], False: []}
     violations: list[ViolationRecord] = []
 
     for trial in range(cfg.trials):
         report = run_trial(cfg, trial)
-        if _is_omega(*report.beta):
-            min_omega = report.rho_ratio if min_omega is None else min(min_omega, report.rho_ratio)
-        else:
-            min_general = (
-                report.rho_ratio if min_general is None else min(min_general, report.rho_ratio)
-            )
+        ratios[_is_omega(*report.beta)].append(report.rho_ratio)
         columns = (report.rows, report.bounds, report.actuals, report.slacks, report.statuses)
         for row, bound, actual, slack, status in zip(*columns):
             counts[status.value] += 1
@@ -462,12 +462,12 @@ def randomized_suite(cfg: SweepConfig) -> SuiteSummary:
                     ViolationRecord(
                         trial=trial,
                         seed=cfg.seed,
-                        graph_text=serialize_graph(report.graph),
+                        graph=serialize_graph(report.graph),
                         alpha=report.alpha,
                         beta=report.beta,
                         bound_name=row.name,
                         j=row.j,
-                        bound_value=bound,
+                        bound=bound,
                         actual=actual,
                         slack=slack,
                     )
@@ -477,9 +477,10 @@ def randomized_suite(cfg: SweepConfig) -> SuiteSummary:
         trials=cfg.trials,
         seed=cfg.seed,
         n_range=cfg.n_range,
-        status_counts=tuple((s.value, counts[s.value]) for s in Status),
-        worst_slack=tuple(sorted(worst.items())),
-        min_rho_ratio_omega=min_omega,
-        min_rho_ratio_general=min_general,
+        edge_prob_range=EDGE_PROB_RANGE,
+        status_counts=counts,
+        worst_slack=dict(sorted(worst.items())),
+        min_rho_ratio_omega=min(ratios[True], default=None),
+        min_rho_ratio_general=min(ratios[False], default=None),
         violations=tuple(violations),
     )

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from itertools import chain
 from pathlib import Path
 
@@ -13,13 +14,21 @@ from hypothesis import given, strategies as st
 
 import mixedspec.bounds
 import mixedspec.cli
+import mixedspec.graphs
 import mixedspec.harness
 import mixedspec.matrices
 from mixedspec.bounds import Columns
 from mixedspec.cli import csv_row, main, parse_grid, report_json
 from mixedspec.eig import Spectrum
 from mixedspec.graphs import parse_graph, random_mixed_graph
-from mixedspec.harness import BoundReport, Status, sweep_alpha, verify_all
+from mixedspec.harness import (
+    BoundReport,
+    Status,
+    SuiteSummary,
+    ViolationRecord,
+    sweep_alpha,
+    verify_all,
+)
 from mixedspec.matrices import BetaParam, omega_constant
 
 
@@ -118,6 +127,20 @@ class TestParseGrid:
         grid = parse_grid("0:1:0.1")
         assert len(grid) == 11
         assert grid[-1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("text, last", [("0.09:1:0.07", 1.0), ("0:0.3:0.1", 0.3)])
+    def test_no_point_passes_stop(self, text, last):
+        # 0.09 + 13 * 0.07 rounds to 1.0000000000000002, and 3 * 0.1 to
+        # 0.30000000000000004; each last point is clamped to stop
+        grid = parse_grid(text)
+        assert grid[-1] == last
+        assert max(grid) == last
+
+    def test_grid_ending_at_one_sweeps(self, p2_file, capsys):
+        assert main(["sweep", "--graph", p2_file, "--alpha", "0.09:1:0.07"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 15
+        assert rows[-1].startswith("1,")
 
     def test_rejects_negative_step(self):
         with pytest.raises(ValueError):
@@ -598,6 +621,18 @@ class TestCheck:
         assert doc["status_counts"]["VIOLATED"] > 0
         assert doc["violations"]
 
+    def test_summary_keys_match_readme_schema(self, capsys, monkeypatch):
+        top, _ = _readme_schema_keys("- summary:")
+        record, _ = _readme_schema_keys("- each `violations` entry:")
+        monkeypatch.setattr(mixedspec.bounds, "_rayleigh_columns", _broken_rayleigh)
+        assert main(["check", "--trials", "2", "--seed", "3"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == [f.name for f in dataclasses.fields(SuiteSummary)]
+        assert set(doc) == top
+        for v in doc["violations"]:
+            assert list(v) == [f.name for f in dataclasses.fields(ViolationRecord)]
+            assert set(v) == record
+
     def test_violations_document_pinned(self, capsys, monkeypatch):
         # the golden check files hold no violation record; this one pins the
         # record's keys, their order and the values of 8 records
@@ -652,6 +687,20 @@ class TestRandom:
         path = tmp_path / "rand.mg"
         path.write_text(text)
         assert main(["report", "--graph", str(path), "--alpha", "0.5"]) == 0
+
+    def test_vertex_count_above_maxsize_usage_error(self, capsys, monkeypatch):
+        # rejected before the pair loop, which would never end at this n
+        def no_draws(rng):
+            raise AssertionError("pairs walked")
+
+        monkeypatch.setattr(mixedspec.graphs, "_uniforms", no_draws)
+        code = main(["random", "--n", str(sys.maxsize + 1)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: vertex count must be at most {sys.maxsize}, got {sys.maxsize + 1}\n"
+        )
 
     def test_invalid_probability(self, capsys):
         assert main(["random", "--n", "4", "--edge-prob", "1.5"]) == 2

@@ -435,6 +435,15 @@ class TestRandomGraph:
         with pytest.raises(ValueError):
             random_mixed_graph(0, 0.5, 0.5, 0)
 
+    def test_rejects_vertex_count_above_maxsize(self, monkeypatch):
+        # rejected before the pair loop, which would never end at this n
+        def no_draws(rng):
+            raise AssertionError("pairs walked")
+
+        monkeypatch.setattr(mixedspec.graphs, "_uniforms", no_draws)
+        with pytest.raises(ValueError, match=f"vertex count must be at most {sys.maxsize}, got"):
+            random_mixed_graph(sys.maxsize + 1, 0.5, 0.5, 0)
+
     def test_pinned_graphs(self):
         # captured from the one-draw-per-call sampler; every suite trial and
         # every golden check file rests on these exact graphs

@@ -18,6 +18,7 @@ from mixedspec.eig import Spectrum, SpectrumStack
 from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph
 from mixedspec.harness import (
     BLOCK_ENTRIES,
+    ORACLE_RTOL,
     RAYLEIGH_SAMPLES,
     TRACE_TOL,
     CheckedBound,
@@ -447,6 +448,43 @@ class TestStackedFailures:
         assert str(swept.value) == str(single.value)
 
     @staticmethod
+    def raise_mu1_at(monkeypatch, row):
+        """Raise mu_1 of the primary spectra's row ``row`` to twice the
+        oracle limit ORACLE_RTOL * ||M||_F above its value, after the
+        route's own moment checks."""
+        real = mixedspec.harness.eigenvalues
+
+        def raised(m):
+            out = real(m)
+            if len(out.values) <= row:
+                return out
+            values = out.values.copy()
+            values[row, 0] += 2 * ORACLE_RTOL * math.sqrt(m.traces_of_square()[row])
+            return SpectrumStack(values, out.failures)
+
+        monkeypatch.setattr(mixedspec.harness, "eigenvalues", raised)
+
+    def test_kernel_oracle_disagreement_fails_its_point(self, monkeypatch):
+        self.raise_mu1_at(monkeypatch, self.MID)
+        assert len(sweep_alpha(self.G, self.GRID[: self.MID], self.BETA, seed=2)) == self.MID
+        with pytest.raises(VerificationError, match="kernel/oracle spectra disagree"):
+            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
+
+    def test_non_real_quadratic_form_fails_its_point(self, monkeypatch):
+        real = mixedspec.harness._quadratic_forms
+
+        def tilted(z, data):
+            out = real(z, data)
+            if len(out) > self.MID:
+                out[self.MID, 17] += 1e-9j
+            return out
+
+        monkeypatch.setattr(mixedspec.harness, "_quadratic_forms", tilted)
+        assert len(sweep_alpha(self.G, self.GRID[: self.MID], self.BETA, seed=2)) == self.MID
+        with pytest.raises(VerificationError, match="non-real on Hermitian input"):
+            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
+
+    @staticmethod
     def shift_expansion_cell(monkeypatch, point, sample):
         real = mixedspec.harness._expansion_quadratic_form
 
@@ -614,16 +652,16 @@ class TestRandomizedSuite:
         assert summary.violated_count > 0
         rec = summary.violations[0]
         assert rec.bound_name == "rayleigh_mu1_lower"
-        assert rec.bound_value == 1e6
+        assert rec.bound == 1e6
         assert rec.slack < -1e-9
         # the record must replay standalone: rebuild the graph and verify
-        g = parse_graph(rec.graph_text)
+        g = parse_graph(rec.graph)
         report = verify_all(g, rec.alpha, BetaParam(*rec.beta))
         assert report.spectrum.mu_max == pytest.approx(rec.actual, abs=1e-12)
 
     def test_worst_slack_covers_all_bound_names(self):
         summary = randomized_suite(SweepConfig(trials=120, seed=2))
-        names = {k for k, _ in summary.worst_slack}
+        names = set(summary.worst_slack)
         assert {
             "rayleigh_mu1_lower",
             "offdiag_mu1_lower",
