@@ -12,6 +12,7 @@ trace-norm bounds against the results.
 from .bounds import (
     BoundKind,
     BoundTarget,
+    Status,
 )
 from .eig import (
     Spectrum,
@@ -33,7 +34,6 @@ from .graphs import (
 from .harness import (
     BoundReport,
     CheckedBound,
-    Status,
     SuiteSummary,
     SweepConfig,
     ViolationRecord,

@@ -5,17 +5,20 @@ extremes, Zagreb index), the blend weight alpha and the closed-form traces,
 evaluated exactly as the source inequalities state them (the README's bound
 catalog lists each formula). Each formula family is written once, by a
 ``_*_columns`` function over the NumPy arrays of a block of k points, with
-one caller: ``catalog_columns`` lists the families in catalog order, the
-one that needs the spectrum (``rho_sandwich``, from mu_1 and the spectral
-radius) last. ``harness.sweep_alpha`` (and ``verify_all``, its one-point
-grid) is the only way to evaluate and score them, with one
-``catalog_columns`` call per block. NumPy's ``+ - * /`` and ``sqrt`` round
-as Python's do, so each point gets the bits of a scalar evaluation. ``(1 - alpha)**2`` stays in
-Python: ``**`` calls C ``pow``, which need not round as NumPy's ``x*x`` does.
+one caller: ``score_block`` lists the families in catalog order, the one
+that needs the spectrum (``rho_sandwich``, from mu_1 and the spectral
+radius) last, takes the spectral quantities the rows bound from the block's
+spectra, and scores every row against them. This is the one module that
+turns a verified block into report fields: ``harness.sweep_alpha`` (and
+``verify_all``, its one-point grid) makes one ``score_block`` call per
+block. NumPy's ``+ - * /`` and ``sqrt`` round as Python's do, so each point
+gets the bits of a scalar evaluation. ``(1 - alpha)**2`` stays in Python:
+``**`` calls C ``pow``, which need not round as NumPy's ``x*x`` does.
 
-A row's applicability shows only in its status. ``catalog_columns`` alone
-decides the order premise (n >= 2 or n >= 3); the premises that vary by point
-or by beta stay in their families, with the reason in ``note``.
+A row's applicability shows only in its ``Status``, which the harness and
+the package re-export. ``score_block`` alone decides the order premise
+(n >= 2 or n >= 3); the premises that vary by point or by beta stay in their
+families, with the reason in ``note``.
 
 The ``unit_offdiag_*`` pair is special: it assumes every nonzero entry of the
 blend matrix has modulus one, which is true only at alpha = 0 (off-diagonal
@@ -38,6 +41,7 @@ from .graphs import GraphStats, zagreb_lower_bound
 from .matrices import BetaParam
 
 VARIANCE_CLAMP_RTOL = 1e-12
+SLACK_TOL = 1e-9
 
 
 class BoundKind(str, Enum):
@@ -52,6 +56,13 @@ class BoundTarget(str, Enum):
     SPREAD = "spread"
     TRACE_NORM = "trace_norm"
     ZAGREB = "zagreb"
+
+
+class Status(str, Enum):
+    HOLDS = "HOLDS"
+    VIOLATED = "VIOLATED"
+    NOT_APPLICABLE = "NOT_APPLICABLE"
+    EXPECTED_FAIL = "EXPECTED_FAIL"
 
 
 class Row(NamedTuple):
@@ -248,30 +259,111 @@ def _rho_columns(mu_1: list[float], rho: list[float], beta: BetaParam) -> tuple[
     return Columns(_RHO, c * np.array([rho]), note), ratio
 
 
-def catalog_columns(
+# _score's status codes index this array
+_STATUS = np.array(list(Status), dtype=object)
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(rows: tuple[Row, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the row of ``_score``'s values (the n spectra columns, then
+    the head) that its actual value comes from, and whether it is a lower
+    bound (as a column, to broadcast over a block's points); both read-only.
+    Cached: reading the enum members row by row costs about as much as the
+    rest of a one-point block's scoring."""
+    row_of = {
+        _MU_1: 0, _MU_N: n - 1, BoundTarget.SPREAD: n, BoundTarget.TRACE_NORM: n + 1, BoundTarget.ZAGREB: n + 2
+    }
+    source = np.array([row_of[r.target] if r.j is None else r.j - 1 for r in rows])
+    lower = np.array([r.kind is _LOWER for r in rows])[:, None]
+    source.setflags(write=False)
+    lower.setflags(write=False)
+    return source, lower
+
+
+def _score(columns: list[Columns], spectra: np.ndarray, head: np.ndarray):
+    """Score a block's catalog as columns against its (k, n) spectra, rows
+    non-increasing, and the (3, k) head of spread, trace norm and Zagreb
+    index. Returns the rows, and per point the tuples of bounds, actuals,
+    slacks, statuses and notes that a BoundReport holds."""
+    k, n = spectra.shape
+    rows, blocks, notes, varying, missing, inapplicable = (), [], [], [], [], []
+    for c in columns:
+        part = slice(len(rows), len(rows) + len(c.rows))
+        rows += c.rows
+        if c.values is None:
+            missing += range(part.start, part.stop)
+            blocks.append(np.empty((len(c.rows), k)))
+        else:
+            blocks.append(c.values)
+            if c.applicable is not True:
+                inapplicable.append((part, c))
+        if isinstance(c.note, str):
+            notes += [c.note] * len(c.rows)
+        else:
+            notes += [""] * len(c.rows)
+            varying.append((part, c.note))
+    bound = np.concatenate(blocks)
+    if missing:
+        bound[missing] = np.nan
+    source_of, lower = _layout(rows, n)
+    actual = np.concatenate((spectra.T, head))[source_of]
+    slack = np.where(lower, actual - bound, bound - actual)
+    # codes index _STATUS; a row without values is NOT_APPLICABLE, and one
+    # that is not applicable is EXPECTED_FAIL or NOT_APPLICABLE, whatever
+    # its slack
+    code = np.where(slack >= -SLACK_TOL, 0, 1)
+    if missing:
+        code[missing] = 2
+    for part, c in inapplicable:
+        skipped = np.where(c.expected_fail, 3, 2)
+        code[part] = skipped if c.applicable is False else np.where(c.applicable, code[part], skipped)
+    points = []
+    by_point = np.array((bound, actual, slack)).transpose(2, 0, 1).tolist()
+    for i, (cells, statuses) in enumerate(zip(by_point, _STATUS[code].T.tolist())):
+        for cell in cells:
+            for r in missing:
+                cell[r] = None
+        point_notes = notes.copy()
+        for part, note in varying:
+            point_notes[part] = [note[i]] * (part.stop - part.start)
+        points.append((*map(tuple, cells), tuple(statuses), tuple(point_notes)))
+    return rows, points
+
+
+def score_block(
     stats: GraphStats,
     alphas: list[float],
     beta: BetaParam,
     closed_forms: list[tuple[float, float]],
     trace: list[float],
     offdiag: list[float],
-    mu_1: list[float],
-    rho: list[float],
-) -> tuple[list[Columns], list[str | None], list[float]]:
-    """Every family of the catalog, in catalog order, over a block of points
-    with these closed-form traces (``expected_traces``), matrix traces,
-    largest off-diagonal moduli, largest eigenvalues and spectral radii;
-    with each point's first failure, the spectral variance's before the
-    trace-norm bracket's, and each point's mu_1 / rho."""
-    n = stats.n
+    spectra: np.ndarray,
+) -> tuple[list[tuple], list[str | None]]:
+    """Evaluate and score the catalog over a block of points with these
+    closed-form traces (``expected_traces``), matrix traces, largest
+    off-diagonal moduli and (k, n) spectra, rows non-increasing. Returns per
+    point the BoundReport fields after ``spectrum``, in field order, and
+    each point's first failure: the spectral variance's before the
+    trace-norm bracket's."""
+    n, k = stats.n, len(alphas)
+    moduli = np.abs(spectra)
+    # per point, _score's head (spread, trace norm, Zagreb index), then rho
+    # and mu_1. The trace norm is a running sum left to right, which gives
+    # the bits of Python 3.11's sum() on every version (3.12's sum() of
+    # floats compensates)
+    quantities = np.array((
+        spectra[:, 0] - spectra[:, -1], moduli.cumsum(axis=1)[:, -1], [float(stats.zagreb)] * k,
+        np.maximum(moduli[:, 0], moduli[:, -1]), spectra[:, 0],
+    ))
+    spread, trace_norm, _, rho, mu_1 = quantities.tolist()
     a = np.array(alphas)
     tr, tr2 = np.array(closed_forms).T
     r, s, failures = _moments(tr, tr2, n)
     rho_columns, ratio = _rho_columns(mu_1, rho, beta)
 
-    # the order premise: a family whose formula needs k vertices runs only if n >= k
-    def order(k: int, rows: tuple[Row, ...], family) -> Columns:
-        return family() if n >= k else Columns(rows, None, f"needs n >= {k}")
+    # the order premise: a family whose formula needs `least` vertices runs only if n >= least
+    def order(least: int, rows: tuple[Row, ...], family) -> Columns:
+        return family() if n >= least else Columns(rows, None, f"needs n >= {least}")
 
     # the two Zagreb-refined families share t, whose formula divides by n - 2
     t = _zagreb_variance_numerator(stats, a) if n >= 3 else None
@@ -285,10 +377,12 @@ def catalog_columns(
         order(2, _TRACE_NORM, lambda: _trace_norm_columns(stats, a, tr, tr2)),
         order(2, _SPREAD, lambda: _spread_columns(s, n)),
         order(3, _SPREAD_ZAGREB, lambda: _spread_zagreb_columns(t, n)),
-        order(3, _ZAGREB_INDEX, lambda: _zagreb_index_columns(stats, len(alphas))),
+        order(3, _ZAGREB_INDEX, lambda: _zagreb_index_columns(stats, k)),
         rho_columns,
     ]
     for c in columns:
         for i, failure in enumerate(c.failures or ()):
             failures[i] = failures[i] or failure
-    return columns, failures, ratio
+    rows, scored = _score(columns, spectra, quantities[:3])
+    fields = zip(rho, spread, trace_norm, ratio)
+    return [(*q, rows, *point) for q, point in zip(fields, scored)], failures

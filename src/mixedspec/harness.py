@@ -1,16 +1,12 @@
 """End-to-end verification: build the blend matrix, solve it on two
-independent kernels, sample the numerical range, and evaluate every bound
-in the catalog against the computed spectrum.
+independent kernels, sample the numerical range, and score the bound
+catalog against the computed spectrum.
 
 A grid of alphas is verified in stacked blocks. Each block is built as one
-stack and solved in one LAPACK call per eigen route. Its spectral
-quantities (mu_1, mu_n, rho, spread, trace norm) are taken once as columns
-of the primary spectra, and its catalog is scored as columns: one
-``bounds.catalog_columns`` call gives every formula family's bounds for the
-whole block as arrays, rho_sandwich last, and one ``_score`` call compares
-them with the block's spectra. Then one loop over the block's points runs
-the checks, raising in grid order, and builds each BoundReport from its
-point's row of those columns.
+stack and solved in one LAPACK call per eigen route, and one
+``bounds.score_block`` call evaluates and scores its whole catalog against
+the primary spectra. Then one loop over the block's points runs the checks,
+raising in grid order, and builds each BoundReport from its point's fields.
 
 Three classes of failure are kept apart. Eigen-route failures (see ``eig``),
 kernel/oracle disagreement, trace mismatches, a matrix build that disagrees
@@ -24,17 +20,14 @@ asserted. A row's status is the only place its applicability shows.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from . import bounds as _b
-from .bounds import BoundKind, BoundTarget
+from .bounds import Row, Status, score_block
 from .eig import Spectrum, VerificationError, eigenvalues, oracle_eigenvalues
 from .graphs import MixedGraph, random_mixed_graph, serialize_graph
 from .matrices import (
@@ -49,7 +42,6 @@ from .matrices import (
 
 ORACLE_RTOL = 1e-8
 TRACE_TOL = 1e-9
-SLACK_TOL = 1e-9
 RAYLEIGH_SAMPLES = 100
 RAYLEIGH_PAD = 1e-9
 IMAG_TOL = 1e-10
@@ -62,13 +54,6 @@ EDGE_PROB_RANGE = (0.05, 0.95)
 BLOCK_ENTRIES = 2**20
 
 
-class Status(str, Enum):
-    HOLDS = "HOLDS"
-    VIOLATED = "VIOLATED"
-    NOT_APPLICABLE = "NOT_APPLICABLE"
-    EXPECTED_FAIL = "EXPECTED_FAIL"
-
-
 class CheckedBound(NamedTuple):
     """One scored catalog row at one point: the row (``result``), its bound,
     the value it bounds, the slack, the status and the note.
@@ -78,7 +63,7 @@ class CheckedBound(NamedTuple):
     Non-negative (within tolerance) means the inequality holds.
     """
 
-    result: _b.Row
+    result: Row
     bound: float | None
     actual: float | None
     slack: float | None
@@ -102,7 +87,7 @@ class BoundReport:
     spread: float
     trace_norm: float
     rho_ratio: float
-    rows: tuple[_b.Row, ...]
+    rows: tuple[Row, ...]
     bounds: tuple[float | None, ...]
     actuals: tuple[float | None, ...]
     slacks: tuple[float | None, ...]
@@ -212,80 +197,6 @@ def _trace2_limit(closed_form: float) -> float:
     return max(TRACE_TOL, 64 * math.ulp(closed_form))
 
 
-# _score's status codes index this array
-_STATUS = np.array(list(Status), dtype=object)
-# the row of _score's head (then the spectra) that each target reads; mu_j
-# reads row _MU_J_BASE + j
-_HEAD = (
-    BoundTarget.MU_1, BoundTarget.MU_N, BoundTarget.SPREAD, BoundTarget.TRACE_NORM, BoundTarget.ZAGREB
-)
-_SOURCE = {target: row for row, target in enumerate(_HEAD)}
-_MU_J_BASE = 4
-
-
-@functools.lru_cache(maxsize=64)
-def _layout(rows: tuple[_b.Row, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the source row its actual value comes from, and whether it
-    is a lower bound (as a column, to broadcast over a block's points); both
-    read-only. Cached: reading the enum members row by row costs about as
-    much as the rest of a one-point block's scoring."""
-    source = np.array([_SOURCE.get(r.target, _MU_J_BASE + (r.j or 0)) for r in rows])
-    lower = np.array([r.kind is BoundKind.LOWER for r in rows])[:, None]
-    source.setflags(write=False)
-    lower.setflags(write=False)
-    return source, lower
-
-
-def _score(columns: list[_b.Columns], spectra: np.ndarray, head: np.ndarray):
-    """Score a block's catalog as columns against its (k, n) spectra, rows
-    non-increasing, and the (5, k) head of mu_1, mu_n, spread, trace norm
-    and Zagreb index. Returns the rows, and per point the tuples of bounds,
-    actuals, slacks, statuses and notes that a BoundReport holds."""
-    k = len(spectra)
-    rows, blocks, notes, varying, missing, inapplicable = (), [], [], [], [], []
-    for c in columns:
-        part = slice(len(rows), len(rows) + len(c.rows))
-        rows += c.rows
-        if c.values is None:
-            missing += range(part.start, part.stop)
-            blocks.append(np.empty((len(c.rows), k)))
-        else:
-            blocks.append(c.values)
-            if c.applicable is not True:
-                inapplicable.append((part, c))
-        if isinstance(c.note, str):
-            notes += [c.note] * len(c.rows)
-        else:
-            notes += [""] * len(c.rows)
-            varying.append((part, c.note))
-    bound = np.concatenate(blocks)
-    if missing:
-        bound[missing] = np.nan
-    source_of, lower = _layout(rows)
-    actual = np.concatenate((head, spectra.T))[source_of]
-    slack = np.where(lower, actual - bound, bound - actual)
-    # codes index _STATUS; a row without values is NOT_APPLICABLE, and one
-    # that is not applicable is EXPECTED_FAIL or NOT_APPLICABLE, whatever
-    # its slack
-    code = np.where(slack >= -SLACK_TOL, 0, 1)
-    if missing:
-        code[missing] = 2
-    for part, c in inapplicable:
-        skipped = np.where(c.expected_fail, 3, 2)
-        code[part] = skipped if c.applicable is False else np.where(c.applicable, code[part], skipped)
-    points = []
-    by_point = np.array((bound, actual, slack)).transpose(2, 0, 1).tolist()
-    for i, (cells, statuses) in enumerate(zip(by_point, _STATUS[code].T.tolist())):
-        for cell in cells:
-            for r in missing:
-                cell[r] = None
-        point_notes = notes.copy()
-        for part, note in varying:
-            point_notes[part] = [note[i]] * (part.stop - part.start)
-        points.append((*map(tuple, cells), tuple(statuses), tuple(point_notes)))
-    return rows, points
-
-
 def verify_all(
     g: MixedGraph,
     alpha: float,
@@ -341,27 +252,16 @@ def sweep_alpha(
         forms = _quadratic_forms(z, stack.data)
         vals = forms.real
         values = primary.values
-        moduli = np.abs(values)
-        # per point, _score's head (see _SOURCE), the spectral radius and the
-        # five check columns, in one array. The trace norm is a running sum
-        # left to right, which gives the bits of Python 3.11's sum() on every
-        # version (3.12's sum() of floats compensates)
+        # per point, the range check's ends and the five check columns, in one array
         per_point = np.array((
-            values[:, 0], values[:, -1], values[:, 0] - values[:, -1],
-            moduli.cumsum(axis=1)[:, -1], [float(stats.zagreb)] * len(block),
-            np.maximum(moduli[:, 0], moduli[:, -1]), np.abs(values - oracle.values).max(axis=1),
+            values[:, 0], values[:, -1], np.abs(values - oracle.values).max(axis=1),
             np.abs(forms.imag).max(axis=1),
             np.abs(vals - expansion[start : start + len(block)]).max(axis=1),
             vals.min(axis=1), vals.max(axis=1),
         ))
-        mu_1, mu_n, spread, trace_norm, _, rho, oracle_gap, imag, route_gap, lowest, highest = (
-            per_point.tolist()
-        )
+        mu_1, mu_n, oracle_gap, imag, route_gap, lowest, highest = per_point.tolist()
         closed_forms = [expected_traces(stats, alpha) for alpha in block]
-        columns, failures, ratio = _b.catalog_columns(
-            stats, block, beta, closed_forms, tr, offdiag, mu_1, rho
-        )
-        rows, points = _score(columns, values, per_point[:5])
+        points, failures = score_block(stats, block, beta, closed_forms, tr, offdiag, values)
 
         for i, alpha in enumerate(block):
             spectrum = primary.spectrum(i)
@@ -391,15 +291,7 @@ def sweep_alpha(
                 raise VerificationError("a sampled quadratic form escaped [mu_n, mu_1]")
             if failures[i] is not None:
                 raise VerificationError(failures[i])
-            bounds, actuals, slacks, statuses, notes = points[i]
-            reports.append(
-                BoundReport(
-                    graph=g, alpha=alpha, beta=(beta.re, beta.im), spectrum=spectrum,
-                    rho=rho[i], spread=spread[i], trace_norm=trace_norm[i], rho_ratio=ratio[i],
-                    rows=rows, bounds=bounds, actuals=actuals, slacks=slacks, statuses=statuses,
-                    notes=notes,
-                )
-            )
+            reports.append(BoundReport(g, alpha, (beta.re, beta.im), spectrum, *points[i]))
     return reports
 
 

@@ -1,16 +1,19 @@
 """Shared fixtures: anchor graphs, omega, an eigensolver warm-up, a
 symmetrizer that wraps an arbitrary array as a one-matrix HermitianStack,
-and the one reader of a report's catalog rows by name.
+and the one reader of a report's catalog rows by name, from its columns.
 
 The warm-up fixture solves one small matrix on both eigen routes before any
 test runs, so first-call set-up cost (loading LAPACK, allocating workspaces)
 never lands inside a timed section.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from mixedspec.bounds import Row, Status
 from mixedspec.eig import eigenvalues, oracle_eigenvalues
 from mixedspec.graphs import parse_graph
 from mixedspec.matrices import HermitianStack, omega_constant
@@ -28,10 +31,23 @@ def hermitian_from_array(a: np.ndarray) -> HermitianStack:
     return HermitianStack(h[None])
 
 
+class CatalogRow(NamedTuple):
+    """One scored catalog row at one point, read from a report's columns;
+    its attributes are named as in CheckedBound."""
+
+    result: Row
+    bound: float | None
+    actual: float | None
+    slack: float | None
+    status: Status
+    note: str
+
+
 def catalog_row(report, name, j=None):
-    """The CheckedBound of the catalog row ``name`` of ``report``; the
-    per-j rows also need their ``j``."""
-    [row] = [c for c in report.checked if c.result.name == name and c.result.j == j]
+    """The catalog row ``name`` of ``report``; the per-j rows also need
+    their ``j``."""
+    columns = (report.rows, report.bounds, report.actuals, report.slacks, report.statuses, report.notes)
+    [row] = [CatalogRow(*c) for c in zip(*columns) if c[0].name == name and c[0].j == j]
     return row
 
 

@@ -131,7 +131,7 @@ def test_criterion_4_literal_bound_expected_fail(p2):
         lit.bound == 1.5
         and abs(lit.actual - 1.0) <= 1e-9
         and lit.status is Status.EXPECTED_FAIL
-        and not report.violated
+        and Status.VIOLATED not in report.statuses
     )
     _criterion(
         4,

@@ -375,6 +375,20 @@ class TestEqualityWitnesses:
         assert witnessed | set(WITHOUT_WITNESS) == names
 
 
+class TestNearAlphaOne:
+    """ROADMAP item 14. ``_moments`` takes the spectral variance as
+    tr2/n - (tr/n)^2. On a d-regular graph both terms are near alpha^2 d^2
+    while their difference is (1 - alpha)^2 d, so near alpha = 1 rounding
+    leaves about 1e-14 and s comes out near 1e-7: the rows built on s are
+    then falsely VIOLATED. Strict, so the fix has to remove the mark."""
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the spectral variance cancels near alpha = 1")
+    def test_complete_graph_has_no_false_violation(self):
+        k9 = parse_graph("9\n" + "".join(f"{u} -- {v}\n" for u in range(1, 10) for v in range(u + 1, 10)))
+        report = verify_all(k9, 1.0 - 2.0**-53, OMEGA)
+        assert Status.VIOLATED not in report.statuses
+
+
 class TestPurity:
     @given(graph_and_alpha(min_n=2))
     def test_repeat_calls_identical(self, ga):
@@ -458,9 +472,7 @@ class TestBlockMatchesScalarReference:
             want = _reference_scores(g.stats, grid[i], beta, traces[i], offdiag[i], report.spectrum)
             # repr tells every bit apart, and the sign of a zero
             assert repr(report.bounds) == repr(tuple(want))
-            for c in report.checked:
-                if c.slack is not None:
-                    actual = c.actual
-                    bound = c.bound
-                    slack = actual - bound if c.result.kind is BoundKind.LOWER else bound - actual
-                    assert repr(c.slack) == repr(slack)
+            for row, bound, actual, slack in zip(report.rows, report.bounds, report.actuals, report.slacks):
+                if slack is not None:
+                    want = actual - bound if row.kind is BoundKind.LOWER else bound - actual
+                    assert repr(slack) == repr(want)

@@ -2,7 +2,8 @@
 blend parameter has one form in every public signature, and every public
 exception, like every raise in the package, belongs to one of the two
 families the CLI maps to an exit code, every module uses each name it
-imports, and every public function is on the package's own verified path."""
+imports, every public function is on the package's own verified path, and
+the harness reaches the catalog through one entry point."""
 
 import ast
 import importlib
@@ -112,3 +113,39 @@ def test_every_public_function_is_called_in_the_package():
     functions = [n for n in mixedspec.__all__ if inspect.isfunction(getattr(mixedspec, n))]
     assert functions
     assert [name for name in functions if name not in called] == []
+
+
+def _imported_from(tree: ast.Module, module: str) -> set[str]:
+    """The names ``tree`` imports from the package's ``module``; importing
+    the module itself counts as the name ``module``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == module:
+                names |= {alias.name for alias in node.names}
+            elif node.module in (None, "mixedspec"):
+                names |= {module for alias in node.names if alias.name == module}
+        elif isinstance(node, ast.Import):
+            names |= {module for alias in node.names if alias.name.split(".")[-1] == module}
+    return names
+
+
+def test_harness_reads_the_catalog_through_score_block():
+    # bounds evaluates and scores the catalog: the harness reads from it only
+    # Status, the Row type of its records' annotations and score_block, and
+    # bounds reads nothing from the harness
+    assert mixedspec.Status is mixedspec.bounds.Status is mixedspec.harness.Status
+    package = Path(mixedspec.__file__).parent
+    harness, bounds = (
+        ast.parse((package / f"{name}.py").read_text(encoding="utf-8")) for name in ("harness", "bounds")
+    )
+    assert _imported_from(harness, "bounds") == {"Status", "Row", "score_block"}
+    assert _imported_from(bounds, "harness") == set()
+    annotated = set()
+    for node in ast.walk(harness):
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if annotation is not None:
+                annotated |= {id(n) for n in ast.walk(annotation)}
+    rows = [n for n in ast.walk(harness) if isinstance(n, ast.Name) and n.id == "Row"]
+    assert rows
+    assert all(id(n) in annotated for n in rows)

@@ -12,8 +12,8 @@ from hypothesis import given, strategies as st
 
 import mixedspec.bounds
 import mixedspec.harness
-from conftest import catalog_row
-from mixedspec.bounds import BoundKind, BoundTarget, Columns, Row, _moments
+from conftest import CatalogRow, catalog_row
+from mixedspec.bounds import BoundKind, BoundTarget, Columns, Row, _moments, _score
 from mixedspec.eig import Spectrum, SpectrumStack
 from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph
 from mixedspec.harness import (
@@ -21,13 +21,11 @@ from mixedspec.harness import (
     ORACLE_RTOL,
     RAYLEIGH_SAMPLES,
     TRACE_TOL,
-    CheckedBound,
     Status,
     SweepConfig,
     VerificationError,
     _block_len,
     _quadratic_forms,
-    _score,
     _trace2_limit,
     _unit_vectors,
     randomized_suite,
@@ -50,10 +48,10 @@ GRAPH_N16 = Path(__file__).parent / "data" / "graph_n16.mg"
 def _check_bound(columns, spec, stats):
     """Score a one-row family at one point through the columnar ``_score``."""
     v = spec.values
-    head = np.array([[v[0]], [v[-1]], [v[0] - v[-1]], [sum(map(abs, v))], [stats.zagreb]])
+    head = np.array([[v[0] - v[-1]], [sum(map(abs, v))], [stats.zagreb]])
     rows, [point] = _score([columns], np.array([v]), head)
     assert rows == columns.rows
-    [checked] = map(CheckedBound, rows, *point)
+    [checked] = map(CatalogRow, rows, *point)
     return checked
 
 
@@ -72,9 +70,9 @@ class TestVerifyAll:
     def test_triangle_alpha_zero_all_hold(self, c3):
         report = verify_all(c3, 0.0, OMEGA)
         assert report.spectrum.values == pytest.approx((1.0, 1.0, -2.0), abs=1e-9)
-        assert not report.violated
-        non_na = [c for c in report.checked if c.status is not Status.NOT_APPLICABLE]
-        assert all(c.status is Status.HOLDS for c in non_na)
+        assert Status.VIOLATED not in report.statuses
+        non_na = [s for s in report.statuses if s is not Status.NOT_APPLICABLE]
+        assert all(s is Status.HOLDS for s in non_na)
         assert report.rho_ratio == pytest.approx(0.5, abs=1e-12)
 
     def test_single_arc_midpoint_expected_fail(self, p2):
@@ -86,18 +84,18 @@ class TestVerifyAll:
         cor = catalog_row(report, "offdiag_mu1_lower")
         assert cor.status is Status.HOLDS
         assert abs(cor.slack) <= 1e-9
-        assert not report.violated
+        assert Status.VIOLATED not in report.statuses
 
     def test_empty_graph_trivial(self):
         g = parse_graph("4\n")
         report = verify_all(g, 0.3, OMEGA)
         assert report.spectrum.values == (0.0, 0.0, 0.0, 0.0)
-        assert not report.violated
+        assert Status.VIOLATED not in report.statuses
 
     def test_single_vertex(self):
         report = verify_all(parse_graph("1\n"), 0.9, OMEGA)
         assert report.spectrum.values == (0.0,)
-        assert not report.violated
+        assert Status.VIOLATED not in report.statuses
 
     def test_alpha_one_spectrum_is_degree_sequence(self, k13):
         report = verify_all(k13, 1.0, OMEGA)
@@ -129,7 +127,7 @@ class TestVerifyAll:
         ray = catalog_row(report, "rayleigh_mu1_lower")
         assert ray.status is Status.NOT_APPLICABLE
         assert ray.note == "stated for beta = omega only"
-        assert not report.violated
+        assert Status.VIOLATED not in report.statuses
 
 
 class TestStatusAssignment:
@@ -621,6 +619,45 @@ class TestStackedFailures:
             sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
 
 
+class TestMonotoneInAlpha:
+    """dA/dalpha = D - H_beta, and x*(D - H_beta)x is the sum over the edges
+    uv of |x_u - h_uv x_v|^2 >= 0, since every |h_uv| = 1; so by Weyl's
+    inequality each mu_j is non-decreasing in alpha. The enclosure and the
+    gap check put each printed eigenvalue within 2 ORACLE_RTOL ||M||_F of
+    the true one, so one grid step may drop by at most both points' limits."""
+
+    GRID = [i / 20 for i in range(21)]
+
+    @staticmethod
+    def drops(g, grid, beta):
+        """Each (j, alpha, next alpha) at which mu_j falls beyond the limit."""
+        reports = sweep_alpha(g, grid, beta)
+        limits = [2 * ORACLE_RTOL * math.sqrt(expected_traces(g.stats, a)[1]) for a in grid]
+        found = []
+        for i in range(len(grid) - 1):
+            pairs = zip(reports[i].spectrum.values, reports[i + 1].spectrum.values)
+            limit = limits[i] + limits[i + 1]
+            found += [(j, grid[i], grid[i + 1]) for j, (x, y) in enumerate(pairs, 1) if y < x - limit]
+        return found
+
+    @given(
+        st.integers(1, 12),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.none(), st.floats(-math.pi / 2, math.pi / 2)),
+    )
+    def test_every_mu_j_non_decreasing(self, n, edge_prob, orient_prob, seed, angle):
+        g = random_mixed_graph(n, edge_prob, orient_prob, seed)
+        beta = OMEGA if angle is None else BetaParam.from_angle(angle)
+        assert self.drops(g, self.GRID, beta) == []
+
+    def test_reversed_grid_is_caught(self, c3):
+        # negative control: on the grid run backwards every mu_j of the
+        # triangle falls somewhere
+        assert {j for j, _, _ in self.drops(c3, self.GRID[::-1], OMEGA)} == {1, 2, 3}
+
+
 class TestRandomizedSuite:
     def test_deterministic(self):
         cfg = SweepConfig(trials=40, seed=99)
@@ -636,9 +673,9 @@ class TestRandomizedSuite:
     def test_expected_fail_only_for_literal_with_positive_alpha(self):
         for trial in range(60):
             report = run_trial(SweepConfig(trials=60, seed=21), trial)
-            for c in report.checked:
-                if c.status is Status.EXPECTED_FAIL:
-                    assert c.result.name.startswith("unit_offdiag_")
+            for row, status in zip(report.rows, report.statuses):
+                if status is Status.EXPECTED_FAIL:
+                    assert row.name.startswith("unit_offdiag_")
                     assert report.alpha > 0.0
 
     def test_run_trial_replays_suite_member(self):
@@ -694,12 +731,12 @@ class TestReportShape:
     def test_catalog_size_scales_with_n(self, p2, c3):
         r2 = verify_all(p2, 0.5, OMEGA)
         r3 = verify_all(c3, 0.5, OMEGA)
-        assert len(r3.checked) - len(r2.checked) == 2  # one j pair per extra vertex
+        assert len(r3.rows) - len(r2.rows) == 2  # one j pair per extra vertex
 
     def test_block_shares_its_rows(self, c3):
         first, last = sweep_alpha(c3, [0.0, 1.0], OMEGA)
         assert first.rows is last.rows
-        assert [c.result.name for c in first.checked] == [r.name for r in first.rows]
+        assert len(first.statuses) == len(last.statuses) == len(first.rows)
         assert first.statuses != last.statuses  # unit_offdiag_* is EXPECTED_FAIL only at alpha > 0
 
     def test_violated_and_checked_views(self, p2, monkeypatch):
