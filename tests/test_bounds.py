@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import catalog_row
 from mixedspec.bounds import (
@@ -397,10 +397,12 @@ class TestPurity:
         assert repr(verify_all(g, alpha, OMEGA)) == repr(verify_all(g, alpha, OMEGA))
 
 
-def _reference_scores(stats, alpha, beta, trace, offdiag, spec):
+def _reference_scores(stats, alpha, beta, trace, offdiag, spec, rows):
     """The catalog at one point as the per-point loop first scored it: each
     bound a Python float expression in catalog order (None when its
-    hypothesis on n fails), and each scored row's slack and status."""
+    hypothesis on n fails), then the report fields from ``rho`` on: rho,
+    spread, trace norm, mu_1/rho and the columns of bounds, actuals, slacks,
+    statuses and notes. ``rows`` gives each row's kind and target."""
     n, m, a = stats.n, stats.m, alpha
     dmax, dmin = stats.max_degree, stats.min_degree
     tr, tr2 = expected_traces(stats, a)
@@ -445,17 +447,65 @@ def _reference_scores(stats, alpha, beta, trace, offdiag, spec):
         bounds += [even if n % 2 == 0 else 2.0 * math.sqrt(t / (n * n - 1.0)), zagreb_lower_bound(stats)]
     else:
         bounds += [None, None]
-    bounds.append((0.5 if beta.is_omega() else 1.0 / 3.0) * max(abs(spec.mu_max), abs(spec.mu_min)))
-    return bounds
+    c = 0.5 if beta.is_omega() else 1.0 / 3.0
+    values = spec.values
+    rho = max(abs(values[0]), abs(values[-1]))
+    bounds.append(c * rho)
+
+    trace_norm = 0.0
+    for x in values:
+        trace_norm += abs(x)
+    spread = values[0] - values[-1]
+    ratio = 1.0 if rho == 0.0 else values[0] / rho
+    by_target = {
+        BoundTarget.MU_1: values[0], BoundTarget.MU_N: values[-1], BoundTarget.SPREAD: spread,
+        BoundTarget.TRACE_NORM: trace_norm, BoundTarget.ZAGREB: float(stats.zagreb),
+    }
+    actuals, slacks, statuses, notes = [], [], [], []
+    for row, bound in zip(rows, bounds):
+        if bound is None:
+            least = 3 if row.name.startswith(("zagreb", "spread_lower_zagreb")) else 2
+            actuals.append(None)
+            slacks.append(None)
+            statuses.append(Status.NOT_APPLICABLE)
+            notes.append(f"needs n >= {least}")
+            continue
+        actual = values[row.j - 1] if row.target is BoundTarget.MU_J else by_target[row.target]
+        slack = actual - bound if row.kind is BoundKind.LOWER else bound - actual
+        status, note = Status.HOLDS if slack >= -1e-9 else Status.VIOLATED, ""
+        if row.name == "rayleigh_mu1_lower" and not beta.is_omega():
+            status, note = Status.NOT_APPLICABLE, "stated for beta = omega only"
+        elif row.name.startswith("unit_offdiag_") and m < 1:
+            status, note = Status.NOT_APPLICABLE, "no off-diagonal entry to instantiate"
+        elif row.name.startswith("unit_offdiag_") and a > 0.0:
+            status, note = Status.EXPECTED_FAIL, "premise |a_rs| = 1 fails: entries have modulus 1 - alpha"
+        elif row.name == "rho_sandwich":
+            note = f"c = {c}; ratio mu_1/rho = {ratio:.17g}"
+        actuals.append(actual)
+        slacks.append(slack)
+        statuses.append(status)
+        notes.append(note)
+    columns = (bounds, actuals, slacks, statuses, notes)
+    return (rho, spread, trace_norm, ratio, *map(tuple, columns))
+
+
+def _report_fields(report):
+    """The report's fields from ``rho`` on, bar the static ``rows``."""
+    return (
+        report.rho, report.spread, report.trace_norm, report.rho_ratio,
+        report.bounds, report.actuals, report.slacks, report.statuses, report.notes,
+    )
 
 
 class TestBlockMatchesScalarReference:
-    """A stacked sweep scores each point with the bits of the scalar loop."""
+    """A stacked sweep, and a one-point block through ``verify_all``, score
+    each point with the bits of the scalar loop, in every report field the
+    catalog fills."""
 
     # at alpha = 0.00571, Python's (1 - alpha)**2 (C pow) and x*x differ in
-    # the last bit
+    # the last bit; n reaches the largest orders the benchmark reports on
     @given(
-        st.integers(1, 12),
+        st.integers(1, 48),
         st.floats(0.0, 1.0),
         st.floats(0.0, 1.0),
         st.integers(0, 2**32 - 1),
@@ -469,10 +519,26 @@ class TestBlockMatchesScalarReference:
         stack = a_alpha_stack(g, grid, beta)
         traces, offdiag = stack.traces(), stack.max_offdiag_moduli()
         for i, report in enumerate(sweep_alpha(g, grid, beta)):
-            want = _reference_scores(g.stats, grid[i], beta, traces[i], offdiag[i], report.spectrum)
+            want = _reference_scores(g.stats, grid[i], beta, traces[i], offdiag[i], report.spectrum, report.rows)
             # repr tells every bit apart, and the sign of a zero
-            assert repr(report.bounds) == repr(tuple(want))
-            for row, bound, actual, slack in zip(report.rows, report.bounds, report.actuals, report.slacks):
-                if slack is not None:
-                    want = actual - bound if row.kind is BoundKind.LOWER else bound - actual
-                    assert repr(slack) == repr(want)
+            assert repr(_report_fields(report)) == repr(want)
+
+    @given(
+        st.integers(1, 48),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.00571, 1.0, 1.0 - 2.0**-53]) | st.floats(0.0, 1.0),
+        st.booleans(),
+    )
+    # |mu_n| > mu_1 here, so the rho_sandwich note prints a ratio of 17 digits
+    @example(5, 0.5, 0.5, 2, 0.0, True)
+    def test_one_point_block_bit_for_bit(self, n, edge_prob, orient_prob, seed, alpha, omega):
+        g = random_mixed_graph(n, edge_prob, orient_prob, seed)
+        beta = OMEGA if omega else BetaParam.from_angle(-0.4)
+        stack = a_alpha_stack(g, [alpha], beta)
+        report = verify_all(g, alpha, beta, rayleigh_seed=seed)
+        want = _reference_scores(
+            g.stats, alpha, beta, stack.traces()[0], stack.max_offdiag_moduli()[0], report.spectrum, report.rows
+        )
+        assert repr(_report_fields(report)) == repr(want)

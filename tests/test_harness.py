@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 import mixedspec.bounds
 import mixedspec.harness
 from conftest import CatalogRow, catalog_row
-from mixedspec.bounds import BoundKind, BoundTarget, Columns, Row, _moments, _score
+from mixedspec.bounds import BoundKind, BoundTarget, Columns, Row, _moments, _score, score_block
 from mixedspec.eig import Spectrum, SpectrumStack
 from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph
 from mixedspec.harness import (
@@ -150,6 +150,24 @@ class TestStatusAssignment:
         stats = graph_stats(parse_graph("1\n"))
         near = _check_bound(_one(BoundKind.LOWER, BoundTarget.MU_1, 1.0 + 5e-10), spec, stats)
         assert near.status is Status.HOLDS
+
+    @staticmethod
+    def rayleigh_status(shortfall):
+        """The status score_block gives rayleigh_mu1_lower on one vertex at
+        alpha = 0, where its bound is the closed-form trace: a trace of
+        ``shortfall`` against mu_1 = 0 is a slack of exactly -shortfall."""
+        stats = graph_stats(parse_graph("1\n"))
+        [point], _ = score_block(stats, [0.0], OMEGA, [(shortfall, shortfall**2)], [0.0], [0.0], np.zeros((1, 1)))
+        rows, slacks, statuses = point[4], point[7], point[8]
+        assert rows[0].name == "rayleigh_mu1_lower"
+        assert slacks[0] == -shortfall
+        return statuses[0]
+
+    def test_slack_tolerance_pinned_from_both_sides(self):
+        # SLACK_TOL = 1e-9, written out so that a changed tolerance fails: a
+        # slack of twice it is a violation, one of half of it is rounding
+        assert self.rayleigh_status(2e-9) is Status.VIOLATED
+        assert self.rayleigh_status(0.5e-9) is Status.HOLDS
 
     def test_inapplicable_without_value(self):
         spec = Spectrum((1.0,))
