@@ -3,29 +3,21 @@
 Every bound is a pure function of graph statistics (n, m, arc counts, degree
 extremes, Zagreb index), the blend weight alpha and the closed-form traces,
 evaluated exactly as the source inequalities state them (the README's bound
-catalog lists each formula). Each formula family is written once, by a
-``_*_columns`` function over the NumPy arrays of a block of k points, with
-one caller: ``score_block`` lists the families in catalog order, the one
-that needs the spectrum (``rho_sandwich``, from mu_1 and the spectral
-radius) last, takes the spectral quantities the rows bound from the block's
-spectra, and scores every row against them. This is the one module that
-turns a verified block into report fields: ``harness.sweep_alpha`` (and
-``verify_all``, its one-point grid) makes one ``score_block`` call per
-block. NumPy's ``+ - * /`` and ``sqrt`` round as Python's do, so each point
-gets the bits of a scalar evaluation. ``(1 - alpha)**2`` stays in Python:
-``**`` calls C ``pow``, which need not round as NumPy's ``x*x`` does.
+catalog lists each formula). Each formula family is one small function of a
+point's values in plain Python floats. ``score_block``, the one caller and
+the one way from a verified block to report fields, runs the families at
+each point in catalog order, ``rho_sandwich`` (from mu_1 and the spectral
+radius) last, and scores every row against the point's spectrum. So a point
+gets the same bits alone or in a block of any size; ``(1 - alpha)**2`` stays
+Python's ``**`` (C ``pow``), which need not round as ``x*x`` does.
 
-A row's applicability shows only in its ``Status``, which the harness and
-the package re-export. ``score_block`` alone decides the order premise
-(n >= 2 or n >= 3); the premises that vary by point or by beta stay in their
-families, with the reason in ``note``.
-
-The ``unit_offdiag_*`` pair is special: it assumes every nonzero entry of the
-blend matrix has modulus one, which is true only at alpha = 0 (off-diagonal
-entries scale by 1 - alpha). It is kept beside the corrected ``offdiag_*``
-pair, which it matches where it applies, and is ``expected_fail`` for
-alpha > 0. A variance negative beyond rounding is recorded as its point's
-failure, which the harness raises as VerificationError.
+A row's applicability shows only in its ``Status``. ``score_block`` alone
+decides the order premise (n >= 2 or n >= 3); the premises that vary by point
+or by beta stay in their families, with the reason in the note. The
+``unit_offdiag_*`` pair assumes every nonzero entry has modulus one, true only
+at alpha = 0, so it is EXPECTED_FAIL for alpha > 0. A variance negative
+beyond rounding is its point's failure, which the harness raises as
+VerificationError.
 """
 
 from __future__ import annotations
@@ -33,9 +25,8 @@ from __future__ import annotations
 import functools
 import math
 from enum import Enum
-from typing import NamedTuple
-
-import numpy as np
+from collections.abc import Sequence
+from typing import Any, NamedTuple
 
 from .graphs import GraphStats, zagreb_lower_bound
 from .matrices import BetaParam
@@ -74,315 +65,236 @@ class Row(NamedTuple):
     j: int | None = None
 
 
-_LOWER, _UPPER = BoundKind.LOWER, BoundKind.UPPER
-_MU_1, _MU_N = BoundTarget.MU_1, BoundTarget.MU_N
-# x + y * _SIGNS is the rows x + y and x - y, bit for bit: y * -1.0 is -y,
-# and x + (-y) rounds as x - y does
-_SIGNS = np.array([[1.0], [-1.0]])
-_SIGNS.setflags(write=False)
-
-
-class Columns(NamedTuple):
-    """One formula family over a block of k points: row r of ``rows`` has its
-    bound at each point in row r of the (len(rows), k) array ``values``,
-    which is None when the family's order premise fails. ``note``,
-    ``applicable`` and ``expected_fail`` hold at every point or come one per
-    point; rows without values are never applicable. ``failures`` holds each
-    point's VerificationError message, or None."""
+class _Rows(NamedTuple):
+    """A family's rows, and the least order n its formula needs."""
 
     rows: tuple[Row, ...]
-    values: np.ndarray | None
-    note: str | list[str] = ""
-    applicable: bool | np.ndarray = True
-    expected_fail: bool | np.ndarray = False
-    failures: list[str | None] | None = None
+    least: int = 1
 
 
-def _clamped(x: np.ndarray, scale: np.ndarray, message: str) -> tuple[np.ndarray, list[str | None]]:
-    """x, a fresh array, with values that cancellation pushed a hair below
-    zero set to zero; a value below -VARIANCE_CLAMP_RTOL * scale is its
-    point's failure."""
-    failures = [None] * len(x)
-    negative = x < 0.0
-    if negative.any():
-        for i in np.flatnonzero(x < -VARIANCE_CLAMP_RTOL * scale).tolist():
-            failures[i] = message.format(float(x[i]))
-        x[negative] = 0.0
-    return x, failures
+_LOWER, _UPPER = BoundKind.LOWER, BoundKind.UPPER
+_MU_1, _MU_N, _SPREAD_OF = BoundTarget.MU_1, BoundTarget.MU_N, BoundTarget.SPREAD
+_HOLDS, _VIOLATED, _NOT_APPLICABLE = Status.HOLDS, Status.VIOLATED, Status.NOT_APPLICABLE
 
-
-def _moments(tr: np.ndarray, tr2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
-    """r and s at each point, with each point's failure (see ``_clamped``)."""
-    r = tr / n
-    mean2, r2 = tr2 / n, r * r
-    s2, failures = _clamped(mean2 - r2, np.maximum(mean2, r2), "variance {} is negative beyond rounding")
-    return r, np.sqrt(s2), failures
-
-
-_RAYLEIGH = (Row("rayleigh_mu1_lower", _LOWER, _MU_1),)
-
-
-def _rayleigh_columns(stats: GraphStats, a: np.ndarray, tr: np.ndarray, beta: BetaParam) -> Columns:
-    """The Rayleigh quotient of the constant unit vector, from the closed-form
-    trace ``tr`` = 2*alpha*m at each point; its arc term uses 2*Re(omega) = 1,
-    so it holds for beta = omega only."""
-    value = (tr + (1.0 - a) * (stats.arc_count + 2.0 * stats.undirected_count)) / stats.n
-    omega = beta.is_omega()
-    return Columns(_RAYLEIGH, value[None], "" if omega else "stated for beta = omega only", omega)
-
-
-_OFFDIAG = (Row("offdiag_mu1_lower", _LOWER, _MU_1), Row("offdiag_mun_upper", _UPPER, _MU_N))
-
-
-def _offdiag_columns(trace: np.ndarray, n: int, offdiag_modulus: np.ndarray) -> Columns:
-    return Columns(_OFFDIAG, trace / n + 2.0 * offdiag_modulus / n * _SIGNS)
-
-
-_UNIT = (Row("unit_offdiag_mu1_lower", _LOWER, _MU_1), Row("unit_offdiag_mun_upper", _UPPER, _MU_N))
-_PREMISE_FAILS = "premise |a_rs| = 1 fails: entries have modulus 1 - alpha"
-
-
-def _unit_columns(stats: GraphStats, a: np.ndarray) -> Columns:
-    n, m = stats.n, stats.m
-    values = 2.0 * (a * m + _SIGNS) / n
-    if m < 1:
-        return Columns(_UNIT, values, "no off-diagonal entry to instantiate", False)
-    positive = a > 0.0
-    note = [_PREMISE_FAILS if p else "" for p in positive.tolist()]
-    return Columns(_UNIT, values, note, ~positive, positive)
-
-
-_WOLKOWICZ = (
+# The families in catalog order; the per-j rows between _ZAGREB and
+# _TRACE_NORM depend on n, so ``_plan`` makes them
+_RAYLEIGH = _Rows((Row("rayleigh_mu1_lower", _LOWER, _MU_1),))
+_OFFDIAG = _Rows((Row("offdiag_mu1_lower", _LOWER, _MU_1), Row("offdiag_mun_upper", _UPPER, _MU_N)), 2)
+_UNIT = _Rows((Row("unit_offdiag_mu1_lower", _LOWER, _MU_1), Row("unit_offdiag_mun_upper", _UPPER, _MU_N)))
+_WOLKOWICZ = _Rows((
     Row("wolkowicz_mu1_upper", _UPPER, _MU_1), Row("wolkowicz_mu1_lower", _LOWER, _MU_1),
     Row("wolkowicz_mun_upper", _UPPER, _MU_N), Row("wolkowicz_mun_lower", _LOWER, _MU_N),
-)
+), 2)
+_ZAGREB = _Rows((Row("zagreb_mu1_lower", _LOWER, _MU_1), Row("zagreb_mun_upper", _UPPER, _MU_N)), 3)
+_TRACE_NORM = _Rows((Row("trace_norm_upper", _UPPER, BoundTarget.TRACE_NORM),), 2)
+_SPREAD = _Rows((Row("spread_upper", _UPPER, _SPREAD_OF), Row("spread_lower_moment", _LOWER, _SPREAD_OF)), 2)
+_SPREAD_ZAGREB = _Rows((Row("spread_lower_zagreb", _LOWER, _SPREAD_OF),), 3)
+_ZAGREB_INDEX = _Rows((Row("zagreb_index_lower", _LOWER, BoundTarget.ZAGREB),), 3)
+_RHO = _Rows((Row("rho_sandwich", _LOWER, _MU_1),))
+
+# A family at one point: its rows' bounds, the note of each of its rows, and
+# the status each row takes whatever its slack, or None to score the slack
+Family = tuple[Sequence[float], str, "Status | None"]
 
 
-def _wolkowicz_columns(r: np.ndarray, s: np.ndarray, n: int) -> Columns:
+def _clamp(x: float, scale: float, message: str) -> tuple[float, str | None]:
+    """x, or 0 if cancellation took it below 0: below -VARIANCE_CLAMP_RTOL * scale, a failure."""
+    if x < 0.0:
+        return 0.0, message.format(x) if x < -VARIANCE_CLAMP_RTOL * scale else None
+    return x, None
+
+
+def _moments(tr: float, tr2: float, n: int) -> tuple[float, float, str | None]:
+    """The spectral mean r and deviation s, with the point's failure (see ``_clamp``)."""
+    r = tr / n
+    mean2, r2 = tr2 / n, r * r
+    s2, failure = _clamp(mean2 - r2, max(mean2, r2), "variance {} is negative beyond rounding")
+    return r, math.sqrt(s2), failure
+
+
+def _rayleigh(stats: GraphStats, a: float, tr: float, beta: BetaParam) -> Family:
+    """The Rayleigh quotient of the constant unit vector, from the closed-form trace
+    ``tr`` = 2*alpha*m; its arc term uses 2*Re(omega) = 1, so it holds for beta = omega only."""
+    value = (tr + (1.0 - a) * (stats.arc_count + 2.0 * stats.undirected_count)) / stats.n
+    if beta.is_omega():
+        return (value,), "", None
+    return (value,), "stated for beta = omega only", _NOT_APPLICABLE
+
+
+def _offdiag(trace: float, n: int, offdiag_modulus: float) -> Family:
+    mean, shift = trace / n, 2.0 * offdiag_modulus / n
+    return (mean + shift, mean - shift), "", None
+
+
+def _unit(stats: GraphStats, a: float) -> Family:
+    n, m = stats.n, stats.m
+    values = (2.0 * (a * m + 1.0) / n, 2.0 * (a * m - 1.0) / n)
+    if m < 1:
+        return values, "no off-diagonal entry to instantiate", _NOT_APPLICABLE
+    if a > 0.0:
+        return values, "premise |a_rs| = 1 fails: entries have modulus 1 - alpha", Status.EXPECTED_FAIL
+    return values, "", None
+
+
+def _wolkowicz(r: float, s: float, n: int) -> Family:
     root = math.sqrt(n - 1.0)
     times, over = s * root, s / root
-    return Columns(_WOLKOWICZ, r + np.array((times, over, -over, -times)))
+    return (r + times, r + over, r - over, r - times), "", None
 
 
-def _zagreb_variance_numerator(stats: GraphStats, a: np.ndarray) -> np.ndarray:
+def _zagreb_variance_numerator(stats: GraphStats, a: float) -> float:
     """The degree-extremes replacement for n^2 * s^2: substituting the Zagreb
     lower bound for the exact Zagreb index. Divides by n - 2."""
     n, m = stats.n, stats.m
     dmax, dmin = stats.max_degree, stats.min_degree
-    # the last term point by point in Python, for its (1 - alpha)**2: see the
-    # module docstring
-    last = np.array([(1.0 - x) ** 2 * 2.0 * m * n for x in a.tolist()])
     return (
         (n * a * a / 2.0) * (dmax - dmin) ** 2
         + (2.0 * n * n * a * a / (n - 2.0)) * (2.0 * m / n - (dmax + dmin) / 2.0) ** 2
-        + last
+        + (1.0 - a) ** 2 * 2.0 * m * n
     )
 
 
-_ZAGREB = (Row("zagreb_mu1_lower", _LOWER, _MU_1), Row("zagreb_mun_upper", _UPPER, _MU_N))
+def _zagreb(r: float, t: float, n: int) -> Family:
+    """From the spectral mean ``r`` = 2*alpha*m/n and the variance numerator ``t``."""
+    shift = math.sqrt(t / (n * n * (n - 1.0)))
+    return (r + shift, r - shift), "", None
 
 
-def _zagreb_columns(r: np.ndarray, t: np.ndarray, n: int) -> Columns:
-    """From the spectral mean ``r`` = 2*alpha*m/n and the variance numerator
-    ``t`` at each point."""
-    return Columns(_ZAGREB, r + np.sqrt(t / (n * n * (n - 1.0))) * _SIGNS)
+def _jth(r: float, s: float, factors: tuple[float, ...]) -> Family:
+    """The per-j rows, r + s times each of the plan's factors."""
+    return [r + s * f for f in factors], "", None
 
 
-@functools.lru_cache(maxsize=64)
-def _jth_static(n: int) -> tuple[tuple[Row, ...], np.ndarray]:
-    """The rows of order n, lower then upper for each j, and the read-only
-    (2n, 1) factors of s in the same order: -sqrt((j-1)/(n-j+1)) for the
-    lower bound r - s*sqrt(...) (see _SIGNS), sqrt((n-j)/j) for the upper."""
-    pairs = ((j, kind) for j in range(1, n + 1) for kind in (_LOWER, _UPPER))
-    rows = tuple(Row(f"wolkowicz_mu_j_{kind.value}", kind, BoundTarget.MU_J, j) for j, kind in pairs)
-    j = np.arange(1, n + 1)
-    factors = np.array([-np.sqrt((j - 1.0) / (n - j + 1.0)), np.sqrt((n - j) / j)]).T.reshape(2 * n, 1)
-    factors.setflags(write=False)
-    return rows, factors
-
-
-def _jth_columns(r: np.ndarray, s: np.ndarray, n: int) -> Columns:
-    rows, factors = _jth_static(n)
-    return Columns(rows, r + s * factors)
-
-
-_TRACE_NORM = (Row("trace_norm_upper", _UPPER, BoundTarget.TRACE_NORM),)
-
-
-def _trace_norm_columns(stats: GraphStats, a: np.ndarray, tr: np.ndarray, tr2: np.ndarray) -> Columns:
-    """From the closed-form traces ``tr`` and ``tr2`` at each point."""
+def _trace_norm(stats: GraphStats, a: float, tr: float, tr2: float) -> tuple[Family, str | None]:
+    """From the closed-form traces ``tr`` and ``tr2``, with the point's failure (see ``_clamp``)."""
     n, m = stats.n, stats.m
     ntr2, tr_sq = n * tr2, tr * tr
-    bracket, failures = _clamped(
-        ntr2 - tr_sq, np.maximum(ntr2, tr_sq), "variance bracket {} negative beyond rounding"
-    )
-    value = 4.0 * a * m + 2.0 * np.sqrt((n - 1.0) * bracket)
-    return Columns(_TRACE_NORM, value[None], failures=failures)
+    bracket, failure = _clamp(ntr2 - tr_sq, max(ntr2, tr_sq), "variance bracket {} negative beyond rounding")
+    return ((4.0 * a * m + 2.0 * math.sqrt((n - 1.0) * bracket),), "", None), failure
 
 
-_SPREAD = (
-    Row("spread_upper", _UPPER, BoundTarget.SPREAD), Row("spread_lower_moment", _LOWER, BoundTarget.SPREAD)
-)
-
-
-def _spread_columns(s: np.ndarray, n: int) -> Columns:
-    upper = math.sqrt(2.0 * n) * s
+def _spread(s: float, n: int) -> Family:
     lower = 2.0 * s if n % 2 == 0 else 2.0 * n * s / math.sqrt(n * n - 1.0)
-    return Columns(_SPREAD, np.array([upper, lower]))
+    return (math.sqrt(2.0 * n) * s, lower), "", None
 
 
-_SPREAD_ZAGREB = (Row("spread_lower_zagreb", _LOWER, BoundTarget.SPREAD),)
+def _spread_zagreb(t: float, n: int) -> Family:
+    """From the variance numerator ``t``."""
+    value = (2.0 / n) * math.sqrt(t) if n % 2 == 0 else 2.0 * math.sqrt(t / (n * n - 1.0))
+    return (value,), "", None
 
 
-def _spread_zagreb_columns(t: np.ndarray, n: int) -> Columns:
-    """From the variance numerator ``t`` at each point."""
-    value = (2.0 / n) * np.sqrt(t) if n % 2 == 0 else 2.0 * np.sqrt(t / (n * n - 1.0))
-    return Columns(_SPREAD_ZAGREB, value[None])
+def _zagreb_index(stats: GraphStats) -> Family:
+    return (zagreb_lower_bound(stats),), "", None
 
 
-_ZAGREB_INDEX = (Row("zagreb_index_lower", _LOWER, BoundTarget.ZAGREB),)
-
-
-def _zagreb_index_columns(stats: GraphStats, k: int) -> Columns:
-    return Columns(_ZAGREB_INDEX, np.array([[zagreb_lower_bound(stats)] * k]))
-
-
-_RHO = (Row("rho_sandwich", _LOWER, _MU_1),)
-
-
-def _rho_columns(mu_1: list[float], rho: list[float], beta: BetaParam) -> tuple[Columns, list[float]]:
-    """From mu_1 and the spectral radius at each point; also gives mu_1 / rho.
-    The ratio is taken point by point, since each point's note prints it."""
+def _rho(mu_1: float, rho: float, beta: BetaParam) -> tuple[Family, float]:
+    """From mu_1 and the spectral radius, with mu_1 / rho, which the note prints."""
     c = 0.5 if beta.is_omega() else 1.0 / 3.0
-    ratio = [1.0 if r == 0.0 else mu / r for mu, r in zip(mu_1, rho)]
-    note = [f"c = {c}; ratio mu_1/rho = {x:.17g}" for x in ratio]
-    return Columns(_RHO, c * np.array([rho]), note), ratio
+    ratio = 1.0 if rho == 0.0 else mu_1 / rho
+    return ((c * rho,), f"c = {c}; ratio mu_1/rho = {ratio:.17g}", None), ratio
 
 
-# _score's status codes index this array
-_STATUS = np.array(list(Status), dtype=object)
+def _absent(family: _Rows) -> Family:
+    """A family below the order it needs: NaN bounds, which ``_scored`` blanks as missing rows."""
+    return (math.nan,) * len(family.rows), f"needs n >= {family.least}", _NOT_APPLICABLE
+
+
+class _Plan(NamedTuple):
+    """The static part of scoring order n: the rows in catalog order; per row,
+    the index of its actual value in a point's spectrum, spread, trace norm
+    and Zagreb index, and whether it is a lower bound; the rows that the
+    order premise removes; the per-j rows' factors of s."""
+
+    rows: tuple[Row, ...]
+    source: tuple[int, ...]
+    lower: tuple[bool, ...]
+    missing: tuple[int, ...] = ()
+    factors: tuple[float, ...] = ()
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(rows: tuple[Row, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the row of ``_score``'s values (the n spectra columns, then
-    the head) that its actual value comes from, and whether it is a lower
-    bound (as a column, to broadcast over a block's points); both read-only.
-    Cached: reading the enum members row by row costs about as much as the
-    rest of a one-point block's scoring."""
-    row_of = {
-        _MU_1: 0, _MU_N: n - 1, BoundTarget.SPREAD: n, BoundTarget.TRACE_NORM: n + 1, BoundTarget.ZAGREB: n + 2
-    }
-    source = np.array([row_of[r.target] if r.j is None else r.j - 1 for r in rows])
-    lower = np.array([r.kind is _LOWER for r in rows])[:, None]
-    source.setflags(write=False)
-    lower.setflags(write=False)
-    return source, lower
+def _plan(n: int) -> _Plan:
+    """The catalog's plan at order n, cached: reading the enums costs more than scoring a point."""
+    pairs = [(j, kind) for j in range(1, n + 1) for kind in (_LOWER, _UPPER)]
+    jth = _Rows(tuple(Row(f"wolkowicz_mu_j_{kind.value}", kind, BoundTarget.MU_J, j) for j, kind in pairs))
+    families = (_RAYLEIGH, _OFFDIAG, _UNIT, _WOLKOWICZ, _ZAGREB, jth)
+    families += (_TRACE_NORM, _SPREAD, _SPREAD_ZAGREB, _ZAGREB_INDEX, _RHO)
+    rows = tuple(row for family in families for row in family.rows)
+    index = {_MU_1: 0, _MU_N: n - 1, _SPREAD_OF: n, BoundTarget.TRACE_NORM: n + 1, BoundTarget.ZAGREB: n + 2}
+    source = tuple(index[r.target] if r.j is None else r.j - 1 for r in rows)
+    missing = (i for i, least in enumerate(f.least for f in families for _ in f.rows) if n < least)
+    # r - s*sqrt((j-1)/(n-j+1)) for the lower bound, r + s*sqrt((n-j)/j) for the upper
+    factors = (-math.sqrt((j - 1) / (n - j + 1)) if k is _LOWER else math.sqrt((n - j) / j) for j, k in pairs)
+    return _Plan(rows, source, tuple(r.kind is _LOWER for r in rows), tuple(missing), tuple(factors))
 
 
-def _score(columns: list[Columns], spectra: np.ndarray, head: np.ndarray):
-    """Score a block's catalog as columns against its (k, n) spectra, rows
-    non-increasing, and the (3, k) head of spread, trace norm and Zagreb
-    index. Returns the rows, and per point the tuples of bounds, actuals,
-    slacks, statuses and notes that a BoundReport holds."""
-    k, n = spectra.shape
-    rows, blocks, notes, varying, missing, inapplicable = (), [], [], [], [], []
-    for c in columns:
-        part = slice(len(rows), len(rows) + len(c.rows))
-        rows += c.rows
-        if c.values is None:
-            missing += range(part.start, part.stop)
-            blocks.append(np.empty((len(c.rows), k)))
-        else:
-            blocks.append(c.values)
-            if c.applicable is not True:
-                inapplicable.append((part, c))
-        if isinstance(c.note, str):
-            notes += [c.note] * len(c.rows)
-        else:
-            notes += [""] * len(c.rows)
-            varying.append((part, c.note))
-    bound = np.concatenate(blocks)
-    if missing:
-        bound[missing] = np.nan
-    source_of, lower = _layout(rows, n)
-    actual = np.concatenate((spectra.T, head))[source_of]
-    slack = np.where(lower, actual - bound, bound - actual)
-    # codes index _STATUS; a row without values is NOT_APPLICABLE, and one
-    # that is not applicable is EXPECTED_FAIL or NOT_APPLICABLE, whatever
-    # its slack
-    code = np.where(slack >= -SLACK_TOL, 0, 1)
-    if missing:
-        code[missing] = 2
-    for part, c in inapplicable:
-        skipped = np.where(c.expected_fail, 3, 2)
-        code[part] = skipped if c.applicable is False else np.where(c.applicable, code[part], skipped)
-    points = []
-    by_point = np.array((bound, actual, slack)).transpose(2, 0, 1).tolist()
-    for i, (cells, statuses) in enumerate(zip(by_point, _STATUS[code].T.tolist())):
-        for cell in cells:
-            for r in missing:
-                cell[r] = None
-        point_notes = notes.copy()
-        for part, note in varying:
-            point_notes[part] = [note[i]] * (part.stop - part.start)
-        points.append((*map(tuple, cells), tuple(statuses), tuple(point_notes)))
-    return rows, points
+def _scored(plan: _Plan, families: list[Family], values: list[float]) -> tuple[tuple, ...]:
+    """One point's bounds, actuals, slacks, statuses and notes, from its
+    families in the plan's row order and its actual values (see ``_Plan``).
+    A row that the order premise removes has no bound, actual or slack."""
+    bounds, notes, skipped, start = [], [""] * len(plan.rows), [], 0
+    for bound, note, status in families:
+        stop = start + len(bound)
+        bounds += bound
+        if note:
+            notes[start:stop] = [note] * (stop - start)
+        if status is not None:
+            skipped.append((start, stop, status))
+        start = stop
+    actuals = [values[i] for i in plan.source]
+    slacks = [x - b if low else b - x for x, b, low in zip(actuals, bounds, plan.lower)]
+    tol = -SLACK_TOL
+    statuses = [_HOLDS if d >= tol else _VIOLATED for d in slacks]
+    for start, stop, status in skipped:
+        statuses[start:stop] = [status] * (stop - start)
+    for i in plan.missing:
+        bounds[i] = actuals[i] = slacks[i] = None
+    return tuple(bounds), tuple(actuals), tuple(slacks), tuple(statuses), tuple(notes)
 
 
 def score_block(
-    stats: GraphStats,
-    alphas: list[float],
-    beta: BetaParam,
-    closed_forms: list[tuple[float, float]],
-    trace: list[float],
-    offdiag: list[float],
-    spectra: np.ndarray,
+    stats: GraphStats, alphas: list[float], beta: BetaParam, closed_forms: list[tuple[float, float]],
+    trace: list[float], offdiag: list[float], spectra: Any,
 ) -> tuple[list[tuple], list[str | None]]:
-    """Evaluate and score the catalog over a block of points with these
-    closed-form traces (``expected_traces``), matrix traces, largest
-    off-diagonal moduli and (k, n) spectra, rows non-increasing. Returns per
-    point the BoundReport fields after ``spectrum``, in field order, and
-    each point's first failure: the spectral variance's before the
-    trace-norm bracket's."""
-    n, k = stats.n, len(alphas)
-    moduli = np.abs(spectra)
-    # per point, _score's head (spread, trace norm, Zagreb index), then rho
-    # and mu_1. The trace norm is a running sum left to right, which gives
-    # the bits of Python 3.11's sum() on every version (3.12's sum() of
-    # floats compensates)
-    quantities = np.array((
-        spectra[:, 0] - spectra[:, -1], moduli.cumsum(axis=1)[:, -1], [float(stats.zagreb)] * k,
-        np.maximum(moduli[:, 0], moduli[:, -1]), spectra[:, 0],
-    ))
-    spread, trace_norm, _, rho, mu_1 = quantities.tolist()
-    a = np.array(alphas)
-    tr, tr2 = np.array(closed_forms).T
-    r, s, failures = _moments(tr, tr2, n)
-    rho_columns, ratio = _rho_columns(mu_1, rho, beta)
-
-    # the order premise: a family whose formula needs `least` vertices runs only if n >= least
-    def order(least: int, rows: tuple[Row, ...], family) -> Columns:
-        return family() if n >= least else Columns(rows, None, f"needs n >= {least}")
-
-    # the two Zagreb-refined families share t, whose formula divides by n - 2
-    t = _zagreb_variance_numerator(stats, a) if n >= 3 else None
-    columns = [
-        _rayleigh_columns(stats, a, tr, beta),
-        order(2, _OFFDIAG, lambda: _offdiag_columns(np.array(trace), n, np.array(offdiag))),
-        _unit_columns(stats, a),
-        order(2, _WOLKOWICZ, lambda: _wolkowicz_columns(r, s, n)),
-        order(3, _ZAGREB, lambda: _zagreb_columns(r, t, n)),
-        _jth_columns(r, s, n),
-        order(2, _TRACE_NORM, lambda: _trace_norm_columns(stats, a, tr, tr2)),
-        order(2, _SPREAD, lambda: _spread_columns(s, n)),
-        order(3, _SPREAD_ZAGREB, lambda: _spread_zagreb_columns(t, n)),
-        order(3, _ZAGREB_INDEX, lambda: _zagreb_index_columns(stats, k)),
-        rho_columns,
-    ]
-    for c in columns:
-        for i, failure in enumerate(c.failures or ()):
-            failures[i] = failures[i] or failure
-    rows, scored = _score(columns, spectra, quantities[:3])
-    fields = zip(rho, spread, trace_norm, ratio)
-    return [(*q, rows, *point) for q, point in zip(fields, scored)], failures
+    """Evaluate and score the catalog over a block of points with these closed-form
+    traces (``expected_traces``), matrix traces, largest off-diagonal moduli and
+    (k, n) NumPy array of spectra, rows non-increasing. Returns per point the
+    BoundReport fields after ``spectrum``, in field order, and each point's first
+    failure: the spectral variance's before the trace-norm bracket's."""
+    n = stats.n
+    plan, zagreb, points, failures = _plan(n), float(stats.zagreb), [], []
+    columns = zip(alphas, closed_forms, trace, offdiag, spectra.tolist())
+    for a, (tr, tr2), trace_a, offdiag_a, values in columns:
+        r, s, failure = _moments(tr, tr2, n)
+        mu_1, mu_n = values[0], values[-1]
+        rho, spread = max(abs(mu_1), abs(mu_n)), mu_1 - mu_n
+        # a running sum left to right, which gives the bits of Python 3.11's
+        # sum() on every version (3.12's sum() of floats compensates)
+        trace_norm = 0.0
+        for x in values:
+            trace_norm += abs(x)
+        rho_family, ratio = _rho(mu_1, rho, beta)
+        # the order premise: a family is absent below the least order its
+        # formula needs; the Zagreb-refined families share t
+        t = _zagreb_variance_numerator(stats, a) if n >= _ZAGREB.least else None
+        norm_family, norm_failure = (
+            _trace_norm(stats, a, tr, tr2) if n >= _TRACE_NORM.least else (_absent(_TRACE_NORM), None)
+        )
+        families = [
+            _rayleigh(stats, a, tr, beta),
+            _offdiag(trace_a, n, offdiag_a) if n >= _OFFDIAG.least else _absent(_OFFDIAG),
+            _unit(stats, a),
+            _wolkowicz(r, s, n) if n >= _WOLKOWICZ.least else _absent(_WOLKOWICZ),
+            _zagreb(r, t, n) if n >= _ZAGREB.least else _absent(_ZAGREB),
+            _jth(r, s, plan.factors),
+            norm_family,
+            _spread(s, n) if n >= _SPREAD.least else _absent(_SPREAD),
+            _spread_zagreb(t, n) if n >= _SPREAD_ZAGREB.least else _absent(_SPREAD_ZAGREB),
+            _zagreb_index(stats) if n >= _ZAGREB_INDEX.least else _absent(_ZAGREB_INDEX),
+            rho_family,
+        ]
+        values += (spread, trace_norm, zagreb)
+        points.append((rho, spread, trace_norm, ratio, plan.rows, *_scored(plan, families, values)))
+        failures.append(failure or norm_failure)
+    return points, failures

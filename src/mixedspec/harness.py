@@ -4,9 +4,10 @@ catalog against the computed spectrum.
 
 A grid of alphas is verified in stacked blocks. Each block is built as one
 stack and solved in one LAPACK call per eigen route, and one
-``bounds.score_block`` call evaluates and scores its whole catalog against
-the primary spectra. Then one loop over the block's points runs the checks,
-raising in grid order, and builds each BoundReport from its point's fields.
+``bounds.score_block`` call scores its whole catalog against the primary
+spectra, point by point in plain floats. Then one loop over the block's
+points runs the checks, raising in grid order, and builds each BoundReport
+from its point's fields.
 
 Three classes of failure are kept apart. Eigen-route failures (see ``eig``),
 kernel/oracle disagreement, trace mismatches, a matrix build that disagrees
@@ -14,7 +15,7 @@ with the graph's arc-sum expansion and numerical-range escapes all raise the
 one type VerificationError: they mean the library is wrong. A bound whose
 premises hold but whose inequality fails gets status VIOLATED: the report
 carries it, and the CLI exits 1 on any. A bound whose premise is known-false
-(its family's ``Columns.expected_fail``) gets EXPECTED_FAIL: tracked, never
+(its family in ``bounds`` says so) gets EXPECTED_FAIL: tracked, never
 asserted. A row's status is the only place its applicability shows.
 """
 

@@ -6,20 +6,11 @@ way into the catalog; synthetic inputs go straight to the family functions."""
 import math
 import re
 
-import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import catalog_row
-from mixedspec.bounds import (
-    BoundKind,
-    BoundTarget,
-    _moments,
-    _offdiag_columns,
-    _rho_columns,
-    _unit_columns,
-    _wolkowicz_columns,
-)
+from mixedspec.bounds import _OFFDIAG, BoundKind, BoundTarget, _moments, _offdiag, _rho, _unit, _wolkowicz
 from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph, zagreb_lower_bound
 from mixedspec.harness import Status, sweep_alpha, verify_all
 from mixedspec.matrices import BetaParam, a_alpha_stack, expected_traces, omega_constant
@@ -51,9 +42,9 @@ def _values(report, *names):
 def _moments_at(stats, alpha):
     """r and s of the closed-form traces at one alpha."""
     tr, tr2 = expected_traces(stats, alpha)
-    r, s, failures = _moments(np.array([tr]), np.array([tr2]), stats.n)
-    assert failures == [None]
-    return float(r[0]), float(s[0])
+    r, s, failure = _moments(tr, tr2, stats.n)
+    assert failure is None
+    return r, s
 
 
 def _states(report, *names):
@@ -83,15 +74,15 @@ class TestWolkowiczMoments:
         assert s == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
     def test_tiny_negative_variance_clamped(self):
-        _, s, failures = _moments(np.array([2.0]), np.array([4.0 / 3.0 * (1.0 - 1e-15)]), 3)
-        assert s.tolist() == [0.0]
-        assert failures == [None]
+        _, s, failure = _moments(2.0, 4.0 / 3.0 * (1.0 - 1e-15), 3)
+        assert s == 0.0
+        assert failure is None
 
     def test_large_negative_variance_rejected(self):
-        _, s, [failure] = _moments(np.array([2.0]), np.array([1.0]), 3)
+        _, s, failure = _moments(2.0, 1.0, 3)
         assert failure is not None
         assert re.fullmatch("variance .* is negative beyond rounding", failure)
-        assert s.tolist() == [0.0]
+        assert s == 0.0
 
 
 class TestRayleighLower:
@@ -112,9 +103,9 @@ class TestRayleighLower:
 
 class TestOffdiagBounds:
     def test_corrected_single_arc_midpoint(self):
-        cols = _offdiag_columns(np.array([1.0]), 2, np.array([0.5]))
-        assert cols.values.tolist() == [[1.0], [0.0]]
-        lo, hi = cols.rows
+        values, _, _ = _offdiag(1.0, 2, 0.5)
+        assert values == (1.0, 0.0)
+        lo, hi = _OFFDIAG.rows
         assert lo.kind is BoundKind.LOWER and lo.target is BoundTarget.MU_1
         assert hi.kind is BoundKind.UPPER and hi.target is BoundTarget.MU_N
 
@@ -157,9 +148,9 @@ class TestOffdiagBounds:
     def test_literal_coincides_with_corrected_at_alpha_zero(self, c3):
         # max off-diagonal modulus is 1 at alpha = 0, so the forms match
         stats = graph_stats(c3)
-        literal = _unit_columns(stats, np.array([0.0])).values
-        corrected = _offdiag_columns(np.array([0.0]), stats.n, np.array([1.0])).values
-        assert literal.tolist() == corrected.tolist()
+        literal, _, _ = _unit(stats, 0.0)
+        corrected, _, _ = _offdiag(0.0, stats.n, 1.0)
+        assert literal == corrected
 
 
 class TestWolkowiczExtremes:
@@ -174,8 +165,8 @@ class TestWolkowiczExtremes:
         assert lon == pytest.approx(-2.0, abs=1e-12)
 
     def test_zero_variance_collapses_to_mean(self):
-        four = _wolkowicz_columns(np.array([2.5]), np.array([0.0]), 5).values
-        assert four.tolist() == [[2.5]] * 4
+        four, _, _ = _wolkowicz(2.5, 0.0, 5)
+        assert four == (2.5,) * 4
 
     def test_not_applicable_at_single_vertex(self):
         assert _states(_report(ONE_VERTEX, 0.0), *_WOLKOWICZ) == {NEEDS_TWO}
@@ -304,13 +295,13 @@ class TestRhoSandwich:
 
     def test_general_beta_uses_one_third(self):
         # mu_1 = 1 and rho = 3, as for the spectrum (1, -3)
-        cols, _ = _rho_columns([1.0], [3.0], BetaParam(1.0, 0.0))
-        assert cols.values[0, 0] == pytest.approx(1.0, abs=1e-15)
+        (values, _, _), _ = _rho(1.0, 3.0, BetaParam(1.0, 0.0))
+        assert values[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_spectrum_ratio_defined_as_one(self):
-        cols, ratio = _rho_columns([0.0], [0.0], OMEGA)
-        assert cols.values.tolist() == [[0.0]]
-        assert ratio == [1.0]
+        (values, _, _), ratio = _rho(0.0, 0.0, OMEGA)
+        assert values == (0.0,)
+        assert ratio == 1.0
 
 
 K3_TEXT = "3\n1 -- 2\n2 -- 3\n1 -- 3\n"

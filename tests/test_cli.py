@@ -17,7 +17,6 @@ import mixedspec.cli
 import mixedspec.graphs
 import mixedspec.harness
 import mixedspec.matrices
-from mixedspec.bounds import Columns
 from mixedspec.cli import csv_row, main, parse_grid, report_json
 from mixedspec.eig import Spectrum
 from mixedspec.graphs import parse_graph, random_mixed_graph
@@ -33,8 +32,8 @@ from mixedspec.matrices import BetaParam, omega_constant
 
 
 def _broken_rayleigh(stats, a, tr, beta):
-    """A falsely high rayleigh_mu1_lower at every point of a block."""
-    return Columns(mixedspec.bounds._RAYLEIGH, np.full((1, len(a)), 1e6))
+    """A falsely high rayleigh_mu1_lower at every point."""
+    return (1e6,), "", None
 
 
 C3_TEXT = "3\n1 -> 2\n2 -> 3\n3 -> 1\n"
@@ -256,7 +255,7 @@ class TestReport:
         assert ray["status"] == "NOT_APPLICABLE"
 
     def test_violated_bound_gives_exit_one(self, p2_file, capsys, monkeypatch):
-        monkeypatch.setattr(mixedspec.bounds, "_rayleigh_columns", _broken_rayleigh)
+        monkeypatch.setattr(mixedspec.bounds, "_rayleigh", _broken_rayleigh)
         code = main(["report", "--graph", p2_file, "--alpha", "0.5"])
         assert code == 1
         doc = json.loads(capsys.readouterr().out)
@@ -334,7 +333,7 @@ class TestSweep:
         assert mu1 == pytest.approx([1.0, 1.5, 2.0], abs=1e-9)
 
     def test_violated_bound_at_every_point_gives_exit_one(self, c3_file, capsys, monkeypatch):
-        monkeypatch.setattr(mixedspec.bounds, "_rayleigh_columns", _broken_rayleigh)
+        monkeypatch.setattr(mixedspec.bounds, "_rayleigh", _broken_rayleigh)
         code = main(["sweep", "--graph", c3_file, "--alpha", "0:1:0.5"])
         out = capsys.readouterr().out.splitlines()
         assert code == 1
@@ -390,23 +389,21 @@ class TestSweep:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failure_in_a_later_block_prints_nothing(self, c3_file, capsys, monkeypatch, fmt):
         # two points a block, so 0:1:0.25 runs as three blocks; the second
-        # block's second point (alpha = 0.75) gets tr(M^2) = 0 beside a
-        # positive trace, a spectral variance far below zero
+        # block's second point (alpha = 0.75), the fourth point scored, gets
+        # tr(M^2) = 0 beside a positive trace, a spectral variance far below zero
         monkeypatch.setattr(mixedspec.harness, "BLOCK_ENTRIES", 2 * 3 * mixedspec.harness.RAYLEIGH_SAMPLES)
         assert mixedspec.harness._block_len(3) == 2
-        real, blocks = mixedspec.bounds._moments, []
+        real, points = mixedspec.bounds._moments, []
 
         def broken(tr, tr2, n):
-            blocks.append(tr)
-            if len(blocks) == 2:
-                tr2 = tr2.copy()
-                tr2[1] = 0.0
-            return real(tr, tr2, n)
+            points.append(tr)
+            return real(tr, 0.0 if len(points) == 4 else tr2, n)
 
         monkeypatch.setattr(mixedspec.bounds, "_moments", broken)
         code = main(["sweep", "--graph", c3_file, "--alpha", "0:1:0.25", "--format", fmt])
         captured = capsys.readouterr()
-        assert len(blocks) == 2
+        # two blocks were scored, and the third never was
+        assert len(points) == 4
         assert code == 1
         # the first block verified, yet a failing sweep prints no partial output
         assert captured.out == ""
@@ -614,7 +611,7 @@ class TestCheck:
         assert main(["check", "--trials", "5", "--min-n", "9", "--max-n", "3"]) == 2
 
     def test_violations_force_exit_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(mixedspec.bounds, "_rayleigh_columns", _broken_rayleigh)
+        monkeypatch.setattr(mixedspec.bounds, "_rayleigh", _broken_rayleigh)
         code = main(["check", "--trials", "5", "--seed", "3"])
         assert code == 1
         doc = json.loads(capsys.readouterr().out)
@@ -624,7 +621,7 @@ class TestCheck:
     def test_summary_keys_match_readme_schema(self, capsys, monkeypatch):
         top, _ = _readme_schema_keys("- summary:")
         record, _ = _readme_schema_keys("- each `violations` entry:")
-        monkeypatch.setattr(mixedspec.bounds, "_rayleigh_columns", _broken_rayleigh)
+        monkeypatch.setattr(mixedspec.bounds, "_rayleigh", _broken_rayleigh)
         assert main(["check", "--trials", "2", "--seed", "3"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert list(doc) == [f.name for f in dataclasses.fields(SuiteSummary)]
@@ -636,7 +633,7 @@ class TestCheck:
     def test_violations_document_pinned(self, capsys, monkeypatch):
         # the golden check files hold no violation record; this one pins the
         # record's keys, their order and the values of 8 records
-        monkeypatch.setattr(mixedspec.bounds, "_rayleigh_columns", _broken_rayleigh)
+        monkeypatch.setattr(mixedspec.bounds, "_rayleigh", _broken_rayleigh)
         code = main(["check", "--trials", "8", "--seed", "11", "--min-n", "1", "--max-n", "4"])
         expected = (DATA / "check_8_seed11_n1_4_violations.json").read_text(encoding="utf-8")
         assert code == 1
@@ -644,13 +641,10 @@ class TestCheck:
 
     def test_reference_pair_violations_exit_one(self, capsys, monkeypatch):
         # the README's rule: every subcommand exits 1 on any VIOLATED status
-        real = mixedspec.bounds._unit_columns
-
         def violated(stats, a):
-            values = np.repeat([[1e6], [-1e6]], len(a), axis=1)
-            return real(stats, a)._replace(values=values, applicable=True, note="")
+            return (1e6, -1e6), "", None
 
-        monkeypatch.setattr(mixedspec.bounds, "_unit_columns", violated)
+        monkeypatch.setattr(mixedspec.bounds, "_unit", violated)
         code = main(["check", "--trials", "5", "--seed", "3"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 1

@@ -2,8 +2,9 @@
 blend parameter has one form in every public signature, and every public
 exception, like every raise in the package, belongs to one of the two
 families the CLI maps to an exit code, every module uses each name it
-imports, every public function is on the package's own verified path, and
-the harness reaches the catalog through one entry point."""
+imports, every public function is on the package's own verified path, the
+harness reaches the catalog through one entry point, and the catalog uses
+no NumPy."""
 
 import ast
 import importlib
@@ -149,3 +150,11 @@ def test_harness_reads_the_catalog_through_score_block():
     rows = [n for n in ast.walk(harness) if isinstance(n, ast.Name) and n.id == "Row"]
     assert rows
     assert all(id(n) in annotated for n in rows)
+
+
+def test_bounds_imports_nothing_from_numpy():
+    # the catalog is scored in plain Python floats, point by point; the
+    # project runs no linter, so this keeps NumPy out of it
+    package = Path(mixedspec.__file__).parent
+    bounds = ast.parse((package / "bounds.py").read_text(encoding="utf-8"))
+    assert _imported_from(bounds, "numpy") == set()

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 import mixedspec.bounds
 import mixedspec.harness
 from conftest import CatalogRow, catalog_row
-from mixedspec.bounds import BoundKind, BoundTarget, Columns, Row, _moments, _score, score_block
+from mixedspec.bounds import BoundKind, BoundTarget, Row, _moments, _Plan, _scored, score_block
 from mixedspec.eig import Spectrum, SpectrumStack
 from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph
 from mixedspec.harness import (
@@ -45,25 +45,30 @@ OMEGA = omega_constant()
 GRAPH_N16 = Path(__file__).parent / "data" / "graph_n16.mg"
 
 
-def _check_bound(columns, spec, stats):
-    """Score a one-row family at one point through the columnar ``_score``."""
+def _check_bound(one, spec):
+    """Score a one-row family at one point through the per-point ``_scored``,
+    with a plan of that one row, whose actual value is mu_1 or mu_n."""
+    row, family, missing = one
     v = spec.values
-    head = np.array([[v[0] - v[-1]], [sum(map(abs, v))], [stats.zagreb]])
-    rows, [point] = _score([columns], np.array([v]), head)
-    assert rows == columns.rows
-    [checked] = map(CatalogRow, rows, *point)
+    source = 0 if row.target is BoundTarget.MU_1 else len(v) - 1
+    plan = _Plan((row,), (source,), (row.kind is BoundKind.LOWER,), missing)
+    [checked] = map(CatalogRow, plan.rows, *_scored(plan, [family], list(v)))
     return checked
 
 
-def _one(kind, target, bound, *flags):
-    """A one-row family named x with this bound (None for no value) at one
-    point, and Columns' note, applicable and expected_fail as given."""
-    return Columns((Row("x", kind, target),), None if bound is None else np.array([[bound]]), *flags)
+def _one(kind, target, bound, note="", status=None):
+    """A one-row family named x at one point: its row, the family with this
+    bound, note and status, and the plan's missing rows. A bound of None is
+    a row that the order premise removes: NaN until ``_scored`` blanks it."""
+    row = Row("x", kind, target)
+    if bound is None:
+        return row, ((math.nan,), note, Status.NOT_APPLICABLE), (0,)
+    return row, ((bound,), note, status), ()
 
 
 def _broken_rayleigh(stats, a, tr, beta):
-    """A falsely high rayleigh_mu1_lower at every point of a block."""
-    return Columns(mixedspec.bounds._RAYLEIGH, np.full((1, len(a)), 1e6))
+    """A falsely high rayleigh_mu1_lower at every point."""
+    return (1e6,), "", None
 
 
 class TestVerifyAll:
@@ -133,22 +138,19 @@ class TestVerifyAll:
 class TestStatusAssignment:
     def test_lower_bound_slack_sign(self):
         spec = Spectrum((2.0, 0.0))
-        stats = graph_stats(parse_graph("2\n1 -> 2\n"))
-        ok = _check_bound(_one(BoundKind.LOWER, BoundTarget.MU_1, 1.5), spec, stats)
+        ok = _check_bound(_one(BoundKind.LOWER, BoundTarget.MU_1, 1.5), spec)
         assert ok.status is Status.HOLDS and ok.slack == 0.5
-        bad = _check_bound(_one(BoundKind.LOWER, BoundTarget.MU_1, 2.5), spec, stats)
+        bad = _check_bound(_one(BoundKind.LOWER, BoundTarget.MU_1, 2.5), spec)
         assert bad.status is Status.VIOLATED and bad.slack == -0.5
 
     def test_upper_bound_slack_sign(self):
         spec = Spectrum((2.0, 0.0))
-        stats = graph_stats(parse_graph("2\n1 -> 2\n"))
-        ok = _check_bound(_one(BoundKind.UPPER, BoundTarget.MU_N, 0.25), spec, stats)
+        ok = _check_bound(_one(BoundKind.UPPER, BoundTarget.MU_N, 0.25), spec)
         assert ok.status is Status.HOLDS and ok.slack == 0.25
 
     def test_tolerance_absorbs_rounding(self):
         spec = Spectrum((1.0,))
-        stats = graph_stats(parse_graph("1\n"))
-        near = _check_bound(_one(BoundKind.LOWER, BoundTarget.MU_1, 1.0 + 5e-10), spec, stats)
+        near = _check_bound(_one(BoundKind.LOWER, BoundTarget.MU_1, 1.0 + 5e-10), spec)
         assert near.status is Status.HOLDS
 
     @staticmethod
@@ -171,21 +173,19 @@ class TestStatusAssignment:
 
     def test_inapplicable_without_value(self):
         spec = Spectrum((1.0,))
-        stats = graph_stats(parse_graph("1\n"))
-        na = _check_bound(_one(BoundKind.LOWER, BoundTarget.MU_1, None, "no"), spec, stats)
+        na = _check_bound(_one(BoundKind.LOWER, BoundTarget.MU_1, None, "no"), spec)
         assert na.status is Status.NOT_APPLICABLE
         assert na.slack is None
         assert na.note == "no"
 
     def test_literal_name_maps_to_expected_fail_only_with_positive_alpha(self):
         spec = Spectrum((1.0, -1.0))
-        stats = graph_stats(parse_graph("2\n1 -> 2\n"))
         row = Row("unit_offdiag_mu1_lower", BoundKind.LOWER, BoundTarget.MU_1)
-        flagged = Columns((row,), np.array([[1.5]]), "premise", False, True)
-        assert _check_bound(flagged, spec, stats).status is Status.EXPECTED_FAIL
-        # the flag decides, not the name
-        unflagged = flagged._replace(expected_fail=False)
-        assert _check_bound(unflagged, spec, stats).status is Status.NOT_APPLICABLE
+        flagged = (row, ((1.5,), "premise", Status.EXPECTED_FAIL), ())
+        assert _check_bound(flagged, spec).status is Status.EXPECTED_FAIL
+        # the family's status decides, not the name
+        unflagged = (row, ((1.5,), "premise", Status.NOT_APPLICABLE), ())
+        assert _check_bound(unflagged, spec).status is Status.NOT_APPLICABLE
 
 
 class TestRayleighRangeCheck:
@@ -574,36 +574,33 @@ class TestStackedFailures:
             sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
 
     # tr(M^2) = 0 beside a positive trace puts the spectral variance
-    # tr2/n - r^2, and the trace-norm bracket n*tr2 - tr^2, far below zero
-    @staticmethod
-    def zero(tr2, point):
-        if len(tr2) > point:
-            tr2 = tr2.copy()
-            tr2[point] = 0.0
-        return tr2
+    # tr2/n - r^2, and the trace-norm bracket n*tr2 - tr^2, far below zero.
+    # The families see one point at a time, told apart by its closed-form
+    # trace 2*alpha*m
+    def trace_at(self, point):
+        return expected_traces(self.G.stats, self.GRID[point])[0]
 
     def break_variance_at(self, monkeypatch, point):
-        real = mixedspec.bounds._moments
+        real, broken_tr = mixedspec.bounds._moments, self.trace_at(point)
         monkeypatch.setattr(
-            mixedspec.bounds, "_moments", lambda tr, tr2, n: real(tr, self.zero(tr2, point), n)
+            mixedspec.bounds, "_moments", lambda tr, tr2, n: real(tr, 0.0 if tr == broken_tr else tr2, n)
         )
 
     def break_bracket_at(self, monkeypatch, point):
-        real = mixedspec.bounds._trace_norm_columns
+        real, broken_tr = mixedspec.bounds._trace_norm, self.trace_at(point)
 
         def broken(stats, a, tr, tr2):
-            return real(stats, a, tr, self.zero(tr2, point))
+            return real(stats, a, tr, 0.0 if tr == broken_tr else tr2)
 
-        monkeypatch.setattr(mixedspec.bounds, "_trace_norm_columns", broken)
+        monkeypatch.setattr(mixedspec.bounds, "_trace_norm", broken)
 
     def test_variance_clamp_fails_its_point(self, monkeypatch):
         self.break_variance_at(monkeypatch, self.MID)
         assert len(sweep_alpha(self.G, self.GRID[: self.MID], self.BETA, seed=2)) == self.MID
         with pytest.raises(VerificationError, match="variance .* is negative beyond rounding") as swept:
             sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
-        tr, _ = expected_traces(self.G.stats, self.GRID[self.MID])
         # _moments is the family function as imported, before the patch
-        _, _, [failure] = _moments(np.array([tr]), np.array([0.0]), self.G.n)
+        _, _, failure = _moments(self.trace_at(self.MID), 0.0, self.G.n)
         assert str(swept.value) == failure
 
     def test_bracket_clamp_fails_its_point(self, monkeypatch):
@@ -658,17 +655,20 @@ class TestMonotoneInAlpha:
             found += [(j, grid[i], grid[i + 1]) for j, (x, y) in enumerate(pairs, 1) if y < x - limit]
         return found
 
+    # the fixed grid, merged with up to 6 drawn alphas, which may fall
+    # arbitrarily close to a grid point or to each other
     @given(
         st.integers(1, 12),
         st.floats(0.0, 1.0),
         st.floats(0.0, 1.0),
         st.integers(0, 2**32 - 1),
         st.one_of(st.none(), st.floats(-math.pi / 2, math.pi / 2)),
+        st.lists(st.floats(0.0, 1.0), max_size=6),
     )
-    def test_every_mu_j_non_decreasing(self, n, edge_prob, orient_prob, seed, angle):
+    def test_every_mu_j_non_decreasing(self, n, edge_prob, orient_prob, seed, angle, drawn):
         g = random_mixed_graph(n, edge_prob, orient_prob, seed)
         beta = OMEGA if angle is None else BetaParam.from_angle(angle)
-        assert self.drops(g, self.GRID, beta) == []
+        assert self.drops(g, sorted({*self.GRID, *drawn}), beta) == []
 
     def test_reversed_grid_is_caught(self, c3):
         # negative control: on the grid run backwards every mu_j of the
@@ -702,7 +702,7 @@ class TestRandomizedSuite:
 
     def test_violation_record_carries_reproduction_data(self, monkeypatch):
         # force a falsely high lower bound to exercise the reporting path
-        monkeypatch.setattr(mixedspec.bounds, "_rayleigh_columns", _broken_rayleigh)
+        monkeypatch.setattr(mixedspec.bounds, "_rayleigh", _broken_rayleigh)
         summary = randomized_suite(SweepConfig(trials=5, seed=3))
         assert summary.violated_count > 0
         rec = summary.violations[0]
@@ -760,7 +760,7 @@ class TestReportShape:
     def test_violated_and_checked_views(self, p2, monkeypatch):
         # the benchmark's workloads read c.status from checked and
         # c.result.name from violated
-        monkeypatch.setattr(mixedspec.bounds, "_rayleigh_columns", _broken_rayleigh)
+        monkeypatch.setattr(mixedspec.bounds, "_rayleigh", _broken_rayleigh)
         report = verify_all(p2, 0.5, OMEGA)
         assert [c.result.name for c in report.violated] == ["rayleigh_mu1_lower"]
         columns = (report.rows, report.bounds, report.actuals, report.slacks, report.statuses, report.notes)
