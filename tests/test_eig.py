@@ -20,7 +20,7 @@ from mixedspec.eig import (
     oracle_eigenvalues,
 )
 from mixedspec.graphs import MixedGraph, parse_graph, random_mixed_graph
-from mixedspec.harness import ORACLE_RTOL, verify_all
+from mixedspec.harness import ORACLE_RTOL, sweep_alpha, verify_all
 from mixedspec.matrices import BetaParam, HermitianStack, a_alpha_stack, omega_constant
 
 OMEGA = omega_constant()
@@ -541,9 +541,8 @@ class TestBlendFamilyStructure:
     """Order facts of the family alpha -> A_alpha. With |beta| = 1, both
     D + H and D - H are sums of one PSD term |x_u +- h x_v|^2 per edge or
     arc, so A_alpha = (1 - alpha)(D + H) + (2 alpha - 1) D is PSD for
-    alpha >= 1/2, and dA_alpha/dalpha = D - H is PSD (each mu_j is then
-    non-decreasing in alpha: ``test_harness.TestMonotoneInAlpha``). Each
-    tolerance is the oracle agreement limit ORACLE_RTOL * ||M||_F."""
+    alpha >= 1/2, and dA_alpha/dalpha = D - H is PSD. Each tolerance is the
+    oracle agreement limit ORACLE_RTOL * ||M||_F."""
 
     any_beta = st.one_of(st.just(OMEGA), betas)
 
@@ -551,6 +550,15 @@ class TestBlendFamilyStructure:
     def test_psd_from_alpha_one_half(self, g, alpha, beta):
         m = a_alpha_stack(g, [alpha], beta)
         assert solve(m).mu_min >= -ORACLE_RTOL * frobenius_norm(m)
+
+    @given(mixed_graphs, st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8), any_beta)
+    def test_every_eigenvalue_non_decreasing_in_alpha(self, g, grid, beta):
+        grid = sorted(grid)
+        spectra = [np.array(r.spectrum.values) for r in sweep_alpha(g, grid, beta)]
+        norms = [math.sqrt(t) for t in a_alpha_stack(g, grid, beta).traces_of_square()]
+        for i in range(len(grid) - 1):
+            limit = ORACLE_RTOL * max(norms[i], norms[i + 1])
+            assert np.all(spectra[i + 1] >= spectra[i] - limit)
 
     @given(mixed_graphs, st.floats(0.0, 1.0), any_beta)
     def test_radius_at_most_that_of_underlying_graph(self, g, alpha, beta):
