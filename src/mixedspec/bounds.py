@@ -264,6 +264,8 @@ def score_block(
     failure: the spectral variance's before the trace-norm bracket's."""
     n = stats.n
     plan, zagreb, points, failures = _plan(n), float(stats.zagreb), [], []
+    # the one family that depends on the graph alone
+    zagreb_index = _zagreb_index(stats) if n >= _ZAGREB_INDEX.least else _absent(_ZAGREB_INDEX)
     columns = zip(alphas, closed_forms, trace, offdiag, spectra.tolist())
     for a, (tr, tr2), trace_a, offdiag_a, values in columns:
         r, s, failure = _moments(tr, tr2, n)
@@ -291,7 +293,7 @@ def score_block(
             norm_family,
             _spread(s, n) if n >= _SPREAD.least else _absent(_SPREAD),
             _spread_zagreb(t, n) if n >= _SPREAD_ZAGREB.least else _absent(_SPREAD_ZAGREB),
-            _zagreb_index(stats) if n >= _ZAGREB_INDEX.least else _absent(_ZAGREB_INDEX),
+            zagreb_index,
             rho_family,
         ]
         values += (spread, trace_norm, zagreb)

@@ -162,7 +162,7 @@ def csv_row(report: BoundReport, beta_arg: float) -> str:
 
 
 def _read_graph(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_graph(fh.read())
 
 

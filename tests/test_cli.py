@@ -207,6 +207,15 @@ class TestReport:
         bad.write_text("2\n1 -- 1\n")
         assert main(["report", "--graph", str(bad)]) == 2
 
+    def test_leading_byte_order_mark_is_skipped(self, c3_file, tmp_path, capsys):
+        marked = tmp_path / "c3_bom.mg"
+        marked.write_text(C3_TEXT, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main(["report", "--graph", c3_file]) == 0
+        plain = capsys.readouterr()
+        assert main(["report", "--graph", str(marked)]) == 0
+        assert capsys.readouterr() == plain
+
     def test_grid_alpha_rejected(self, c3_file, capsys):
         assert main(["report", "--graph", c3_file, "--alpha", "0:1:0.5"]) == 2
         captured = capsys.readouterr()

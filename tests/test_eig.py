@@ -387,6 +387,32 @@ class TestUnconfirmedMoments:
             failures = _check_moments(np.array([values]), [tr], [tr2], "route", [None])
         assert failures[0] is not None and failures[0].startswith("route: eigenvalue")
 
+    # diag(100, 0, -100): the trace is 0, so the sum's limit is MOMENT_RTOL
+    # itself, and moving the zero eigenvalue by about that much leaves the
+    # square sum and the oracle's enclosure far inside their limits
+    SPREAD_OUT = HermitianStack(np.diag([100.0, 0.0, -100.0]).astype(complex)[None])
+
+    @pytest.mark.parametrize(
+        "route, solver, label",
+        [(eigenvalues, "eigvalsh", "zheevd"), (oracle_eigenvalues, "eigh", "oracle")],
+        ids=["primary", "oracle"],
+    )
+    def test_sum_tolerance_pinned_from_both_sides(self, monkeypatch, route, solver, label):
+        # MOMENT_RTOL = 1e-8, written out so that a changed tolerance fails: a
+        # sum off its trace by twice the limit fails, by half of it is rounding
+        real = getattr(np.linalg, solver)
+        for gap, fails in ((2e-8, True), (0.5e-8, False)):
+            moved = np.array([0.0, gap, 0.0])  # LAPACK's order is ascending
+            if solver == "eigh":
+                monkeypatch.setattr(np.linalg, solver, lambda a: (real(a)[0] + moved, real(a)[1]))
+            else:
+                monkeypatch.setattr(np.linalg, solver, lambda a: real(a) + moved)
+            if fails:
+                with pytest.raises(VerificationError, match=f"^{label}: eigenvalue sum "):
+                    solve(self.SPREAD_OUT, route)
+            else:
+                assert solve(self.SPREAD_OUT, route).values == (100.0, gap, -100.0)
+
 
 class TestKernelProperties:
     @given(hermitians)

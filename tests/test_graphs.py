@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from mixedspec.graphs import (
     serialize_graph,
     zagreb_lower_bound,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 @st.composite
@@ -272,6 +275,56 @@ def _expected_outcome(text):
     return _outcome(_reference_parse_graph, text)
 
 
+PLAIN_BLANKS = ("", " ", "\t", " \t ")
+PLAIN_SEPARATORS = (" ", "\t", "  ", "\t ")
+PLAIN_COMMENTS = ("", "#", " # c", "#1 -- 2", "# \u00e9\t\u0663 -> x")
+
+
+@st.composite
+def plain_graph_texts(draw):
+    """Edge-list text for a random graph in the plain alphabet: newline
+    line ends, space or tab blanks, leading zeros, blank lines and comments,
+    and, half the time, one line inserted or replaced by a plain bad line."""
+    g = draw(graphs())
+    edges = [("--", i, j) for i, j in g.undirected] + [("->", t, h) for t, h in g.arcs]
+    edges = draw(st.permutations(edges))
+    blank, comment = st.sampled_from(PLAIN_BLANKS), st.sampled_from(PLAIN_COMMENTS)
+
+    def label(v):
+        return draw(st.sampled_from(["", "0", "00"])) + str(v)
+
+    lines = draw(st.lists(st.sampled_from(["", " ", "# c", "\t#"]), max_size=2))
+    lines.append(draw(blank) + label(g.n) + draw(blank) + draw(comment))
+    for op, a, b in edges:
+        if op == "--" and draw(st.booleans()):
+            a, b = b, a
+        sep = st.sampled_from(PLAIN_SEPARATORS)
+        tokens = [draw(blank), label(a + 1), draw(sep), op, draw(sep), label(b + 1), draw(blank)]
+        lines.append("".join(tokens) + draw(comment))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(blank) + draw(comment))
+    if draw(st.booleans()):
+        near = st.integers(0, g.n + 1).map(str)
+        choices = [
+            st.sampled_from(["1 -- 2 3", "1 --2", "1- 2", "1 - 2", "1 --> 2", "1 >- 2", "-- 1 2",
+                             "-1 -- 2", "1 -> -2", "3", "--", "1 2 3", "1" * 19 + " -- 1"]),
+            st.builds("{} {} {}".format, near, st.sampled_from(["--", "->"]), near),
+        ]
+        if edges:
+            # the underlying pair of an edge already given, either way round
+            pair = st.sampled_from(edges).flatmap(lambda e: st.permutations(e[1:]))
+            choices.append(st.builds("{0[0]} {1} {0[1]}".format, pair.map(lambda p: (p[0] + 1, p[1] + 1)),
+                                     st.sampled_from(["--", "->"])))
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at + draw(st.integers(0, 1))] = [draw(st.one_of(choices))]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+def _walker_spy():
+    """A patch that records the line walker's calls and still walks."""
+    return mock.patch.object(mixedspec.graphs, "_walk_lines", wraps=mixedspec.graphs._walk_lines)
+
+
 class TestParseMatchesReference:
     @given(graph_texts())
     @settings(max_examples=300)
@@ -283,6 +336,81 @@ class TestParseMatchesReference:
             assert got.edge_index.tolist() == _reference_index(want.undirected)
             assert got.arc_index.tolist() == _reference_index(want.arcs)
             assert not (got.edge_index.flags.writeable or got.arc_index.flags.writeable)
+
+    @given(plain_graph_texts())
+    @settings(max_examples=300)
+    def test_plain_text_takes_byte_path(self, text):
+        # every graph comes from the byte columns; every message from the walker
+        with _walker_spy() as walker:
+            got = _outcome(parse_graph, text)
+        want = _expected_outcome(text)
+        assert got == want
+        assert walker.called == isinstance(want, str)
+        if isinstance(want, MixedGraph):
+            assert got.edge_index.tolist() == _reference_index(want.undirected)
+            assert got.arc_index.tolist() == _reference_index(want.arcs)
+            assert not (got.edge_index.flags.writeable or got.arc_index.flags.writeable)
+
+
+class TestBytePath:
+    """Which texts the byte columns read and which the line walker reads."""
+
+    @staticmethod
+    def refuse_to_walk(text):
+        raise AssertionError(f"walked {text!r}")
+
+    def test_data_files_take_byte_path(self, monkeypatch):
+        monkeypatch.setattr(mixedspec.graphs, "_walk_lines", self.refuse_to_walk)
+        paths = sorted(DATA.glob("*.mg"))
+        assert paths
+        for path in paths:
+            parse_graph(path.read_text(encoding="utf-8"))
+
+    @given(graphs())
+    def test_serialized_graphs_take_byte_path(self, g):
+        with mock.patch.object(mixedspec.graphs, "_walk_lines", self.refuse_to_walk):
+            assert parse_graph(serialize_graph(g)) == g
+
+    @pytest.mark.parametrize(
+        "text",
+        ["3\n+1 -- 2\n", "3\n\u0663 -- 1\n", "3\r\n1 -- 2\r\n", "3\n1_0 -- 2\n", "3\n1 -- 2\x0b\n"],
+        ids=["sign", "arabic-indic-digit", "crlf", "underscore", "vertical-tab"],
+    )
+    def test_lenient_spellings_are_walked(self, text):
+        with _walker_spy() as walker:
+            _outcome(parse_graph, text)
+        assert walker.called
+
+    @pytest.mark.parametrize("n", [mixedspec.graphs._KEYED_ORDER, mixedspec.graphs._KEYED_ORDER + 1, 10**17 + 3])
+    def test_index_arrays_at_wide_orders(self, n):
+        # labels up to n, whose pair keys first * n + second overflow int64
+        # above _KEYED_ORDER; "\r\n" line ends take the walker's columns
+        text = f"{n}\n{n} -> {n - 1}\n{n - 2} -- {n}\n1 -> {n - 2}\n2 -- 1\n"
+        duplicate = f"{n}\n{n} -- 1\n2 -- 1\n1 -> {n}\n"
+        for text in (text, text.replace("\n", "\r\n")):
+            got, want = parse_graph(text), _reference_parse_graph(text)
+            assert got == want
+            assert got.edge_index.tolist() == _reference_index(want.undirected)
+            assert got.arc_index.tolist() == _reference_index(want.arcs)
+        assert _outcome(parse_graph, duplicate) == _outcome(_reference_parse_graph, duplicate)
+
+    # Bad lines in the plain alphabet that each need one check of the byte
+    # columns: without it, they would be read as a graph.
+    @pytest.mark.parametrize(
+        "text",
+        ["30\n1> -- 2\n", "30\n2 -- 1-\n", "20\n> -- 2\n", "--\n", "3\n1 --2\n", "4\n1 -- 2 3 -- 4\n",
+         "3\n1 --\n2\n", "4\n1 -- 2 3\n-- 4\n", "3 1 -- 2\n", "3\n1 --> 2\n", "3\n1 >- 2\n",
+         "3\n1 >> 2\n", "40\n1 -5 2>\n"],
+        ids=["gt-in-label", "dash-in-label", "gt-as-label", "operator-as-count", "glued-label",
+             "six-tokens", "split-line", "operator-starts-line", "edge-on-count-line", "long-operator",
+             "reversed-arrow", "double-gt", "digit-in-operator"],
+    )
+    def test_plain_lookalikes_are_walked(self, text):
+        with _walker_spy() as walker:
+            got = _outcome(parse_graph, text)
+        assert walker.called
+        assert got == _expected_outcome(text)
+        assert isinstance(got, str)
 
 
 class TestStats:
@@ -447,7 +575,7 @@ class TestRandomGraph:
     def test_pinned_graphs(self):
         # captured from the one-draw-per-call sampler; every suite trial and
         # every golden check file rests on these exact graphs
-        path = Path(__file__).parent / "data" / "random_graphs.json"
+        path = DATA / "random_graphs.json"
         for case in json.loads(path.read_text(encoding="utf-8")):
             g = random_mixed_graph(case["n"], case["edge_prob"], case["orient_prob"], case["seed"])
             assert serialize_graph(g) == case["graph"], case

@@ -14,7 +14,7 @@ import mixedspec.bounds
 import mixedspec.harness
 from conftest import CatalogRow, catalog_row
 from mixedspec.bounds import BoundKind, BoundTarget, Row, _moments, _Plan, _scored, score_block
-from mixedspec.eig import Spectrum, SpectrumStack
+from mixedspec.eig import Spectrum, SpectrumStack, eigenvalues, oracle_eigenvalues
 from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph
 from mixedspec.harness import (
     BLOCK_ENTRIES,
@@ -205,6 +205,35 @@ class TestRayleighRangeCheck:
         monkeypatch.setattr(mixedspec.harness, "oracle_eigenvalues", lambda stack: fake)
         with pytest.raises(VerificationError, match=r"escaped \[mu_n, mu_1\]"):
             verify_all(c3, 0.0, OMEGA, rayleigh_seed=11)
+
+    @staticmethod
+    def verify_lowered(monkeypatch, drop):
+        """verify_all on undirected K_3 at alpha 0.5 (spectrum 2, 0.5, 0.5),
+        with every sampled z the top eigenvector, all ones, so that each form
+        is mu_1 = 2, and with both routes reporting mu_1 lowered by ``drop``.
+        The routes still agree and the moment identities hold to well within
+        their limit, so only the range check can object."""
+        k3 = parse_graph("3\n1 -- 2\n1 -- 3\n2 -- 3\n")
+        top = np.full((RAYLEIGH_SAMPLES, 3), 1 / math.sqrt(3), dtype=complex)
+        monkeypatch.setattr(mixedspec.harness, "_unit_vectors", lambda n, seed: top)
+        for route in (eigenvalues, oracle_eigenvalues):
+
+            def lowered(stack, route=route):
+                spectra = route(stack)
+                spectra.values[:, 0] -= drop
+                return spectra
+
+            monkeypatch.setattr(mixedspec.harness, route.__name__, lowered)
+        return verify_all(k3, 0.5, OMEGA)
+
+    def test_pad_pinned_from_both_sides(self, monkeypatch):
+        # RAYLEIGH_PAD = 1e-9, written out so that a changed pad fails: a form
+        # above the reported mu_1 by twice the pad escapes, by half of it is
+        # rounding
+        with pytest.raises(VerificationError, match=r"escaped \[mu_n, mu_1\]"):
+            self.verify_lowered(monkeypatch, 2e-9)
+        report = self.verify_lowered(monkeypatch, 0.5e-9)
+        assert report.spectrum.mu_max == pytest.approx(2.0 - 0.5e-9, abs=1e-14)
 
 
 class TestQuadraticForms:
