@@ -259,7 +259,7 @@ _KINDS = bytes(
     else _OPERATOR if c in b"->" else _OTHER
     for c in range(256)
 )
-# labels of up to 18 digits are below 2**63
+# a count or label of up to 18 digits is below 2**63
 _MAX_DIGITS = 18
 
 

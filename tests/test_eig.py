@@ -387,6 +387,8 @@ class TestUnconfirmedMoments:
             failures = _check_moments(np.array([values]), [tr], [tr2], "route", [None])
         assert failures[0] is not None and failures[0].startswith("route: eigenvalue")
 
+
+class TestMomentTolerance:
     # diag(100, 0, -100): the trace is 0, so the sum's limit is MOMENT_RTOL
     # itself, and moving the zero eigenvalue by about that much leaves the
     # square sum and the oracle's enclosure far inside their limits
@@ -403,10 +405,12 @@ class TestUnconfirmedMoments:
         real = getattr(np.linalg, solver)
         for gap, fails in ((2e-8, True), (0.5e-8, False)):
             moved = np.array([0.0, gap, 0.0])  # LAPACK's order is ascending
-            if solver == "eigh":
-                monkeypatch.setattr(np.linalg, solver, lambda a: (real(a)[0] + moved, real(a)[1]))
-            else:
-                monkeypatch.setattr(np.linalg, solver, lambda a: real(a) + moved)
+
+            def moving(a, moved=moved):
+                out = real(a)
+                return (out[0] + moved, out[1]) if solver == "eigh" else out + moved
+
+            monkeypatch.setattr(np.linalg, solver, moving)
             if fails:
                 with pytest.raises(VerificationError, match=f"^{label}: eigenvalue sum "):
                     solve(self.SPREAD_OUT, route)

@@ -400,10 +400,10 @@ class TestBytePath:
         "text",
         ["30\n1> -- 2\n", "30\n2 -- 1-\n", "20\n> -- 2\n", "--\n", "3\n1 --2\n", "4\n1 -- 2 3 -- 4\n",
          "3\n1 --\n2\n", "4\n1 -- 2 3\n-- 4\n", "3 1 -- 2\n", "3\n1 --> 2\n", "3\n1 >- 2\n",
-         "3\n1 >> 2\n", "40\n1 -5 2>\n"],
+         "3\n1 >> 2\n", "40\n1 -5 2>\n", "00\n"],
         ids=["gt-in-label", "dash-in-label", "gt-as-label", "operator-as-count", "glued-label",
              "six-tokens", "split-line", "operator-starts-line", "edge-on-count-line", "long-operator",
-             "reversed-arrow", "double-gt", "digit-in-operator"],
+             "reversed-arrow", "double-gt", "digit-in-operator", "zero-count"],
     )
     def test_plain_lookalikes_are_walked(self, text):
         with _walker_spy() as walker:
