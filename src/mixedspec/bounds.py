@@ -15,9 +15,9 @@ A row's applicability shows only in its ``Status``. ``score_block`` alone
 decides the order premise (n >= 2 or n >= 3); the premises that vary by point
 or by beta stay in their families, with the reason in the note. The
 ``unit_offdiag_*`` pair assumes every nonzero entry has modulus one, true only
-at alpha = 0, so it is EXPECTED_FAIL for alpha > 0. A variance negative
-beyond rounding is its point's failure, which the harness raises as
-VerificationError.
+at alpha = 0, so it is EXPECTED_FAIL for alpha > 0. Scoring raises nothing:
+n M1 >= (sum d)^2 = 4m^2 makes the variance and the trace-norm bracket >= 0,
+so their ``max(x, 0.0)`` only absorbs rounding.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Any, NamedTuple
 from .graphs import GraphStats, zagreb_lower_bound
 from .matrices import BetaParam
 
-VARIANCE_CLAMP_RTOL = 1e-12
 SLACK_TOL = 1e-9
 
 
@@ -97,19 +96,10 @@ _RHO = _Rows((Row("rho_sandwich", _LOWER, _MU_1),))
 Family = tuple[Sequence[float], str, "Status | None"]
 
 
-def _clamp(x: float, scale: float, message: str) -> tuple[float, str | None]:
-    """x, or 0 if cancellation took it below 0: below -VARIANCE_CLAMP_RTOL * scale, a failure."""
-    if x < 0.0:
-        return 0.0, message.format(x) if x < -VARIANCE_CLAMP_RTOL * scale else None
-    return x, None
-
-
-def _moments(tr: float, tr2: float, n: int) -> tuple[float, float, str | None]:
-    """The spectral mean r and deviation s, with the point's failure (see ``_clamp``)."""
+def _moments(tr: float, tr2: float, n: int) -> tuple[float, float]:
+    """The spectral mean r and deviation s."""
     r = tr / n
-    mean2, r2 = tr2 / n, r * r
-    s2, failure = _clamp(mean2 - r2, max(mean2, r2), "variance {} is negative beyond rounding")
-    return r, math.sqrt(s2), failure
+    return r, math.sqrt(max(tr2 / n - r * r, 0.0))
 
 
 def _rayleigh(stats: GraphStats, a: float, tr: float, beta: BetaParam) -> Family:
@@ -165,12 +155,11 @@ def _jth(r: float, s: float, factors: tuple[float, ...]) -> Family:
     return [r + s * f for f in factors], "", None
 
 
-def _trace_norm(stats: GraphStats, a: float, tr: float, tr2: float) -> tuple[Family, str | None]:
-    """From the closed-form traces ``tr`` and ``tr2``, with the point's failure (see ``_clamp``)."""
+def _trace_norm(stats: GraphStats, a: float, tr: float, tr2: float) -> Family:
+    """From the closed-form traces ``tr`` and ``tr2``."""
     n, m = stats.n, stats.m
-    ntr2, tr_sq = n * tr2, tr * tr
-    bracket, failure = _clamp(ntr2 - tr_sq, max(ntr2, tr_sq), "variance bracket {} negative beyond rounding")
-    return ((4.0 * a * m + 2.0 * math.sqrt((n - 1.0) * bracket),), "", None), failure
+    bracket = max(n * tr2 - tr * tr, 0.0)
+    return (4.0 * a * m + 2.0 * math.sqrt((n - 1.0) * bracket),), "", None
 
 
 def _spread(s: float, n: int) -> Family:
@@ -256,19 +245,18 @@ def _scored(plan: _Plan, families: list[Family], values: list[float]) -> tuple[t
 def score_block(
     stats: GraphStats, alphas: list[float], beta: BetaParam, closed_forms: list[tuple[float, float]],
     trace: list[float], offdiag: list[float], spectra: Any,
-) -> tuple[list[tuple], list[str | None]]:
+) -> list[tuple]:
     """Evaluate and score the catalog over a block of points with these closed-form
     traces (``expected_traces``), matrix traces, largest off-diagonal moduli and
     (k, n) NumPy array of spectra, rows non-increasing. Returns per point the
-    BoundReport fields after ``spectrum``, in field order, and each point's first
-    failure: the spectral variance's before the trace-norm bracket's."""
+    BoundReport fields after ``spectrum``, in field order."""
     n = stats.n
-    plan, zagreb, points, failures = _plan(n), float(stats.zagreb), [], []
+    plan, zagreb, points = _plan(n), float(stats.zagreb), []
     # the one family that depends on the graph alone
     zagreb_index = _zagreb_index(stats) if n >= _ZAGREB_INDEX.least else _absent(_ZAGREB_INDEX)
     columns = zip(alphas, closed_forms, trace, offdiag, spectra.tolist())
     for a, (tr, tr2), trace_a, offdiag_a, values in columns:
-        r, s, failure = _moments(tr, tr2, n)
+        r, s = _moments(tr, tr2, n)
         mu_1, mu_n = values[0], values[-1]
         rho, spread = max(abs(mu_1), abs(mu_n)), mu_1 - mu_n
         # a running sum left to right, which gives the bits of Python 3.11's
@@ -280,9 +268,6 @@ def score_block(
         # the order premise: a family is absent below the least order its
         # formula needs; the Zagreb-refined families share t
         t = _zagreb_variance_numerator(stats, a) if n >= _ZAGREB.least else None
-        norm_family, norm_failure = (
-            _trace_norm(stats, a, tr, tr2) if n >= _TRACE_NORM.least else (_absent(_TRACE_NORM), None)
-        )
         families = [
             _rayleigh(stats, a, tr, beta),
             _offdiag(trace_a, n, offdiag_a) if n >= _OFFDIAG.least else _absent(_OFFDIAG),
@@ -290,7 +275,7 @@ def score_block(
             _wolkowicz(r, s, n) if n >= _WOLKOWICZ.least else _absent(_WOLKOWICZ),
             _zagreb(r, t, n) if n >= _ZAGREB.least else _absent(_ZAGREB),
             _jth(r, s, plan.factors),
-            norm_family,
+            _trace_norm(stats, a, tr, tr2) if n >= _TRACE_NORM.least else _absent(_TRACE_NORM),
             _spread(s, n) if n >= _SPREAD.least else _absent(_SPREAD),
             _spread_zagreb(t, n) if n >= _SPREAD_ZAGREB.least else _absent(_SPREAD_ZAGREB),
             zagreb_index,
@@ -298,5 +283,4 @@ def score_block(
         ]
         values += (spread, trace_norm, zagreb)
         points.append((rho, spread, trace_norm, ratio, plan.rows, *_scored(plan, families, values)))
-        failures.append(failure or norm_failure)
-    return points, failures
+    return points

@@ -176,16 +176,16 @@ def oracle_eigenvalues(m: HermitianStack) -> SpectrumStack:
     """Eigenvalues by LAPACK zheevd with eigenvectors, certified in one
     batched pass by the residual enclosure of the module docstring: beta,
     with its gamma = 4(n + 3)u rounding, bounds |lambda_i(M) - w_i| for every
-    sorted i by Weyl's inequality. A matrix fails unless
-    eta = ||V*V - I||_F < 1 and beta <= ENCLOSURE_RTOL * ||M||_F, or on a
-    LAPACK failure or a broken moment identity; the failure is raised when
-    its row is read, as for ``eigenvalues``."""
+    sorted i by Weyl's inequality. A matrix fails unless beta <=
+    ENCLOSURE_RTOL * ||M||_F (at eta = ||V*V - I||_F >= 1, beta divides by
+    sqrt(1 - eta) and is NaN or +inf), on a LAPACK failure or on a broken
+    moment identity, raised when its row is read, as for ``eigenvalues``."""
     tr, tr2 = m.traces(), m.traces_of_square()
     (w, v), failures = _solve(np.linalg.eigh, m.data, "oracle")
     eta, beta = _enclosure(m.data, w, v, tr2)
     for i, failure in enumerate(failures):
         limit = ENCLOSURE_RTOL * math.sqrt(tr2[i])
-        if failure is None and not (eta[i] < 1.0 and beta[i] <= limit):
+        if failure is None and not beta[i] <= limit:
             failures[i] = (
                 f"oracle: residual enclosure {beta[i]:.3e} above its limit {limit:.3e}"
                 f" (||V*V - I||_F {eta[i]:.3e})"

@@ -398,26 +398,33 @@ class TestSweep:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failure_in_a_later_block_prints_nothing(self, c3_file, capsys, monkeypatch, fmt):
         # two points a block, so 0:1:0.25 runs as three blocks; the second
-        # block's second point (alpha = 0.75), the fourth point scored, gets
-        # tr(M^2) = 0 beside a positive trace, a spectral variance far below zero
-        monkeypatch.setattr(mixedspec.harness, "BLOCK_ENTRIES", 2 * 3 * mixedspec.harness.RAYLEIGH_SAMPLES)
-        assert mixedspec.harness._block_len(3) == 2
-        real, points = mixedspec.bounds._moments, []
+        # block's second point (alpha = 0.75), the fourth point checked, gets
+        # its arc-sum expansion shifted far beyond EXPANSION_TOL
+        harness = mixedspec.harness
+        monkeypatch.setattr(harness, "BLOCK_ENTRIES", 2 * 3 * harness.RAYLEIGH_SAMPLES)
+        assert harness._block_len(3) == 2
+        real_expansion, real_stack, blocks = harness._expansion_quadratic_form, harness.a_alpha_stack, []
 
-        def broken(tr, tr2, n):
-            points.append(tr)
-            return real(tr, 0.0 if len(points) == 4 else tr2, n)
+        def shifted(g, alphas, beta, z):
+            out = real_expansion(g, alphas, beta, z)
+            out[3] += 1e-3
+            return out
 
-        monkeypatch.setattr(mixedspec.bounds, "_moments", broken)
+        def counted(g, alphas, beta):
+            blocks.append(alphas)
+            return real_stack(g, alphas, beta)
+
+        monkeypatch.setattr(harness, "_expansion_quadratic_form", shifted)
+        monkeypatch.setattr(harness, "a_alpha_stack", counted)
         code = main(["sweep", "--graph", c3_file, "--alpha", "0:1:0.25", "--format", fmt])
         captured = capsys.readouterr()
-        # two blocks were scored, and the third never was
-        assert len(points) == 4
+        # two blocks were built, and the third never was
+        assert blocks == [[0.0, 0.25], [0.5, 0.75]]
         assert code == 1
         # the first block verified, yet a failing sweep prints no partial output
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("verification failure: variance ")
+        assert captured.err.startswith("verification failure: matrix build disagrees with the graph's arc-sum")
 
 
 def reference_dict(report: BoundReport) -> dict:

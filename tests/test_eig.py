@@ -3,6 +3,7 @@
 import functools
 import math
 import operator
+import re
 from pathlib import Path
 
 import numpy as np
@@ -187,8 +188,11 @@ class TestOracle:
             return w, 2.0 * v  # V*V - I = 3I, so the enclosure has no bound
 
         monkeypatch.setattr(np.linalg, "eigh", doubled)
-        with pytest.raises(VerificationError, match=r"\(\|\|V\*V - I\|\|_F 4\.243e\+00\)"):
+        with pytest.raises(VerificationError) as raised:
             solve(adjacency(p2), oracle_eigenvalues)
+        # eta = 3 sqrt(2) >= 1 makes beta NaN, and beta <= limit alone fails
+        message = r"oracle: residual enclosure nan above its limit \d\.\d{3}e-\d\d \(\|\|V\*V - I\|\|_F 4\.243e\+00\)"
+        assert re.fullmatch(message, str(raised.value))
 
     @given(hermitians)
     def test_enclosure_far_below_its_limit(self, m):

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 import mixedspec.bounds
 import mixedspec.harness
 from conftest import CatalogRow, catalog_row
-from mixedspec.bounds import BoundKind, BoundTarget, Row, _moments, _Plan, _scored, score_block
+from mixedspec.bounds import BoundKind, BoundTarget, Row, _Plan, _scored, score_block
 from mixedspec.eig import Spectrum, SpectrumStack, eigenvalues, oracle_eigenvalues
 from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph
 from mixedspec.harness import (
@@ -159,7 +159,7 @@ class TestStatusAssignment:
         alpha = 0, where its bound is the closed-form trace: a trace of
         ``shortfall`` against mu_1 = 0 is a slack of exactly -shortfall."""
         stats = graph_stats(parse_graph("1\n"))
-        [point], _ = score_block(stats, [0.0], OMEGA, [(shortfall, shortfall**2)], [0.0], [0.0], np.zeros((1, 1)))
+        [point] = score_block(stats, [0.0], OMEGA, [(shortfall, shortfall**2)], [0.0], [0.0], np.zeros((1, 1)))
         rows, slacks, statuses = point[4], point[7], point[8]
         assert rows[0].name == "rayleigh_mu1_lower"
         assert slacks[0] == -shortfall
@@ -167,9 +167,11 @@ class TestStatusAssignment:
 
     def test_slack_tolerance_pinned_from_both_sides(self):
         # SLACK_TOL = 1e-9, written out so that a changed tolerance fails: a
-        # slack of twice it is a violation, one of half of it is rounding
+        # slack of twice it is a violation, one of half of it is rounding,
+        # and one of exactly -1e-9 holds, as the README states
         assert self.rayleigh_status(2e-9) is Status.VIOLATED
         assert self.rayleigh_status(0.5e-9) is Status.HOLDS
+        assert self.rayleigh_status(1e-9) is Status.HOLDS
 
     def test_inapplicable_without_value(self):
         spec = Spectrum((1.0,))
@@ -207,33 +209,36 @@ class TestRayleighRangeCheck:
             verify_all(c3, 0.0, OMEGA, rayleigh_seed=11)
 
     @staticmethod
-    def verify_lowered(monkeypatch, drop):
-        """verify_all on undirected K_3 at alpha 0.5 (spectrum 2, 0.5, 0.5),
-        with every sampled z the top eigenvector, all ones, so that each form
-        is mu_1 = 2, and with both routes reporting mu_1 lowered by ``drop``.
-        The routes still agree and the moment identities hold to well within
-        their limit, so only the range check can object."""
-        k3 = parse_graph("3\n1 -- 2\n1 -- 3\n2 -- 3\n")
-        top = np.full((RAYLEIGH_SAMPLES, 3), 1 / math.sqrt(3), dtype=complex)
-        monkeypatch.setattr(mixedspec.harness, "_unit_vectors", lambda n, seed: top)
+    def verify_moved(monkeypatch, end, drop):
+        """verify_all on one undirected edge at alpha 0.5 (spectrum 1, 0),
+        with every sampled z the eigenvector of the spectrum's ``end`` (0:
+        (1, 1) of mu_1 = 1; -1: (1, -1) of mu_n = 0), so that each form is
+        that eigenvalue, and with both routes reporting it moved inward by
+        ``drop``. The routes still agree and the moment identities hold to
+        well within their limit, so only the range check can object."""
+        k2 = parse_graph("2\n1 -- 2\n")
+        z = np.full((RAYLEIGH_SAMPLES, 2), 1 / math.sqrt(2), dtype=complex)
+        z[:, 1] *= 1 if end == 0 else -1
+        monkeypatch.setattr(mixedspec.harness, "_unit_vectors", lambda n, seed: z)
         for route in (eigenvalues, oracle_eigenvalues):
 
-            def lowered(stack, route=route):
+            def moved(stack, route=route):
                 spectra = route(stack)
-                spectra.values[:, 0] -= drop
+                spectra.values[:, end] += drop if end else -drop
                 return spectra
 
-            monkeypatch.setattr(mixedspec.harness, route.__name__, lowered)
-        return verify_all(k3, 0.5, OMEGA)
+            monkeypatch.setattr(mixedspec.harness, route.__name__, moved)
+        return verify_all(k2, 0.5, OMEGA)
 
     def test_pad_pinned_from_both_sides(self, monkeypatch):
         # RAYLEIGH_PAD = 1e-9, written out so that a changed pad fails: a form
-        # above the reported mu_1 by twice the pad escapes, by half of it is
-        # rounding
-        with pytest.raises(VerificationError, match=r"escaped \[mu_n, mu_1\]"):
-            self.verify_lowered(monkeypatch, 2e-9)
-        report = self.verify_lowered(monkeypatch, 0.5e-9)
-        assert report.spectrum.mu_max == pytest.approx(2.0 - 0.5e-9, abs=1e-14)
+        # beyond the reported mu_1 or mu_n by twice the pad escapes, by half
+        # of it is rounding
+        for end, value in ((0, 1.0 - 0.5e-9), (-1, 0.5e-9)):
+            with pytest.raises(VerificationError, match=r"escaped \[mu_n, mu_1\]"):
+                self.verify_moved(monkeypatch, end, 2e-9)
+            report = self.verify_moved(monkeypatch, end, 0.5e-9)
+            assert report.spectrum.values[end] == pytest.approx(value, abs=1e-14)
 
 
 class TestQuadraticForms:
@@ -324,6 +329,21 @@ class TestExpansionCrossCheck:
         assert np.allclose(np.linalg.norm(z, axis=1), 1.0, rtol=0, atol=1e-14)
 
 
+class TestTraceCheck:
+    """tr(M) is checked to TRACE_TOL against its closed form 2 alpha m."""
+
+    def test_tolerance_pinned_from_both_sides(self, c3, monkeypatch):
+        # TRACE_TOL = 1e-9, written out so that a changed tolerance fails: a
+        # trace off by twice it fails, one off by half of it is rounding; both
+        # are far inside the eigen routes' own moment limit of 1e-8 * tr
+        real = HermitianStack.traces
+        monkeypatch.setattr(HermitianStack, "traces", lambda s: [v + 2e-9 for v in real(s)])
+        with pytest.raises(VerificationError, match=r"^trace .* != closed form 3\.0 beyond 1e-09$"):
+            verify_all(c3, 0.5, OMEGA)
+        monkeypatch.setattr(HermitianStack, "traces", lambda s: [v + 0.5e-9 for v in real(s)])
+        verify_all(c3, 0.5, OMEGA)
+
+
 class TestTraceOfSquareCheck:
     """tr(M^2) is checked to TRACE_TOL or 64 ulps of its closed form, whichever is larger."""
 
@@ -359,6 +379,18 @@ class TestTraceOfSquareCheck:
         self.shift_trace_of_square(monkeypatch, 2 * TRACE_TOL)
         with pytest.raises(VerificationError, match=r"tr\(M\^2\) .* beyond 1e-09"):
             verify_all(c3, 0.5, OMEGA)
+
+    def test_closed_form_missing_half_its_edge_term_raises(self, monkeypatch):
+        # a closed form wrong in its (1 - alpha)^2 * 2m term, here halved, is
+        # the one way the clamped variance could fall below 0; the tr(M^2)
+        # check raises at the point before its bounds reach a report
+        def halved(stats, alpha):
+            return 2.0 * alpha * stats.m, alpha * alpha * stats.zagreb + (1.0 - alpha) ** 2 * stats.m
+
+        monkeypatch.setattr(mixedspec.harness, "expected_traces", halved)
+        g = parse_graph(GRAPH_N16.read_text(encoding="utf-8"))
+        with pytest.raises(VerificationError, match=r"tr\(M\^2\) .* != closed form"):
+            verify_all(g, 0.5, OMEGA)
 
     @staticmethod
     def scaled_omega(f):
@@ -600,66 +632,6 @@ class TestStackedFailures:
         self.rotate_pair_at(monkeypatch, self.MID)
         assert len(sweep_alpha(self.G, self.GRID[: self.MID], self.BETA, seed=2)) == self.MID
         with pytest.raises(VerificationError, match="arc-sum expansion"):
-            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
-
-    # tr(M^2) = 0 beside a positive trace puts the spectral variance
-    # tr2/n - r^2, and the trace-norm bracket n*tr2 - tr^2, far below zero.
-    # The families see one point at a time, told apart by its closed-form
-    # trace 2*alpha*m
-    def trace_at(self, point):
-        return expected_traces(self.G.stats, self.GRID[point])[0]
-
-    def break_variance_at(self, monkeypatch, point):
-        real, broken_tr = mixedspec.bounds._moments, self.trace_at(point)
-        monkeypatch.setattr(
-            mixedspec.bounds, "_moments", lambda tr, tr2, n: real(tr, 0.0 if tr == broken_tr else tr2, n)
-        )
-
-    def break_bracket_at(self, monkeypatch, point):
-        real, broken_tr = mixedspec.bounds._trace_norm, self.trace_at(point)
-
-        def broken(stats, a, tr, tr2):
-            return real(stats, a, tr, 0.0 if tr == broken_tr else tr2)
-
-        monkeypatch.setattr(mixedspec.bounds, "_trace_norm", broken)
-
-    def test_variance_clamp_fails_its_point(self, monkeypatch):
-        self.break_variance_at(monkeypatch, self.MID)
-        assert len(sweep_alpha(self.G, self.GRID[: self.MID], self.BETA, seed=2)) == self.MID
-        with pytest.raises(VerificationError, match="variance .* is negative beyond rounding") as swept:
-            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
-        # _moments is the family function as imported, before the patch
-        _, _, failure = _moments(self.trace_at(self.MID), 0.0, self.G.n)
-        assert str(swept.value) == failure
-
-    def test_bracket_clamp_fails_its_point(self, monkeypatch):
-        self.break_bracket_at(monkeypatch, self.MID)
-        assert len(sweep_alpha(self.G, self.GRID[: self.MID], self.BETA, seed=2)) == self.MID
-        with pytest.raises(VerificationError, match="variance bracket .* negative beyond rounding"):
-            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
-
-    def test_variance_failure_precedes_bracket_failure_at_one_point(self, monkeypatch):
-        self.break_variance_at(monkeypatch, self.MID)
-        self.break_bracket_at(monkeypatch, self.MID)
-        with pytest.raises(VerificationError, match="variance .* is negative beyond rounding"):
-            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
-
-    def test_earlier_bracket_failure_wins(self, monkeypatch):
-        self.break_variance_at(monkeypatch, self.MID)
-        self.break_bracket_at(monkeypatch, self.MID - 1)
-        with pytest.raises(VerificationError, match="variance bracket"):
-            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
-
-    def test_earlier_oracle_failure_wins_over_variance_failure(self, monkeypatch):
-        self.break_variance_at(monkeypatch, self.MID)
-        self.perturb_eigh(monkeypatch, self.MID - 1)
-        with pytest.raises(VerificationError, match="residual enclosure"):
-            sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
-
-    def test_point_checks_precede_its_variance_failure(self, monkeypatch):
-        self.break_variance_at(monkeypatch, self.MID)
-        self.perturb_eigh(monkeypatch, self.MID)
-        with pytest.raises(VerificationError, match="residual enclosure"):
             sweep_alpha(self.G, self.GRID, self.BETA, seed=2)
 
 
