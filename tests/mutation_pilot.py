@@ -9,10 +9,9 @@ exactly once in the copy, applies the replacement, and runs
 killed when some test fails and survives when every test passes. The
 unmutated copy runs first and must pass. The checkout is only read.
 
-Run it from anywhere; ``-k TEXT`` keeps the mutants whose name contains TEXT.
-It prints one tab-separated line per mutant (result, seconds, name, the
-first failing test) and the total wall time. ``tests/mutants.txt`` holds the
-last full run:
+Run it from anywhere. It prints one tab-separated line per mutant (result,
+seconds, name, the first failing test) and the total wall time.
+``tests/mutants.txt`` holds the last run:
 
     python tests/mutation_pilot.py > tests/mutants.txt
 
@@ -21,7 +20,6 @@ The file is named so that pytest does not collect it.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -128,9 +126,6 @@ def run(mutant: Mutant | None) -> tuple[str, float, str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Run the mutants and print one line per mutant.")
-    parser.add_argument("-k", default="", help="run only the mutants whose name contains this text")
-    chosen = [m for m in MUTANTS if parser.parse_args().k in m.name]
     start = time.perf_counter()
     result, seconds, failed = run(None)
     if result != "survived":
@@ -138,10 +133,10 @@ def main() -> int:
         return 1
     print("# result\tseconds\tmutant\tfirst failing test")
     print(f"baseline\t{seconds:.1f}\tunmutated\t")
-    for mutant in chosen:
+    for mutant in MUTANTS:
         result, seconds, failed = run(mutant)
         print(f"{result}\t{seconds:.1f}\t{mutant.module}: {mutant.name}\t{failed}", flush=True)
-    print(f"# {len(chosen)} mutants in {time.perf_counter() - start:.0f} s of wall time")
+    print(f"# {len(MUTANTS)} mutants in {time.perf_counter() - start:.0f} s of wall time")
     return 0
 
 
