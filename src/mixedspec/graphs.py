@@ -48,6 +48,8 @@ class MixedGraph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"vertex count must be positive, got {self.n}")
+        if self.n > sys.maxsize:
+            raise ValueError(f"vertex count must be at most {sys.maxsize}, got {self.n}")
         seen: set[tuple[int, int]] = set()
         for i, j in self.undirected:
             if not (0 <= i < j < self.n):
@@ -234,9 +236,9 @@ def parse_graph(text: str) -> MixedGraph:
 
     Labels are 1-based and read by ``int``; ``#`` starts a comment; blank
     lines are skipped; lines are numbered as ``str.splitlines`` splits them.
-    Text in the plain alphabet is read as byte columns in one pass; any
-    other text, and any text that fails a check, is walked line by line,
-    which gives the same columns or reports the first bad line.
+    Text in the plain grammar ``_PLAIN`` is read from its bytes; any other
+    text, and any text that fails a check, is walked line by line, which
+    gives the same columns or reports the first bad line.
     """
     columns = _byte_columns(text)
     n, i, j, is_arc = _walk_lines(text) if columns is None else columns
@@ -251,88 +253,50 @@ _OPS = frozenset({"--", "->"})
 # which str.splitlines would break.
 _COMMENT = re.compile(r"#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
 
-# The kind of each byte of the plain alphabet. Every other byte, and so any
-# other spelling of a label, operator, blank or line end, is _OTHER.
-_BLANK, _NEWLINE, _DIGITS, _OPERATOR, _OTHER = range(5)
-_KINDS = bytes(
-    _BLANK if c in b" \t" else _NEWLINE if c == ord("\n") else _DIGITS if c in b"0123456789"
-    else _OPERATOR if c in b"->" else _OTHER
-    for c in range(256)
+# The plain grammar, in ASCII digits, space, tab, newline, "-" and ">": the
+# count, then lines of one edge each, with blanks and blank lines anywhere
+# between lines. Each line matches in one way only, so a failing match takes
+# linear time. A count or label of at most 18 digits is below 2**63.
+_PLAIN = re.compile(
+    rb"[ \t\n]*[0-9]{1,18}[ \t]*(?:\n[ \t\n]*[0-9]{1,18}[ \t]+-[->][ \t]+[0-9]{1,18}[ \t]*)*[ \t\n]*"
 )
-# a count or label of up to 18 digits is below 2**63
-_MAX_DIGITS = 18
 
 
 def _byte_columns(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
     """n, the edge lines' 0-based labels i and j, and a mask of the arcs
-    among them, read from the bytes of ``text`` in one pass; None unless
-    ``text`` is in the plain alphabet (ASCII digits, space, tab, newline,
-    "-" and ">", outside comments) and passes every check that
-    ``_walk_lines`` makes."""
+    among them, read from the bytes of ``text``; None unless ``text``
+    outside its comments matches the plain grammar ``_PLAIN`` and passes
+    every check that ``_walk_lines`` makes."""
     if "#" in text:
         text = _COMMENT.sub("", text)
-    if not text.isascii():
+    # isascii first: encode() raises on a lone surrogate. A newline at each
+    # end changes no match and puts a non-digit byte around every digit run.
+    if not text.isascii() or _PLAIN.fullmatch(raw := f"\n{text}\n".encode()) is None:
         return None
-    # a newline at each end: every token run then has a run on either side
-    raw = f"\n{text}\n".encode()
-    kinds = raw.translate(_KINDS)
-    if _OTHER in kinds:
-        return None
-    kind = np.frombuffer(kinds, np.uint8)
-    # the last byte of each run of bytes of one kind, but of the final newline run
-    last = np.flatnonzero(kind[1:] != kind[:-1])
-    run = kind[last]
-    tokens = np.flatnonzero(run >= _DIGITS)
-    m, rest = divmod(len(tokens) - 1, 3)
-    if rest:
-        return None
-    # Each token lies between blanks and line ends. A later token starts a
-    # line when a newline run comes just before it, or just before its blank
-    # run: lines of three tokens follow the count's line.
-    before, later = run[tokens - 1], tokens[1:]
-    starts_line = (before[1:] == _NEWLINE) | (run[later - 2] == _NEWLINE)
-    if (
-        (before >= _DIGITS).any()
-        or np.count_nonzero(starts_line) != m
-        or not starts_line[::3].all()
-    ):
-        return None
-    # A middle token is "--" or "->" when it has two bytes, the first "-".
-    # The m middle tokens are then all the operator runs, so every other
-    # token is digits.
-    starts, ends = last[tokens - 1] + 1, last[tokens] + 1
     b = np.frombuffer(raw, np.uint8)
-    ops = starts[2::3]
-    if (
-        not (ends[2::3] - ops == 2).all()
-        or not (b[ops] == ord("-")).all()
-        or np.count_nonzero(run == _OPERATOR) != m
-        or ends[0] - starts[0] > _MAX_DIGITS
-    ):
-        return None
+    digit = (b >= ord("0")) & (b <= ord("9"))
+    # the digit runs: the count, then the two labels of each edge line
+    starts, ends = (np.flatnonzero(digit[1:] != digit[:-1]) + 1).reshape(-1, 2).T
     n = int(raw[starts[0]:ends[0]])
-    firsts = np.concatenate((starts[1::3], starts[3::3]))
-    lasts = np.concatenate((ends[1::3], ends[3::3]))
-    width = int((lasts - firsts).max(initial=1))
-    if n < 1 or width > _MAX_DIGITS:
-        return None
+    firsts, lasts = starts[1:], ends[1:]
     # the labels as digit columns, ones first; a shorter label's column is 0
     labels = b[lasts - 1] - np.intp(ord("0"))
-    for place in range(1, width):
+    for place in range(1, int((lasts - firsts).max(initial=1))):
         at = lasts - 1 - place
         labels += np.where(at >= firsts, b[at] - np.intp(ord("0")), 0) * 10**place
-    if m and (labels.min() < 1 or labels.max() > n):
+    if n < 1 or labels.min(initial=1) < 1 or labels.max(initial=1) > n:
         return None
-    i, j = labels.reshape(2, -1) - 1
+    i, j = labels.reshape(-1, 2).T - 1
     lo, hi = _sorted_index_array(np.minimum(i, j), np.maximum(i, j), n)
     if (lo == hi).any() or ((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])).any():
         return None
-    return n, i, j, b[ops + 1] == ord(">")
+    # a line's ">" lies between the ends of its first label and the next one
+    return n, i, j, np.logical_or.reduceat(b == ord(">"), ends[1::2])
 
 
 def _walk_lines(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """The columns that ``_byte_columns`` reads, read line by line for any
-    text; raises GraphFormatError for the first bad line."""
+    """The columns that ``_byte_columns`` reads, read line by line from any
+    text, plain or not; raises GraphFormatError for the first bad line."""
     n = None
     firsts, seconds, arcs = [], [], []
     seen: dict[tuple[int, int], int] = {}

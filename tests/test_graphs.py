@@ -57,6 +57,12 @@ class TestMixedGraph:
         with pytest.raises(ValueError):
             MixedGraph(n=0, undirected=frozenset(), arcs=frozenset())
 
+    def test_rejects_order_above_maxsize(self):
+        # above sys.maxsize no index array can hold a vertex
+        message = f"^vertex count must be at most {sys.maxsize}, got {sys.maxsize + 1}$"
+        with pytest.raises(ValueError, match=message):
+            MixedGraph(n=sys.maxsize + 1, undirected=frozenset(), arcs=frozenset())
+
 
 class TestParse:
     def test_single_arc(self):
@@ -411,6 +417,27 @@ class TestBytePath:
         assert walker.called
         assert got == _expected_outcome(text)
         assert isinstance(got, str)
+
+    def test_labels_of_up_to_eighteen_digits_take_byte_path(self, monkeypatch):
+        # 2**64 + 1 has 20 digits: as int64 digit columns it would wrap to 1
+        # or overflow, so only the walker may read it
+        text = "3\n18446744073709551617 -- 2\n"
+        with _walker_spy() as walker:
+            got = _outcome(parse_graph, text)
+        assert walker.called
+        assert got == _expected_outcome(text)
+        assert "vertex label out of range" in got
+        monkeypatch.setattr(mixedspec.graphs, "_walk_lines", self.refuse_to_walk)
+        big = "9" * 18
+        g = parse_graph(f"{big}\n{big} -> 1\n")
+        assert (g.n, g.arcs) == (10**18 - 1, frozenset({(10**18 - 2, 0)}))
+
+    def test_long_bad_text_fails_in_linear_time(self):
+        # a pattern that could match a line in more than one way would
+        # backtrack through every earlier line before giving up
+        pairs = [(i, j) for i in range(1, 202) for j in range(i + 1, 202)][:20000]
+        text = "201\n" + "".join(f"{i} -- {j}\n" for i, j in pairs) + "1 -- 2 3\n"
+        assert _outcome(parse_graph, text) == _expected_outcome(text)
 
 
 class TestStats:
