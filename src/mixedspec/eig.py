@@ -151,11 +151,12 @@ def eigenvalues(m: HermitianStack) -> SpectrumStack:
     LAPACK call, each row sorted non-increasing.
 
     zheevd solves ``m`` with its parts below SQUARE_UNDERFLOW flushed to
-    zero, which moves each eigenvalue by at most n * SQUARE_UNDERFLOW
-    (Weyl's inequality). Without the flush, OpenBLAS's eigenvalue-only
-    zheevd can miss by 1e-7 relative when such parts are present: at
-    alpha = 5.3e-160 on the star K_{1,3} its top eigenvalue is 1.73205134,
-    not sqrt(3). The moment identities are checked against ``m`` itself.
+    zero. An entry with both parts flushed moves by sqrt(2) * SQUARE_UNDERFLOW
+    at most, so each eigenvalue moves by at most sqrt(2) * n * SQUARE_UNDERFLOW
+    (a row-sum bound on the change, and Weyl's inequality). Without the flush,
+    OpenBLAS's eigenvalue-only zheevd can miss by 1e-7 relative when such parts
+    are present: at alpha = 5.3e-160 on the star K_{1,3} its top eigenvalue is
+    1.73205134, not sqrt(3). The moment identities are checked against ``m`` itself.
 
     Deterministic for fixed input. A LAPACK failure to converge or a broken
     moment identity is a matrix's failure, raised as VerificationError

@@ -8,11 +8,11 @@ Vertices are 0-based internally; the text format is 1-based.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -32,43 +32,42 @@ class GraphFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class MixedGraph:
-    """Simple mixed graph on vertices 0..n-1.
-
-    ``undirected`` holds unordered pairs stored as (i, j) with i < j;
-    ``arcs`` holds ordered (tail, head) pairs. The underlying unordered pair
-    of every edge or arc is unique across both sets.
-    """
+    """Simple mixed graph on vertices 0..n-1: its order and two index arrays,
+    ``edge_index`` (rows i < j) and ``arc_index`` (rows tail, head). Each is
+    a read-only 2 x k intp array whose sorted columns are the pairs, and no
+    two pairs share an underlying unordered pair. ``MixedGraph(n, undirected,
+    arcs)`` takes each kind as (i, j) pairs or as a 2 x k integer array of
+    columns, and reads n and every label through ``operator.index``."""
 
     n: int
-    undirected: frozenset[tuple[int, int]]
-    arcs: frozenset[tuple[int, int]]
+    edge_index: np.ndarray
+    arc_index: np.ndarray
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
-        if self.n > sys.maxsize:
-            raise ValueError(f"vertex count must be at most {sys.maxsize}, got {self.n}")
-        seen: set[tuple[int, int]] = set()
-        for i, j in self.undirected:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"undirected edge ({i}, {j}) not canonical for n={self.n}")
-            seen.add((i, j))
-        for t, h in self.arcs:
-            if t == h:
-                raise ValueError(f"self-loop at vertex {t}")
-            if not (0 <= t < self.n and 0 <= h < self.n):
-                raise ValueError(f"arc ({t}, {h}) out of range for n={self.n}")
-            pair = (t, h) if t < h else (h, t)
-            if pair in seen:
-                raise ValueError(f"duplicate underlying pair {pair}")
-            seen.add(pair)
+    def __init__(self, n: int, undirected, arcs):
+        n = operator.index(n)
+        if n < 1:
+            raise ValueError(f"vertex count must be positive, got {n}")
+        if n > sys.maxsize:
+            raise ValueError(f"vertex count must be at most {sys.maxsize}, got {n}")
+        edges, arcs = _index_arrays(n, _columns(undirected, "undirected edge"), _columns(arcs, "arc"))
+        vars(self).update(n=n, edge_index=edges, arc_index=arcs)
+
+    # a graph compares and hashes by n and the arrays' bytes
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, MixedGraph) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple[int, bytes, bytes]:
+        return self.n, self.edge_index.tobytes(), self.arc_index.tobytes()
 
     @property
     def edge_count(self) -> int:
         """Edges of the underlying graph (arcs count once)."""
-        return len(self.undirected) + len(self.arcs)
+        return self.edge_index.shape[1] + self.arc_index.shape[1]
 
     # The graph is immutable, so data derived from it is computed on first use
     # and kept; every matrix built from the graph shares it.
@@ -78,57 +77,69 @@ class MixedGraph:
         """Degree statistics of the underlying graph (see ``graph_stats``)."""
         return graph_stats(self)
 
-    @cached_property
-    def edge_index(self) -> np.ndarray:
-        """Undirected edges as a read-only 2 x k int array: rows i and j, sorted."""
-        return _index_array(self.undirected)
-
-    @cached_property
-    def arc_index(self) -> np.ndarray:
-        """Arcs as a read-only 2 x k int array: rows tail and head, sorted."""
-        return _index_array(self.arcs)
-
-    @classmethod
-    def _from_index(cls, n: int, edge_index: np.ndarray, arc_index: np.ndarray) -> MixedGraph:
-        """The graph with these index arrays, which the caller has built with
-        ``_sorted_index_array`` and checked for range, loops and duplicate
-        pairs: ``__post_init__`` does not check them a second time."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "undirected", frozenset(zip(*edge_index.tolist())))
-        object.__setattr__(g, "arcs", frozenset(zip(*arc_index.tolist())))
-        g.__dict__.update(edge_index=edge_index, arc_index=arc_index)
-        return g
+    # the pairs as sets of (i, j) and (tail, head) tuples
+    undirected = cached_property(lambda self: frozenset(zip(*self.edge_index.tolist())))
+    arcs = cached_property(lambda self: frozenset(zip(*self.arc_index.tolist())))
 
 
-def _index_array(pairs: frozenset[tuple[int, int]]) -> np.ndarray:
-    """A set of pairs as a read-only 2 x k array of columns, sorted."""
-    return _read_only(
-        np.fromiter(chain.from_iterable(sorted(pairs)), np.intp, 2 * len(pairs)).reshape(-1, 2).T
-    )
+def _columns(pairs, kind: str) -> np.ndarray:
+    """The 2 x k columns of these pairs of one kind, or of this array."""
+    if isinstance(pairs, np.ndarray):
+        if not np.can_cast(pairs.dtype, np.intp):
+            raise ValueError(f"{kind} labels must be integers, got an array of {pairs.dtype}")
+        return pairs.astype(np.intp, copy=False)
+    labels = []
+    for i, j in pairs:
+        try:
+            labels += operator.index(i), operator.index(j)
+        except TypeError:
+            raise ValueError(f"{kind} ({i}, {j}) has a non-integer label") from None
+    try:
+        return np.array(labels, np.intp).reshape(-1, 2).T
+    except OverflowError:  # a label no intp holds, which no graph has
+        return np.array(labels, object).reshape(-1, 2).T
+
+
+def _index_arrays(n: int, edges: np.ndarray, arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index arrays of an order-n graph with these columns, after one
+    check of every pair. Its rules, in order, each reported at its smallest
+    failing pair: every edge is canonical (0 <= i < j < n); no arc is a
+    self-loop; every arc is in range; no two pairs share an underlying pair."""
+    k = edges.shape[1]
+    (i, j), (t, h) = edges, arcs
+    first = np.concatenate((i, np.minimum(t, h)))
+    second = np.concatenate((j, np.maximum(t, h)))
+    fine = (first >= 0) & (first < second) & (second < n)
+    if not fine.all():
+        if bad := sorted(zip(*edges[:, ~fine[:k]].tolist())):
+            raise ValueError(f"undirected edge {bad[0]} not canonical for n={n}")
+        # a self-loop before a pair out of range, then the smallest pair
+        a, b = min(zip(*arcs[:, ~fine[k:]].tolist()), key=lambda pair: (pair[0] != pair[1], pair))
+        raise ValueError(f"self-loop at vertex {a}" if a == b else f"arc ({a}, {b}) out of range for n={n}")
+    keys = _pair_keys(first, second, n)
+    ordered = np.sort(keys)
+    if np.count_nonzero(same := ordered[1:] == ordered[:-1]):
+        raise ValueError(f"duplicate underlying pair {divmod(int(ordered[1:][same][0]), n)}")
+    return _sorted_index_array(keys[:k], n), _sorted_index_array(_pair_keys(t, h, n), n)
 
 
 # up to this order a pair of vertices is one int64 key, first * n + second
 _KEYED_ORDER = math.isqrt(np.iinfo(np.int64).max)
 
 
-def _sorted_index_array(first: np.ndarray, second: np.ndarray, n: int) -> np.ndarray:
-    """The pairs (first[k], second[k]) of vertices of an order-n graph as a
-    read-only 2 x k array of columns, sorted as ``_index_array`` sorts a set
-    of pairs. Sorting their int64 keys takes about a third of the time of
-    ``np.lexsort`` at 900 pairs; a wider order, whose keys would overflow,
-    takes ``np.lexsort``."""
-    if n <= _KEYED_ORDER:
-        pairs = np.divmod(np.sort(first * n + second), n)
-    else:
-        order = np.lexsort((second, first))
-        pairs = first[order], second[order]
-    return _read_only(np.stack(pairs))
+def _pair_keys(first: np.ndarray, second: np.ndarray, n: int) -> np.ndarray:
+    """Keys first * n + second, which sort as the pairs do; Python ints above _KEYED_ORDER."""
+    return (first if n <= _KEYED_ORDER else first.astype(object)) * n + second
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _sorted_index_array(keys: np.ndarray, n: int) -> np.ndarray:
+    """The pairs with these ``_pair_keys`` as a read-only 2 x k intp array of
+    columns, sorted as tuples sort. Sorting keys takes about a third of the
+    time of ``np.lexsort`` at 900 pairs."""
+    keys = np.sort(keys)
+    pairs = np.array((keys // n, keys % n), np.intp)
+    pairs.setflags(write=False)
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -166,8 +177,8 @@ def graph_stats(g: MixedGraph) -> GraphStats:
     return GraphStats(
         n=g.n,
         m=g.edge_count,
-        arc_count=len(g.arcs),
-        undirected_count=len(g.undirected),
+        arc_count=g.arc_index.shape[1],
+        undirected_count=g.edge_index.shape[1],
         degrees=tuple(degrees),
         max_degree=max(degrees),
         min_degree=min(degrees),
@@ -201,28 +212,22 @@ def random_mixed_graph(n: int, edge_prob: float, orient_prob: float, seed: int) 
     the graph exactly. The uniforms are drawn UNIFORM_CHUNK at a time and
     consumed in order, which gives the same stream as one draw per call.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     if n > sys.maxsize:
         raise ValueError(f"vertex count must be at most {sys.maxsize}, got {n}")
     if not (0.0 <= edge_prob <= 1.0 and 0.0 <= orient_prob <= 1.0):
         raise ValueError(f"probabilities must lie in [0, 1], got {edge_prob}, {orient_prob}")
     rng = np.random.Generator(np.random.PCG64(seed))
     uniform = _uniforms(rng).__next__
-    undirected = []
-    arcs = []
+    edges, arcs = [], []  # labels, two per pair
     for i in range(n):
         for j in range(i + 1, n):
             if uniform() >= edge_prob:
                 continue
             if uniform() < orient_prob:
-                if uniform() < 0.5:
-                    arcs.append((i, j))
-                else:
-                    arcs.append((j, i))
+                arcs += (i, j) if uniform() < 0.5 else (j, i)
             else:
-                undirected.append((i, j))
-    return MixedGraph(n=n, undirected=frozenset(undirected), arcs=frozenset(arcs))
+                edges += i, j
+    return MixedGraph(n, *(np.array(labels, np.intp).reshape(-1, 2).T for labels in (edges, arcs)))
 
 
 def _uniforms(rng: np.random.Generator):
@@ -237,17 +242,13 @@ def parse_graph(text: str) -> MixedGraph:
     Labels are 1-based and read by ``int``; ``#`` starts a comment; blank
     lines are skipped; lines are numbered as ``str.splitlines`` splits them.
     Text in the plain grammar ``_PLAIN`` is read from its bytes; any other
-    text, and any text that fails a check, is walked line by line, which
-    gives the same columns or reports the first bad line.
+    text, and any text that fails the check, is walked line by line, which
+    gives the same graph or reports the first bad line.
     """
-    columns = _byte_columns(text)
-    n, i, j, is_arc = _walk_lines(text) if columns is None else columns
-    ei, ej = i[~is_arc], j[~is_arc]
-    edge_index = _sorted_index_array(np.minimum(ei, ej), np.maximum(ei, ej), n)
-    return MixedGraph._from_index(n, edge_index, _sorted_index_array(i[is_arc], j[is_arc], n))
+    return _byte_graph(text) or MixedGraph(*_walk_lines(text))
 
 
-_OPS = frozenset({"--", "->"})
+_OPS = ("--", "->")
 
 # A comment runs from "#" to the end of its line: to the first character at
 # which str.splitlines would break.
@@ -262,11 +263,9 @@ _PLAIN = re.compile(
 )
 
 
-def _byte_columns(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
-    """n, the edge lines' 0-based labels i and j, and a mask of the arcs
-    among them, read from the bytes of ``text``; None unless ``text``
-    outside its comments matches the plain grammar ``_PLAIN`` and passes
-    every check that ``_walk_lines`` makes."""
+def _byte_graph(text: str) -> MixedGraph | None:
+    """The graph read from the bytes of ``text``; None unless ``text`` outside
+    its comments matches the plain grammar ``_PLAIN`` and passes the check."""
     if "#" in text:
         text = _COMMENT.sub("", text)
     # isascii first: encode() raises on a lone surrogate. A newline at each
@@ -284,21 +283,21 @@ def _byte_columns(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] |
     for place in range(1, int((lasts - firsts).max(initial=1))):
         at = lasts - 1 - place
         labels += np.where(at >= firsts, b[at] - np.intp(ord("0")), 0) * 10**place
-    if n < 1 or labels.min(initial=1) < 1 or labels.max(initial=1) > n:
-        return None
-    i, j = labels.reshape(-1, 2).T - 1
-    lo, hi = _sorted_index_array(np.minimum(i, j), np.maximum(i, j), n)
-    if (lo == hi).any() or ((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])).any():
-        return None
+    pairs = labels.reshape(-1, 2).T - 1
     # a line's ">" lies between the ends of its first label and the next one
-    return n, i, j, np.logical_or.reduceat(b == ord(">"), ends[1::2])
+    is_arc = np.logical_or.reduceat(b == ord(">"), ends[1::2])
+    i, j = pairs[:, ~is_arc]
+    try:
+        return MixedGraph(n, np.array((np.minimum(i, j), np.maximum(i, j))), pairs[:, is_arc])
+    except ValueError:
+        return None  # the walker names the first bad line
 
 
-def _walk_lines(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """The columns that ``_byte_columns`` reads, read line by line from any
-    text, plain or not; raises GraphFormatError for the first bad line."""
+def _walk_lines(text: str) -> tuple[int, list[tuple[int, int]], list[tuple[int, int]]]:
+    """n and the 0-based undirected edges and arcs of any text, plain or
+    not, read line by line; raises GraphFormatError for the first bad line."""
     n = None
-    firsts, seconds, arcs = [], [], []
+    edges, arcs = [], []
     seen: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -332,19 +331,18 @@ def _walk_lines(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
                 f"duplicate underlying pair {{{lo}, {hi}}} (first seen on line {first})", lineno
             )
         seen[lo, hi] = lineno
-        firsts.append(i - 1)
-        seconds.append(j - 1)
-        arcs.append(tokens[1] == "->")
+        if tokens[1] == "->":
+            arcs.append((i - 1, j - 1))
+        else:
+            edges.append((lo - 1, hi - 1))
     if n is None:
         raise GraphFormatError("empty input: no vertex count found")
-    return n, np.array(firsts, np.intp), np.array(seconds, np.intp), np.array(arcs, bool)
+    return n, edges, arcs
 
 
 def serialize_graph(g: MixedGraph) -> str:
     """Canonical text form: n, sorted undirected edges, then sorted arcs, 1-based."""
     lines = [str(g.n)]
-    for i, j in sorted(g.undirected):
-        lines.append(f"{i + 1} -- {j + 1}")
-    for t, h in sorted(g.arcs):
-        lines.append(f"{t + 1} -> {h + 1}")
+    lines += (f"{i + 1} -- {j + 1}" for i, j in zip(*g.edge_index.tolist()))
+    lines += (f"{t + 1} -> {h + 1}" for t, h in zip(*g.arc_index.tolist()))
     return "\n".join(lines) + "\n"

@@ -142,11 +142,11 @@ def _adjacency_array(g: MixedGraph, beta: BetaParam) -> np.ndarray:
 
 
 def _blend(g: MixedGraph, alphas: list[float], beta: BetaParam) -> np.ndarray:
-    """The (k, n, n) array of alpha*D + (1-alpha)*H, one matrix per alpha: H
-    is filled once as a plain array and scaled, then the diagonal, where H is
-    zero, is set to the real alpha*d."""
+    """alpha*D + (1-alpha)*H as a (k, n, n) array, one matrix per alpha: H is
+    filled once, scaled and given D's +0.0 off the diagonal (a scaled part that
+    underflows to -0.0 becomes +0.0); the diagonal, where H is zero, is set to alpha*d."""
     a = np.array(alphas, dtype=np.float64)
-    s = (1.0 - a[:, None, None]) * _adjacency_array(g, beta)
+    s = (1.0 - a[:, None, None]) * _adjacency_array(g, beta) + 0.0
     degrees = np.array(g.stats.degrees, dtype=np.float64)
     s.reshape(len(alphas), g.n * g.n)[:, :: g.n + 1] = a[:, None] * degrees
     return s

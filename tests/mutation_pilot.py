@@ -63,8 +63,9 @@ _SUM = "        if not abs(sum1[i] - tr[i]) <= MOMENT_RTOL * max(1.0, abs(tr[i])
 _SQUARE_SUM = "        elif not abs(sum2[i] - tr2[i]) <= MOMENT_RTOL * max(1.0, tr2[i]):"
 _BETA = "        if failure is None and not beta[i] <= limit:"
 _PLAIN = '    rb"[ \\t\\n]*[0-9]{1,18}[ \\t]*(?:\\n[ \\t\\n]*[0-9]{1,18}[ \\t]+-[->][ \\t]+[0-9]{1,18}[ \\t]*)*[ \\t\\n]*"'
-_DUPLICATES = "((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])).any()"
-_LOOPS_AND_DUPLICATES = f"    if (lo == hi).any() or {_DUPLICATES}:"
+_FINE = "    fine = (first >= 0) & (first < second) & (second < n)"
+_ORIENTED = "    first = np.concatenate((i, np.minimum(t, h)))\n    second = np.concatenate((j, np.maximum(t, h)))"
+_TINY = "    tiny = (np.abs(x) < SQUARE_UNDERFLOW) & (x != 0.0)"
 
 MUTANTS = (
     # the residual enclosure of eig.oracle_eigenvalues
@@ -123,23 +124,41 @@ MUTANTS = (
         "eig.py", "oracle enclosure", _BETA,
         ("<= -> <", _BETA.replace("<=", "<")), ("dropped", "        if False:"),
     ),
-    # the plain grammar of graphs._byte_columns and the checks on its columns
+    # the primary route's flush of tiny parts: its threshold both ways, its
+    # boundary, and the flush dropped
+    *_tolerance("eig.py", "SQUARE_UNDERFLOW", "2.0**-511", "2.0**-540", "2.0**-480"),
+    *_checks(
+        "eig.py", "_flush_tiny", _TINY,
+        ("< -> <=", _TINY.replace("<", "<=")), ("dropped", _TINY.replace("(np.abs(x) < SQUARE_UNDERFLOW)", "False")),
+    ),
+    # the plain grammar of graphs._byte_graph
     *_checks(
         "graphs.py", "_PLAIN", _PLAIN,
         ("labels of up to 20 digits", _PLAIN.replace("{1,18}", "{1,20}")),
         # the same language, but a first label can be split in up to ten ways
         ("first label as {1,9}{0,9}", _PLAIN.replace("{1,18}[ \\t]+-", "{1,9}[0-9]{0,9}[ \\t]+-")),
     ),
+    # the one check of every graph's pairs, graphs._index_arrays, and the
+    # label read before it
     *_checks(
-        "graphs.py", "_byte_columns", "labels.min(initial=1) < 1 or labels.max(initial=1) > n",
-        ("range check dropped", "False"),
+        "graphs.py", "_index_arrays", _FINE,
+        ("range check dropped", _FINE.replace(" & (second < n)", "")),
+        ("negative labels allowed", _FINE.replace("(first >= 0) & ", "")),
+        ("self-loop check dropped", _FINE.replace("first < second", "first <= second")),
     ),
     *_checks(
-        "graphs.py", "_byte_columns", _LOOPS_AND_DUPLICATES,
-        ("self-loop check dropped", _LOOPS_AND_DUPLICATES.replace("(lo == hi).any()", "False")),
-        ("duplicate check dropped", _LOOPS_AND_DUPLICATES.replace(_DUPLICATES, "False")),
+        "graphs.py", "_index_arrays", _ORIENTED,
+        ("canonical-edge check dropped", _ORIENTED.replace("(i,", "(np.minimum(i, j),").replace("(j,", "(np.maximum(i, j),")),
     ),
-    *_checks("graphs.py", "_byte_columns", 'b == ord(">")', ("arc mask from the - bytes", 'b == ord("-")')),
+    *_checks(
+        "graphs.py", "_index_arrays", "    if np.count_nonzero(same := ordered[1:] == ordered[:-1]):",
+        ("duplicate check dropped", "    if False:"),
+    ),
+    *_checks(
+        "graphs.py", "_columns", "labels += operator.index(i), operator.index(j)",
+        ("non-integer check dropped", "labels += i, j"),
+    ),
+    *_checks("graphs.py", "_byte_graph", 'b == ord(">")', ("arc mask from the - bytes", 'b == ord("-")')),
 )
 
 

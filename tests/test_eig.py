@@ -409,9 +409,11 @@ class TestTinyParts:
         assert verify_all(self.STAR, self.ALPHA, OMEGA).spread > 0.0
 
     def test_flush_keeps_every_other_part(self):
-        x = np.array([[[-0.0, 1e-160 - 2j], [1e-160 + 2j, SQUARE_UNDERFLOW]]])
+        # 2**-510, written out, pins the threshold from above: a threshold
+        # raised past it would flush a part whose square is normal
+        x = np.array([[[-0.0, 1e-160 - 2j], [1e-160 + 2j, complex(SQUARE_UNDERFLOW, 2.0**-510)]]])
         got = _flush_tiny(x)
-        assert got.tolist() == [[[0j, -2j], [2j, SQUARE_UNDERFLOW]]]
+        assert got.tolist() == [[[0j, -2j], [2j, complex(SQUARE_UNDERFLOW, 2.0**-510)]]]
         assert math.copysign(1.0, got[0, 0, 0].real) == -1.0
         assert _flush_tiny(got) is got
 

@@ -63,6 +63,35 @@ class TestMixedGraph:
         with pytest.raises(ValueError, match=message):
             MixedGraph(n=sys.maxsize + 1, undirected=frozenset(), arcs=frozenset())
 
+    def test_rejects_non_integer_label(self):
+        # an intp array would truncate 0.5 to 0, and the text form "1.5 -- 2"
+        # of such a graph does not parse
+        with pytest.raises(ValueError, match=r"^undirected edge \(0\.5, 1\) has a non-integer label$"):
+            MixedGraph(n=3, undirected=frozenset({(0.5, 1)}), arcs=frozenset())
+        with pytest.raises(ValueError, match=r"^arc labels must be integers, got an array of float64$"):
+            MixedGraph(n=3, undirected=frozenset(), arcs=np.array([[0.5], [1.0]]))
+
+    @pytest.mark.parametrize(
+        "undirected, arcs, message",
+        [
+            # a label that no intp holds keeps its message
+            ((), {(0, 2**70)}, "arc (0, 1180591620717411303424) out of range for n=2"),
+            ({(-1, 1)}, (), "undirected edge (-1, 1) not canonical for n=2"),
+            # two faults: the rules go edges, loops, range, duplicates, and
+            # within one rule the smallest pair is reported
+            ({(1, 0)}, {(1, 1)}, "undirected edge (1, 0) not canonical for n=2"),
+            ((), {(0, 2), (1, 1)}, "self-loop at vertex 1"),
+            ((), {(1, 3), (0, 5)}, "arc (0, 5) out of range for n=2"),
+            ({(0, 1)}, {(1, 0), (2**70, 0)}, "arc (1180591620717411303424, 0) out of range for n=2"),
+        ],
+        ids=["huge-label", "negative-label", "edge-before-loop", "loop-before-range", "smallest-pair",
+             "range-before-duplicate"],
+    )
+    def test_pinned_message(self, undirected, arcs, message):
+        with pytest.raises(ValueError) as info:
+            MixedGraph(n=2, undirected=undirected, arcs=arcs)
+        assert str(info.value) == message
+
 
 class TestParse:
     def test_single_arc(self):
@@ -375,7 +404,14 @@ class TestBytePath:
     @given(graphs())
     def test_serialized_graphs_take_byte_path(self, g):
         with mock.patch.object(mixedspec.graphs, "_walk_lines", self.refuse_to_walk):
-            assert parse_graph(serialize_graph(g)) == g
+            parsed = parse_graph(serialize_graph(g))
+        # equal graphs hash equal however they were built, cached stats or not
+        paired = MixedGraph(g.n, g.undirected, g.arcs)
+        for _ in range(2):
+            assert parsed == g == paired
+            assert hash(parsed) == hash(g) == hash(paired)
+            parsed.stats
+        assert g != serialize_graph(g)
 
     @pytest.mark.parametrize(
         "text",
@@ -529,9 +565,12 @@ class TestDerivedData:
 
     def test_cached_data_leaves_equality_alone(self, c3):
         again = parse_graph("3\n1 -> 2\n2 -> 3\n3 -> 1\n")
+        paired = MixedGraph(3, [], [(2, 0), (0, 1), (1, 2)])
         c3.stats
-        assert again == c3 and hash(again) == hash(c3)
+        assert again == c3 == paired and hash(again) == hash(c3) == hash(paired)
         assert np.array_equal(again.arc_index, c3.arc_index)
+        # a graph is never equal to a non-graph, not even its own pairs
+        assert (c3 == None) is False and (c3 == (3, c3.undirected, c3.arcs)) is False
 
 
 def _reference_index(pairs):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import hermitian_from_array
 from mixedspec.eig import eigenvalues
@@ -231,6 +231,8 @@ class TestBuilders:
         assert np.all(np.diagonal(m).imag == 0.0)
 
     @given(graphs(), alphas, beta_angles)
+    # (1 - a) * Im(conj(beta)) underflows to -0.0, and alpha*D adds +0.0
+    @example(MixedGraph(2, [], [(0, 1)]), 0.5, 5e-324)
     def test_blend_bits_match_blend_of_validated_parts(self, g, a, theta):
         # every entry equals alpha*D + (1-alpha)*H, bit for bit, signed zeros
         # included; D and H are filled from the edge and arc lists, which
