@@ -87,9 +87,15 @@ def _columns(pairs, kind: str) -> np.ndarray:
     if isinstance(pairs, np.ndarray):
         if not np.can_cast(pairs.dtype, np.intp):
             raise ValueError(f"{kind} labels must be integers, got an array of {pairs.dtype}")
+        if pairs.ndim != 2 or len(pairs) != 2:
+            raise ValueError(f"{kind} array must be 2 x k, got shape {pairs.shape}")
         return pairs.astype(np.intp, copy=False)
     labels = []
-    for i, j in pairs:
+    for pair in pairs:
+        try:
+            i, j = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"{kind} {pair!r} is not an (i, j) pair") from None
         try:
             labels += operator.index(i), operator.index(j)
         except TypeError:

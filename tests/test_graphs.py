@@ -74,6 +74,29 @@ class TestMixedGraph:
     @pytest.mark.parametrize(
         "undirected, arcs, message",
         [
+            (np.array([0, 1]), (), "undirected edge array must be 2 x k, got shape (2,)"),
+            ((), np.array([[0, 1], [1, 2], [2, 0]]), "arc array must be 2 x k, got shape (3, 2)"),
+            ((), np.zeros((3, 1), dtype=int), "arc array must be 2 x k, got shape (3, 1)"),
+            ([(0, 1, 2)], (), "undirected edge (0, 1, 2) is not an (i, j) pair"),
+            ((), [(0,)], "arc (0,) is not an (i, j) pair"),
+        ],
+        ids=["1-d-array", "k-by-2-array", "3-by-k-array", "listed-triple", "listed-single"],
+    )
+    def test_rejects_what_is_not_pairs(self, undirected, arcs, message):
+        # a 1-D array used to raise IndexError and a triple "too many values
+        # to unpack"; each now names the kind and the shape or the pair
+        with pytest.raises(ValueError) as info:
+            MixedGraph(n=3, undirected=undirected, arcs=arcs)
+        assert str(info.value) == message
+
+    def test_accepts_two_by_zero_array(self):
+        g = MixedGraph(n=3, undirected=np.zeros((2, 0), dtype=int), arcs=np.array([[0], [2]]))
+        assert (g.edge_count, g.undirected, g.arcs) == (1, frozenset(), frozenset({(0, 2)}))
+        assert g == MixedGraph(n=3, undirected=(), arcs=[(0, 2)])
+
+    @pytest.mark.parametrize(
+        "undirected, arcs, message",
+        [
             # a label that no intp holds keeps its message
             ((), {(0, 2**70)}, "arc (0, 1180591620717411303424) out of range for n=2"),
             ({(-1, 1)}, (), "undirected edge (-1, 1) not canonical for n=2"),

@@ -14,6 +14,7 @@ import mixedspec.bounds
 import mixedspec.harness
 from conftest import CatalogRow, catalog_row
 from mixedspec.bounds import BoundKind, BoundTarget, Row, _Plan, _scored, score_block
+from mixedspec.cli import main as cli_main
 from mixedspec.eig import Spectrum, SpectrumStack, eigenvalues, oracle_eigenvalues
 from mixedspec.graphs import graph_stats, parse_graph, random_mixed_graph
 from mixedspec.harness import (
@@ -294,6 +295,56 @@ class TestUnitVectorsMatchReference:
         # parts first, then all imaginary parts
         got, ref = z.view(np.float64), want.view(np.float64)
         assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+
+
+class TestRayleighBlockCache:
+    """The Rayleigh block of an (n, seed) pair is drawn once and then shared
+    read-only by every check that draws it again in the process."""
+
+    def test_repeat_call_is_the_same_read_only_block(self):
+        z = _unit_vectors(7, 3)
+        assert _unit_vectors(7, 3) is z
+        assert not z.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            z[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            z.view(np.float64)[:] *= 2.0
+
+    def test_fresh_draw_equals_cached_block_bit_for_bit(self):
+        cached = _unit_vectors(9, 21)
+        _unit_vectors.cache_clear()
+        fresh = _unit_vectors(9, 21)
+        assert fresh is not cached
+        assert fresh.tobytes() == cached.tobytes()
+        assert not fresh.flags.writeable
+
+    def test_float_seed_still_raises_when_its_integer_is_cached(self):
+        _unit_vectors(4, 5)
+        with pytest.raises(TypeError):
+            _unit_vectors(4, 5.0)
+
+    def test_evicted_block_gives_the_cold_cache_report(self):
+        g = parse_graph(GRAPH_N16.read_text())
+        _unit_vectors.cache_clear()
+        cold = verify_all(g, 0.3, OMEGA)
+        block = _unit_vectors(g.n, 0)
+        for seed in range(1, 18):
+            _unit_vectors(g.n, seed)
+        assert _unit_vectors.cache_info().currsize == 16
+        warm = verify_all(g, 0.3, OMEGA)
+        # the block was drawn again, and the report did not move a bit
+        assert _unit_vectors(g.n, 0) is not block
+        assert repr(warm) == repr(cold)
+
+    def test_in_process_reports_print_identical_bytes(self, capsys):
+        argv = ["report", "--graph", str(GRAPH_N16), "--alpha", "0.5"]
+        _unit_vectors.cache_clear()
+        outputs = []
+        for _ in range(2):
+            assert cli_main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert _unit_vectors.cache_info().hits >= 1
+        assert outputs[0] == outputs[1] != ""
 
 
 class TestExpansionCrossCheck:
