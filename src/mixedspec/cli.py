@@ -18,8 +18,8 @@ import dataclasses
 import functools
 import json
 import math
-import operator
 import sys
+from collections.abc import Iterator
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 
@@ -29,6 +29,7 @@ from .harness import (
     Status,
     SweepConfig,
     VerificationError,
+    _block_len,
     randomized_suite,
     sweep_alpha,
 )
@@ -62,10 +63,6 @@ def parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid point count must be finite, got {text!r}")
     count = int(math.floor(steps + GRID_EPS)) + 1
     return [min(start + i * step, stop) for i in range(count)]
-
-
-def _bound_label(name: str, j: int | None) -> str:
-    return name if j is None else f"{name}_j{j}"
 
 
 def _numbers(values) -> list[str]:
@@ -131,34 +128,43 @@ def report_json(report: BoundReport) -> str:
     )
 
 
-def csv_header(report: BoundReport) -> str:
+@functools.lru_cache(maxsize=64)
+def csv_header(rows: tuple) -> str:
+    """The CSV header of reports with these catalog rows, cached like ``_bounds_format``."""
     cols = ["alpha", "beta_arg", "mu1", "muN", "rho", "spread", "traceNorm"]
-    for row in report.rows:
-        label = _bound_label(row.name, row.j)
-        cols.append(f"{label}_bound")
-        cols.append(f"{label}_slack")
+    for row in rows:
+        label = row.name if row.j is None else f"{row.name}_j{row.j}"
+        cols += f"{label}_bound", f"{label}_slack"
     return ",".join(cols)
-
-
-_IS_NONE = functools.partial(operator.is_, None)
-_NOT_NONE = functools.partial(operator.is_not, None)
 
 
 @functools.lru_cache(maxsize=64)
 def _csv_format(missing: tuple[bool, ...]) -> str:
-    """The %-format of a CSV row: ``%.17g`` per number, an empty cell for
-    each missing one. Cached, since a grid's points rarely differ in which
-    cells are missing."""
-    return ",".join(["" if m else "%.17g" for m in missing])
+    """The %-format of a CSV row: ``%.17g`` per number and ``%.0s``, which
+    prints None as nothing, per missing one. In a sweep only the bound and
+    slack of the rows that the order premise removes (note ``needs n >= k``)
+    are missing, so one layout, fixed by n, serves every row."""
+    return ",".join(["%.0s" if m else "%.17g" for m in missing])
+
+
+def csv_blocks(reports: list[BoundReport], beta_arg: float, step: int) -> Iterator[str]:
+    """The CSV of reports of one graph, one text per ``step`` reports: the
+    header, then a row per report, all in the layout of the first report."""
+    head, row = csv_header(reports[0].rows) + "\n", None
+    for start in range(0, len(reports), step):
+        cells = [
+            (r.alpha, beta_arg, r.spectrum.mu_max, r.spectrum.mu_min, r.rho, r.spread, r.trace_norm,
+             *chain.from_iterable(zip(r.bounds, r.slacks)))
+            for r in reports[start : start + step]
+        ]
+        row = row or _csv_format(tuple(c is None for c in cells[0])) + "\n"
+        yield head + (row * len(cells)) % tuple(chain.from_iterable(cells))
+        head = ""
 
 
 def csv_row(report: BoundReport, beta_arg: float) -> str:
-    s = report.spectrum
-    cells = (
-        report.alpha, beta_arg, s.mu_max, s.mu_min, report.rho, report.spread, report.trace_norm,
-        *chain.from_iterable(zip(report.bounds, report.slacks)),
-    )
-    return _csv_format(tuple(map(_IS_NONE, cells))) % tuple(filter(_NOT_NONE, cells))
+    """The report's CSV row, in its own layout: ``csv_blocks``' one-report case."""
+    return next(csv_blocks([report], beta_arg, 1)).split("\n")[1]
 
 
 def _read_graph(path: str):
@@ -185,9 +191,8 @@ def cmd_sweep(args) -> int:
         text = docs[0] if one_point else _array([d.replace("\n", "\n  ") for d in docs], "")
         sys.stdout.write(text + "\n")
     else:
-        sys.stdout.write(csv_header(reports[0]) + "\n")
-        for r in reports:
-            sys.stdout.write(csv_row(r, beta_arg) + "\n")
+        for text in csv_blocks(reports, beta_arg, _block_len(graph.n)):
+            sys.stdout.write(text)
     return 1 if any(Status.VIOLATED in r.statuses for r in reports) else 0
 
 

@@ -90,6 +90,10 @@ def _columns(pairs, kind: str) -> np.ndarray:
         if pairs.ndim != 2 or len(pairs) != 2:
             raise ValueError(f"{kind} array must be 2 x k, got shape {pairs.shape}")
         return pairs.astype(np.intp, copy=False)
+    try:
+        pairs = iter(pairs)
+    except TypeError:
+        raise ValueError(f"{kind}s must be pairs or a 2 x k array, got {type(pairs).__name__}") from None
     labels = []
     for pair in pairs:
         try:

@@ -31,8 +31,8 @@ _OMEGA = (0.5, math.sqrt(3.0) / 2.0)
 def check_alpha(alpha: float) -> float:
     """The blend weight as a float in [0, 1]: 0 is pure phase adjacency, 1 the
     pure degree matrix. Converts first, so an int or NumPy scalar comes back
-    as a Python float."""
-    alpha = float(alpha)
+    as a Python float, and adds 0.0, so -0.0 comes back as 0.0."""
+    alpha = float(alpha) + 0.0
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     return alpha

@@ -1,6 +1,8 @@
 """Command-line interface: grids, formats, exit codes, determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import re
@@ -19,7 +21,7 @@ import mixedspec.harness
 import mixedspec.matrices
 from mixedspec.cli import csv_row, main, parse_grid, report_json
 from mixedspec.eig import Spectrum
-from mixedspec.graphs import parse_graph, random_mixed_graph
+from mixedspec.graphs import parse_graph, random_mixed_graph, serialize_graph
 from mixedspec.harness import (
     BoundReport,
     Status,
@@ -190,6 +192,26 @@ class TestReport:
         assert code == 0
         assert len(out) == 2
         assert out[0].startswith("alpha,beta_arg,mu1,muN,rho,spread,traceNorm,")
+
+    @pytest.mark.parametrize("graph", ["graph_n2_empty.mg", "graph_n16.mg"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--alpha={}"],
+            ["report", "--alpha={}", "--format", "csv"],
+            ["sweep", "--alpha={}:1:0.5"],
+            ["sweep", "--alpha={}"],
+        ],
+        ids=["report-json", "report-csv", "sweep-grid", "sweep-point"],
+    )
+    def test_negative_zero_alpha_prints_as_zero(self, capsys, graph, argv):
+        # a -0.0 kept as is reaches the degree diagonal and prints as
+        # "alpha": -0.0, with -0.0 eigenvalues, actuals and slacks
+        outs = []
+        for zero in ("-0", "0"):
+            assert main([*(a.format(zero) for a in argv), "--graph", str(DATA / graph)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_missing_file(self, capsys):
         assert main(["report", "--graph", "/nonexistent/file.mg"]) == 2
@@ -601,6 +623,119 @@ class TestCsvWriter:
                       "1.0000000000000001e+300", "12", "7", "0"):
             assert piece in cells
         assert len(cells) == 2 * (7 + 2 * len(report.rows))
+
+
+def reference_csv(reports: list[BoundReport], beta_arg: float) -> str:
+    """A sweep's CSV: the header named from the catalog rows, then
+    ``reference_csv_row`` per report, each line ended by a newline."""
+    labels = [row.name if row.j is None else f"{row.name}_j{row.j}" for row in reports[0].rows]
+    head = ["alpha", "beta_arg", "mu1", "muN", "rho", "spread", "traceNorm"]
+    head += [f"{label}_{end}" for label in labels for end in ("bound", "slack")]
+    return "".join(line + "\n" for line in [",".join(head), *(reference_csv_row(r, beta_arg) for r in reports)])
+
+
+class CountingOut(io.StringIO):
+    """A stdout that counts its writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@st.composite
+def grid_specs(draw):
+    """A grid spec over [0, 1] with 1 to 6 points, or a bare alpha."""
+    start, stop = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    count = draw(st.integers(1, 6))
+    if count == 1 or stop == start:
+        return repr(start)
+    return f"{start!r}:{stop!r}:{(stop - start) / (count - 1)!r}"
+
+
+class TestCsvSweep:
+    """``sweep``'s CSV stdout, written in one layout per graph, against the
+    per-cell reference."""
+
+    @given(
+        mixed_graphs,
+        grid_specs(),
+        st.none() | st.floats(-math.pi / 2, math.pi / 2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference(self, tmp_path_factory, g, spec, beta_arg, seed):
+        path = tmp_path_factory.mktemp("sweep") / "g.mg"
+        path.write_text(serialize_graph(g))
+        argv = ["sweep", "--graph", str(path), f"--alpha={spec}", "--seed", str(seed)]
+        if beta_arg is None:
+            beta, beta_arg = omega_constant(), math.pi / 3
+        else:
+            beta = BetaParam.from_angle(beta_arg)
+            argv.append(f"--beta-arg={beta_arg!r}")
+        reports = [verify_all(g, a, beta, rayleigh_seed=seed) for a in parse_grid(spec)]
+        # a hypothesis test cannot take capsys, a function-scoped fixture
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(argv)
+        assert out.getvalue() == reference_csv(reports, beta_arg)
+
+    def test_blocks_match_reference(self, monkeypatch):
+        # four points a block, so the 21 points run as six blocks (the last of one)
+        harness = mixedspec.harness
+        monkeypatch.setattr(harness, "BLOCK_ENTRIES", 4 * 16 * harness.RAYLEIGH_SAMPLES)
+        assert harness._block_len(16) == 4
+        g = parse_graph(GRAPH_N16.read_text())
+        reports = [verify_all(g, a, BetaParam.from_angle(-0.4), rayleigh_seed=3) for a in parse_grid("0:1:0.05")]
+        out = CountingOut()
+        monkeypatch.setattr(sys, "stdout", out)
+        argv = ["sweep", "--graph", str(GRAPH_N16), "--alpha", "0:1:0.05", "--beta-arg", "-0.4", "--seed", "3"]
+        assert main(argv) == 0
+        assert out.getvalue() == reference_csv(reports, -0.4)
+        assert out.writes == 6
+
+    def test_one_write_and_one_layout_per_block(self, monkeypatch):
+        # 21 points of an n = 16 graph fit one stacked block: the header and
+        # all rows go out in one write, from one derived row format
+        cli, layouts, headers = mixedspec.cli, [], []
+        real_format, real_header = cli._csv_format, cli.csv_header
+
+        def counted_format(missing):
+            layouts.append(missing)
+            return real_format(missing)
+
+        def counted_header(rows):
+            headers.append(rows)
+            return real_header(rows)
+
+        monkeypatch.setattr(cli, "_csv_format", counted_format)
+        monkeypatch.setattr(cli, "csv_header", counted_header)
+        out = CountingOut()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["sweep", "--graph", str(GRAPH_N16), "--alpha", "0:1:0.05"]) == 0
+        assert len(out.getvalue().splitlines()) == 22
+        assert (out.writes, len(layouts), len(headers)) == (1, 1, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("beta_arg", [[], ["--beta-arg", "0.3"]], ids=["omega", "beta-0.3"])
+    def test_empty_cells_are_the_order_premise_rows(self, tmp_path, capsys, n, beta_arg):
+        # NOT_APPLICABLE rows for other reasons (beta off omega, no
+        # off-diagonal entry) and EXPECTED_FAIL rows print both cells
+        path = tmp_path / "g.mg"
+        path.write_text(serialize_graph(random_mixed_graph(n, 0.7, 0.5, n)))
+        argv = ["--graph", str(path), "--alpha", "0.5", *beta_arg]
+        main(["report", *argv])
+        doc = json.loads(capsys.readouterr().out)
+        main(["report", *argv, "--format", "csv"])
+        header, row = (line.split(",") for line in capsys.readouterr().out.splitlines())
+        empty = {col for col, cell in zip(header, row) if cell == ""}
+        premise = set()
+        for b in doc["bounds"]:
+            if re.fullmatch(r"needs n >= \d+", b.get("note", "")):
+                label = b["name"] if "j" not in b else f"{b['name']}_j{b['j']}"
+                premise |= {f"{label}_bound", f"{label}_slack"}
+        assert empty == premise
+        assert bool(premise) == (n < 3)
 
 
 class TestCheck:

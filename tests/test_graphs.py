@@ -79,12 +79,17 @@ class TestMixedGraph:
             ((), np.zeros((3, 1), dtype=int), "arc array must be 2 x k, got shape (3, 1)"),
             ([(0, 1, 2)], (), "undirected edge (0, 1, 2) is not an (i, j) pair"),
             ((), [(0,)], "arc (0,) is not an (i, j) pair"),
+            (5, [], "undirected edges must be pairs or a 2 x k array, got int"),
+            (None, [], "undirected edges must be pairs or a 2 x k array, got NoneType"),
+            ([], 7, "arcs must be pairs or a 2 x k array, got int"),
         ],
-        ids=["1-d-array", "k-by-2-array", "3-by-k-array", "listed-triple", "listed-single"],
+        ids=["1-d-array", "k-by-2-array", "3-by-k-array", "listed-triple", "listed-single",
+             "int-edges", "none-edges", "int-arcs"],
     )
     def test_rejects_what_is_not_pairs(self, undirected, arcs, message):
-        # a 1-D array used to raise IndexError and a triple "too many values
-        # to unpack"; each now names the kind and the shape or the pair
+        # a 1-D array used to raise IndexError, a triple "too many values to
+        # unpack" and an int "'int' object is not iterable"; each now names
+        # the kind and the shape, the pair or the type
         with pytest.raises(ValueError) as info:
             MixedGraph(n=3, undirected=undirected, arcs=arcs)
         assert str(info.value) == message

@@ -124,8 +124,10 @@ class TestParams:
         assert abs((w * w.conjugate()) - 1.0) <= 1e-15
 
     def test_alpha_range_enforced(self, c3):
-        # the endpoints are in range, and an int or NumPy scalar comes back as a float
-        for given, text in ((0, "0.0"), (1, "1.0"), (np.float64(0.5), "0.5")):
+        # the endpoints are in range, an int or NumPy scalar comes back as a
+        # float, and -0.0 as 0.0, so it never reaches the degree diagonal
+        cases = ((0, "0.0"), (1, "1.0"), (np.float64(0.5), "0.5"), (-0.0, "0.0"), (np.float64(-0.0), "0.0"))
+        for given, text in cases:
             alpha = verify_all(c3, given, OMEGA).alpha
             assert type(alpha) is float
             assert json.dumps(alpha) == text
